@@ -26,7 +26,7 @@ from .errors import (
     RadarOdoError,
     UnderdeterminedError,
 )
-from .icp import IcpConfig, IcpDiagnostics, icp_match
+from .icp import IcpConfig, IcpDiagnostics, icp_match, icp_matcher
 from .keypoints import (
     Keypoint,
     KeypointSet,

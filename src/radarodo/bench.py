@@ -2,21 +2,21 @@
 
 Two sweeps: data association time as a function of the region budget
 (which drives the candidate count), and keypoint extraction time as a
-function of grid size. Each point is the best of ``repeats`` runs; the
-log-log slope of time against the swept parameter summarizes the scaling.
+function of grid size. Each point is the best of ``repeats`` runs, taken
+round-robin after one warm-up call per point; the log-log slope of time
+against the swept parameter summarizes the scaling.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .descriptors import propose_unary_matches
 from .keypoints import extract_keypoints
-from .matching import greedy_select, pairwise_compatibility, principal_eigenvector
-from .odometry import PipelineConfig
+from .odometry import PipelineConfig, match_keypoint_sets
 from .scan import SensorMeta
 from .se2 import Pose2
 from .simulate import ArtifactModel, random_world, render_scan
@@ -51,43 +51,47 @@ def _busy_scene(meta: SensorMeta, seed: int):
     return scan_a, scan_b
 
 
-def _best_of(fn, repeats: int) -> tuple[float, object]:
-    best = np.inf
-    out = None
+def _best_of_each(fns, repeats: int):
+    """Best wall time of each call over ``repeats`` rounds, and each call's
+    result. Every call runs once untimed first; then each round times every
+    call once, so a slow spell on the host spreads over all sweep points
+    instead of landing on one."""
+    outs = [fn() for fn in fns]
+    best = [np.inf] * len(fns)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best, outs
 
 
 def sweep_association(l_max_values, seed: int = 0, repeats: int = 3, meta: SensorMeta | None = None):
-    """Time descriptor matching + spectral selection per region budget."""
+    """Time ``match_keypoint_sets`` (no prior) per region budget."""
     if len(l_max_values) < 3:
         raise ValueError("need at least 3 sweep points")
     meta = meta or SensorMeta(256, 256, 0.5, 0.25)
     scan_a, scan_b = _busy_scene(meta, seed)
     cfg = PipelineConfig(alpha=64, rho=64)
-    points = []
-    for l_max in l_max_values:
-        kp_a = extract_keypoints(scan_a, l_max)
-        kp_b = extract_keypoints(scan_b, l_max)
-        l1, l2 = (kp_a, kp_b) if len(kp_a) <= len(kp_b) else (kp_b, kp_a)
-
-        def run():
-            unary = propose_unary_matches(l1, l2, cfg.alpha, cfg.rho, meta.max_range)
-            c = pairwise_compatibility(unary, l1, l2, meta.range_resolution)
-            return greedy_select(c, principal_eigenvector(c), unary)
-
-        seconds, sel = _best_of(run, repeats)
-        points.append(
-            BenchPoint(
-                parameter=float(l_max),
-                seconds=seconds,
-                detail={"u": len(l1), "selected": len(sel.selected)},
-            )
+    runs = [
+        partial(
+            match_keypoint_sets,
+            extract_keypoints(scan_a, l_max),
+            extract_keypoints(scan_b, l_max),
+            cfg,
+            meta.scan_period,
         )
-    return points
+        for l_max in l_max_values
+    ]
+    seconds, results = _best_of_each(runs, repeats)
+    return [
+        BenchPoint(
+            parameter=float(l_max),
+            seconds=t,
+            detail={"u": st["u"], "selected": st["n_selected"]},
+        )
+        for l_max, t, (_, st) in zip(l_max_values, seconds, results)
+    ]
 
 
 def sweep_extraction(grid_shapes, seed: int = 0, repeats: int = 3, l_max: int = 200):
@@ -96,19 +100,19 @@ def sweep_extraction(grid_shapes, seed: int = 0, repeats: int = 3, l_max: int = 
         raise ValueError("need at least 3 sweep points")
     world = random_world(120, 50.0, seed=seed, min_range=4.0)
     art = ArtifactModel(speckle_scale=0.3, background_noise=0.02)
-    points = []
-    for m, n in grid_shapes:
-        meta = SensorMeta(m, n, 64.0 / n, 0.25)
-        scan = render_scan(world, Pose2(), meta, art, seed=seed)
-        seconds, kset = _best_of(lambda: extract_keypoints(scan, l_max), repeats)
-        points.append(
-            BenchPoint(
-                parameter=float(m * n),
-                seconds=seconds,
-                detail={"azimuths": m, "range_bins": n, "keypoints": len(kset)},
-            )
+    scans = [
+        render_scan(world, Pose2(), SensorMeta(m, n, 64.0 / n, 0.25), art, seed=seed)
+        for m, n in grid_shapes
+    ]
+    seconds, ksets = _best_of_each([partial(extract_keypoints, s, l_max) for s in scans], repeats)
+    return [
+        BenchPoint(
+            parameter=float(m * n),
+            seconds=t,
+            detail={"azimuths": m, "range_bins": n, "keypoints": len(kset)},
         )
-    return points
+        for (m, n), t, kset in zip(grid_shapes, seconds, ksets)
+    ]
 
 
 def slope_of(points) -> float:

@@ -5,8 +5,12 @@ per line, ``#`` comments) overridden by command line flags. Every command
 writes a ``manifest.json`` recording the resolved configuration, inputs,
 outputs, and stage wall times next to its outputs.
 
+``odometry`` runs both methods (``ro`` and ``icp``) through
+``odometry.run_odometry`` and scores them, like ``eval``, with
+``odometry.evaluate``.
+
 Exit codes: 0 success, 2 configuration or usage error, 3 I/O error,
-4 no scan pair could be matched.
+4 no scan pair could be matched (``odometry`` still writes its outputs).
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ import numpy as np
 from . import __version__
 from .bench import slope_of, sweep_association, sweep_extraction
 from .errors import RadarOdoError
-from .icp import IcpConfig, icp_match
+from .icp import IcpConfig, icp_matcher
 from .keypoints import extract_keypoints, write_keypoints_csv
 from .odometry import EvalMetrics, PipelineConfig, evaluate, run_odometry
 from .scan import SensorMeta, load_scan, save_scan
-from .se2 import Pose2, compose, inverse, relative_pose, wrap_angle
+from .se2 import Pose2, relative_pose
 from .simulate import ArtifactModel, TrajectorySpec, make_trajectory, random_world, render_sequence
 
 EXIT_CONFIG = 2
@@ -109,7 +113,7 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-def pipeline_config(cfg: dict, workers: int = 1) -> PipelineConfig:
+def pipeline_config(cfg: dict) -> PipelineConfig:
     return PipelineConfig(
         l_max=cfg["l_max"],
         alpha=cfg["alpha"] or None,
@@ -118,7 +122,6 @@ def pipeline_config(cfg: dict, workers: int = 1) -> PipelineConfig:
         prior=cfg["prior"],
         a_max=cfg["a_max"],
         standstill_allowance=cfg["standstill_allowance"],
-        workers=workers,
     )
 
 
@@ -137,19 +140,9 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, seed, inputs, outputs
     return path
 
 
-def write_truth_csv(path, traj: TrajectorySpec):
-    with open(path, "w", encoding="ascii") as f:
-        f.write("timestamp,x,y,theta\n")
-        for t, p in zip(traj.timestamps, traj.poses):
-            f.write(f"{float(t)!r},{p.x!r},{p.y!r},{p.theta!r}\n")
-
-
 def read_pose_csv(path):
     """Read a (timestamp, x, y, theta) CSV; returns (timestamps, poses)."""
-    try:
-        lines = Path(path).read_text(encoding="ascii").splitlines()
-    except OSError as err:
-        raise err
+    lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines or lines[0].strip() != "timestamp,x,y,theta":
         raise ValueError(f"{path}: expected header 'timestamp,x,y,theta'")
     ts, poses = [], []
@@ -162,7 +155,9 @@ def read_pose_csv(path):
     return np.asarray(ts), poses
 
 
-def write_trajectory_csv(path, timestamps, poses):
+def write_pose_csv(path, timestamps, poses):
+    """Write the (timestamp, x, y, theta) CSV that ``read_pose_csv`` reads,
+    floats by ``repr`` so they read back exactly."""
     with open(path, "w", encoding="ascii") as f:
         f.write("timestamp,x,y,theta\n")
         for t, p in zip(timestamps, poses):
@@ -176,6 +171,16 @@ def write_metrics_file(path, entries: dict):
             if isinstance(value, float):
                 value = repr(value)
             f.write(f"{key} = {value}\n")
+
+
+def error_entries(metrics: EvalMetrics) -> dict:
+    """The ``*_m`` / ``*_deg`` metrics-file entries of an evaluation."""
+    return {
+        "translation_median_m": metrics.translation_median,
+        "translation_std_m": metrics.translation_std,
+        "rotation_median_deg": math.degrees(metrics.rotation_median),
+        "rotation_std_deg": math.degrees(metrics.rotation_std),
+    }
 
 
 def write_trajectory_svg(path, named_tracks):
@@ -247,7 +252,7 @@ def cmd_simulate(args) -> int:
         save_scan(p, scan)
         outputs.append(p)
     truth_path = out_dir / "truth.csv"
-    write_truth_csv(truth_path, traj)
+    write_pose_csv(truth_path, traj.timestamps, traj.poses)
     outputs.append(truth_path)
     write_manifest(
         out_dir, "simulate", cfg, args.seed, [], outputs, {"total": time.perf_counter() - t0}
@@ -272,39 +277,6 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _run_icp_sequence(scans, cfg):
-    icp_cfg = IcpConfig(
-        nn_radius=cfg["nn_radius"],
-        convergence_tol=cfg["icp_tol"],
-        max_iterations=cfg["icp_max_iterations"],
-    )
-    keypoint_sets = [extract_keypoints(s, cfg["l_max"]) for s in scans]
-    poses, failures = [], 0
-    for a, b in zip(keypoint_sets, keypoint_sets[1:]):
-        try:
-            fitted, _ = icp_match(a, b, icp_cfg)
-            poses.append(inverse(fitted))  # b expressed in a's frame
-        except RadarOdoError:
-            poses.append(poses[-1] if poses else Pose2())
-            failures += 1
-    return poses, failures
-
-
-def _pair_error_stats(est_rel, true_rel):
-    t_err = np.array(
-        [math.hypot(e.x - t.x, e.y - t.y) for e, t in zip(est_rel, true_rel)]
-    )
-    r_err = np.array(
-        [abs(wrap_angle(e.theta - t.theta)) for e, t in zip(est_rel, true_rel)]
-    )
-    return {
-        "translation_median_m": float(np.median(t_err)),
-        "translation_std_m": float(t_err.std()),
-        "rotation_median_deg": float(math.degrees(np.median(r_err))),
-        "rotation_std_deg": float(math.degrees(r_err.std())),
-    }
-
-
 def cmd_odometry(args) -> int:
     cfg = resolve_config(args)
     dataset = Path(args.dataset)
@@ -312,74 +284,74 @@ def cmd_odometry(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     scan_paths = _scan_paths(dataset)
     scans = [load_scan(p) for p in scan_paths]
-    ts = np.array([s.timestamp for s in scans])
 
     t0 = time.perf_counter()
-    entries = {"method": args.method, "n_pairs": len(scans) - 1}
+    matcher = None
+    if args.method == "icp":
+        matcher = icp_matcher(
+            IcpConfig(
+                nn_radius=cfg["nn_radius"],
+                convergence_tol=cfg["icp_tol"],
+                max_iterations=cfg["icp_max_iterations"],
+            )
+        )
+    result = run_odometry(scans, pipeline_config(cfg), matcher)
+    total = time.perf_counter() - t0
+    entries = {
+        "method": args.method,
+        "n_pairs": len(result.pairs),
+        "failures": result.failure_count,
+    }
     if args.method == "ro":
-        result = run_odometry(scans, pipeline_config(cfg, workers=args.workers))
-        trajectory = result.trajectory
-        rel = [p.pose for p in result.pairs]
-        entries["failures"] = result.failure_count
         entries["mean_mutual_compatibility"] = float(
             np.mean([p.mutual_compatibility for p in result.pairs])
         )
         entries["mean_eigengap"] = float(np.mean([p.eigengap for p in result.pairs]))
-        pair_times = [sum(p.timings.values()) for p in result.pairs]
-    else:
-        rel, failures = _run_icp_sequence(scans, cfg)
-        trajectory = [Pose2()]
-        for p in rel:
-            trajectory.append(compose(trajectory[-1], p))
-        entries["failures"] = failures
-        pair_times = []
-    total = time.perf_counter() - t0
 
     truth_path = Path(args.truth) if args.truth else dataset / "truth.csv"
+    true_poses = None
     if truth_path.exists():
         true_ts, true_poses = read_pose_csv(truth_path)
-        if len(true_poses) == len(trajectory) and np.allclose(true_ts, ts, rtol=0, atol=1e-9):
-            true_rel = [
-                relative_pose(a, b) for a, b in zip(true_poses, true_poses[1:])
-            ]
-            entries.update(_pair_error_stats(rel, true_rel))
+        try:
+            truth = TrajectorySpec(true_poses, true_ts)
+            metrics = evaluate([p.pose for p in result.pairs], result.timestamps, truth)
+            entries.update(error_entries(metrics))
+        except ValueError:
+            pass  # truth that does not line up with the scans is not scored
 
-    if pair_times:
-        entries["timing_pair_p50_s"] = float(np.percentile(pair_times, 50))
-        entries["timing_pair_p90_s"] = float(np.percentile(pair_times, 90))
+    pair_times = [sum(p.timings.values()) for p in result.pairs]
+    entries["timing_pair_p50_s"] = float(np.percentile(pair_times, 50))
+    entries["timing_pair_p90_s"] = float(np.percentile(pair_times, 90))
     entries["timing_total_s"] = total
 
     traj_path = out_dir / "trajectory.csv"
-    write_trajectory_csv(traj_path, ts, trajectory)
+    write_pose_csv(traj_path, result.timestamps, result.trajectory)
     metrics_path = out_dir / "metrics.txt"
     write_metrics_file(metrics_path, entries)
     outputs = [traj_path, metrics_path]
     if args.plot:
         svg_path = out_dir / "trajectory.svg"
-        tracks = [("estimate", np.array([[p.x, p.y] for p in trajectory]))]
-        if truth_path.exists():
-            _, true_poses = read_pose_csv(truth_path)
+        tracks = [("estimate", np.array([[p.x, p.y] for p in result.trajectory]))]
+        if true_poses is not None:
             tracks.insert(0, ("truth", np.array([[p.x, p.y] for p in true_poses])))
         write_trajectory_svg(svg_path, tracks)
         outputs.append(svg_path)
     write_manifest(
         out_dir, "odometry", cfg, args.seed, [str(p) for p in scan_paths], outputs, {"total": total}
     )
-    print(f"{args.method}: {len(scans) - 1} pairs, {entries['failures']} failures -> {out_dir}")
+    print(f"{args.method}: {len(result.pairs)} pairs, {result.failure_count} failures -> {out_dir}")
+    if result.failure_count == len(result.pairs):
+        print("error: no scan pair could be matched", file=sys.stderr)
+        return EXIT_MATCH
     return 0
 
 
 def cmd_eval(args) -> int:
     est_ts, est_poses = read_pose_csv(args.trajectory)
     true_ts, true_poses = read_pose_csv(args.truth)
-    if len(est_poses) != len(true_poses) or not np.allclose(est_ts, true_ts, rtol=0, atol=1e-9):
-        raise ConfigError("trajectory and truth timestamps do not line up")
-    if len(est_poses) < 2:
-        raise ConfigError("need at least 2 poses to evaluate")
     est_rel = [relative_pose(a, b) for a, b in zip(est_poses, est_poses[1:])]
-    true_rel = [relative_pose(a, b) for a, b in zip(true_poses, true_poses[1:])]
-    entries = {"n_pairs": len(est_rel)}
-    entries.update(_pair_error_stats(est_rel, true_rel))
+    metrics = evaluate(est_rel, est_ts, TrajectorySpec(true_poses, true_ts))
+    entries = {"n_pairs": metrics.n_pairs, **error_entries(metrics)}
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_metrics_file(out_path, entries)
@@ -465,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--method", choices=("ro", "icp"), default="ro")
     p.add_argument("--prior", choices=("none", "max_accel"), default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--truth", default=None, help="truth CSV (default: dataset/truth.csv)")
     p.add_argument("--plot", action="store_true", help="also write an SVG overlay")
     p.set_defaults(fn=cmd_odometry)

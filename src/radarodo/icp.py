@@ -3,18 +3,20 @@
 Alternates nearest-neighbor pairing (within a fixed search radius) with a
 closed-form rigid re-fit, and stops when the mean squared residual settles.
 Unlike the spectral matcher there is no global consistency check, so the
-result depends heavily on the initial guess.
+result depends heavily on the initial guess. ``icp_matcher`` wraps
+``icp_match`` as a pair matcher for ``odometry.run_odometry``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .descriptors import _points
 from .errors import IcpDivergedError
-from .se2 import Pose2, apply_pose, estimate_se2
+from .se2 import Pose2, apply_pose, estimate_se2, inverse
 
 
 @dataclass(frozen=True)
@@ -79,3 +81,21 @@ def icp_match(l1, l2, config: IcpConfig | None = None):
         residual_history=tuple(history),
     )
     return pose, diag
+
+
+def icp_matcher(config: IcpConfig | None = None):
+    """A ``run_odometry`` pair matcher that aligns a's keypoints onto b's by
+    ICP from ``config.initial_guess``; ``dt`` and ``prev_speed`` are unused."""
+
+    def match(kp_a, kp_b, dt, prev_speed):
+        t0 = time.perf_counter()
+        fitted, diag = icp_match(kp_a, kp_b, config)
+        stats = {
+            "n_selected": diag.pair_count,
+            "residual_rms": diag.residual_rms,
+            "timings": {"icp": time.perf_counter() - t0},
+        }
+        # fitted maps a's points into b's frame; express b in a's frame
+        return inverse(fitted), stats
+
+    return match

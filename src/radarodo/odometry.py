@@ -1,4 +1,4 @@
-"""Scan-to-scan motion estimation and whole-sequence odometry.
+"""Scan-to-scan motion estimation, whole-sequence odometry and evaluation.
 
 For each consecutive scan pair: extract keypoints, propose descriptor
 matches (optionally gated by a kinematic reachability radius), select a
@@ -7,13 +7,19 @@ convention is "scan_b's frame expressed in scan_a's frame", i.e. for a
 landmark seen in both scans  p_a = R p_b + t.  The smaller keypoint set
 always drives the matching; the fitted transform is inverted if the sets
 were swapped to arrange that.
+
+``run_odometry`` is the one loop that chains scan pairs. It takes any pair
+matcher with the signature of ``match_keypoint_sets`` minus the config (the
+spectral matcher by default, or ``icp.icp_matcher`` for the ICP baseline),
+so both methods share its input checks, timings, failure reasons and
+constant-velocity fallback. ``evaluate`` scores the per-pair poses against
+ground truth.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,13 +47,12 @@ class PipelineConfig:
     prior: str = "none"
     a_max: float = 8.0
     standstill_allowance: float = 1.0
-    workers: int = 1
 
     def __post_init__(self):
         if self.prior not in _PRIOR_KINDS:
             raise ValueError(f"prior must be one of {_PRIOR_KINDS}")
-        if self.l_max < 1 or self.workers < 1:
-            raise ValueError("l_max and workers must be >= 1")
+        if self.l_max < 1:
+            raise ValueError("l_max must be >= 1")
         if self.a_max <= 0 or self.standstill_allowance < 0:
             raise ValueError("a_max must be positive, standstill_allowance >= 0")
 
@@ -83,7 +88,6 @@ class OdometryResult:
 @dataclass(frozen=True)
 class EvalMetrics:
     n_pairs: int
-    failure_count: int
     translation_median: float
     translation_std: float
     rotation_median: float
@@ -174,10 +178,9 @@ def match_scan_pair(
     return pose, stats
 
 
-def _pair_result(scan_a, scan_b, kp_a, kp_b, cfg, prev_speed, extract_time):
-    dt = scan_b.timestamp - scan_a.timestamp
+def _pair_result(scan_a, scan_b, kp_a, kp_b, matcher, prev_speed, extract_time):
     try:
-        pose, stats = match_keypoint_sets(kp_a, kp_b, cfg, dt, prev_speed)
+        pose, stats = matcher(kp_a, kp_b, scan_b.timestamp - scan_a.timestamp, prev_speed)
     except RadarOdoError as err:
         stats = getattr(err, "diagnostics", None) or {}
         timings = stats.get("timings", {})
@@ -197,25 +200,29 @@ def _pair_result(scan_a, scan_b, kp_a, kp_b, cfg, prev_speed, extract_time):
         t_a=scan_a.timestamp,
         t_b=scan_b.timestamp,
         pose=pose,
-        u=stats["u"],
+        u=stats.get("u", 0),
         n_selected=stats["n_selected"],
-        mutual_compatibility=stats["mutual_compatibility"],
-        eigengap=stats["eigengap"],
+        mutual_compatibility=stats.get("mutual_compatibility", 0.0),
+        eigengap=stats.get("eigengap", 0.0),
         residual_rms=stats["residual_rms"],
         timings=stats["timings"],
     )
 
 
-def run_odometry(scans, cfg: PipelineConfig | None = None) -> OdometryResult:
+def run_odometry(scans, cfg: PipelineConfig | None = None, matcher=None) -> OdometryResult:
     """Estimate relative poses over a scan sequence and integrate them.
 
-    A failed pair keeps the previous relative pose (constant velocity
-    carry-over, identity for a first-pair failure) and is flagged. With the
-    kinematic prior active, pairs run sequentially because each gate depends
-    on the previous pair's speed; otherwise ``cfg.workers`` pairs run
-    concurrently.
+    ``matcher(kp_a, kp_b, dt, prev_speed)`` returns (pose of b in a, stats
+    dict) and raises :class:`RadarOdoError` when the pair cannot be matched;
+    ``None`` means :func:`match_keypoint_sets` with ``cfg``. Keypoints are
+    extracted with ``cfg.l_max`` either way. A failed pair keeps the previous
+    relative pose (constant velocity carry-over, identity for a first-pair
+    failure) and is flagged. Pairs run in order because the prior's gate
+    depends on the previous pair's speed.
     """
     cfg = cfg if cfg is not None else PipelineConfig()
+    if matcher is None:
+        matcher = lambda kp_a, kp_b, dt, v: match_keypoint_sets(kp_a, kp_b, cfg, dt, v)
     scans = list(scans)
     if len(scans) < 2:
         raise ValueError("need at least 2 scans")
@@ -230,38 +237,22 @@ def run_odometry(scans, cfg: PipelineConfig | None = None) -> OdometryResult:
         keypoint_sets.append(extract_keypoints(scan, cfg.l_max))
         extract_times.append(time.perf_counter() - t0)
 
-    n_pairs = len(scans) - 1
-
-    def job(k, prev_speed):
+    pairs = []
+    fallback = Pose2()
+    prev_speed = None
+    for k in range(len(scans) - 1):
         # charge each pair with the extraction of the scan it introduces
         extract = extract_times[k] + extract_times[k + 1] if k == 0 else extract_times[k + 1]
-        return _pair_result(
-            scans[k], scans[k + 1], keypoint_sets[k], keypoint_sets[k + 1], cfg, prev_speed, extract
+        p = _pair_result(
+            scans[k], scans[k + 1], keypoint_sets[k], keypoint_sets[k + 1], matcher, prev_speed,
+            extract,
         )
-
-    if cfg.prior == "none" and cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            raw = list(pool.map(lambda k: job(k, None), range(n_pairs)))
-        pairs = []
-        fallback = Pose2()
-        for p in raw:
-            if p.failed:
-                p = replace(p, pose=fallback)
-            else:
-                fallback = p.pose
-            pairs.append(p)
-    else:
-        pairs = []
-        fallback = Pose2()
-        prev_speed = None
-        for k in range(n_pairs):
-            p = job(k, prev_speed)
-            if p.failed:
-                p = replace(p, pose=fallback)
-            else:
-                fallback = p.pose
-            pairs.append(p)
-            prev_speed = math.hypot(p.pose.x, p.pose.y) / (ts[k + 1] - ts[k])
+        if p.failed:
+            p = replace(p, pose=fallback)
+        else:
+            fallback = p.pose
+        pairs.append(p)
+        prev_speed = math.hypot(p.pose.x, p.pose.y) / (ts[k + 1] - ts[k])
 
     trajectory = [Pose2()]
     for p in pairs:
@@ -269,25 +260,30 @@ def run_odometry(scans, cfg: PipelineConfig | None = None) -> OdometryResult:
     return OdometryResult(pairs=tuple(pairs), trajectory=tuple(trajectory), timestamps=ts)
 
 
-def evaluate(result: OdometryResult, truth: TrajectorySpec) -> EvalMetrics:
+def evaluate(rel_poses, timestamps, truth: TrajectorySpec) -> EvalMetrics:
     """Per-pair pose errors against ground truth, reduced to medians and stds.
 
-    Timestamps must line up one-to-one with the scans the result came from.
+    ``rel_poses[k]`` is scan k+1's frame in scan k's (``[p.pose for p in
+    result.pairs]`` for an :class:`OdometryResult`). ``timestamps`` holds one
+    entry per scan and must line up with ``truth`` to 1e-9 s; otherwise, or
+    with fewer than two scans, this raises ValueError.
     """
-    if len(truth) != len(result.trajectory):
+    rel_poses = list(rel_poses)
+    if not rel_poses:
+        raise ValueError("need at least 2 poses to evaluate")
+    if len(timestamps) != len(rel_poses) + 1 or len(truth) != len(timestamps):
         raise ValueError("truth length does not match scan count")
-    if not np.allclose(truth.timestamps, result.timestamps, rtol=0, atol=1e-9):
+    if not np.allclose(truth.timestamps, timestamps, rtol=0, atol=1e-9):
         raise ValueError("truth timestamps do not match scan timestamps")
     t_err, r_err = [], []
-    for k, pair in enumerate(result.pairs):
+    for k, pose in enumerate(rel_poses):
         true_rel = relative_pose(truth.poses[k], truth.poses[k + 1])
-        t_err.append(math.hypot(pair.pose.x - true_rel.x, pair.pose.y - true_rel.y))
-        r_err.append(abs(wrap_angle(pair.pose.theta - true_rel.theta)))
+        t_err.append(math.hypot(pose.x - true_rel.x, pose.y - true_rel.y))
+        r_err.append(abs(wrap_angle(pose.theta - true_rel.theta)))
     t_err = np.asarray(t_err)
     r_err = np.asarray(r_err)
     return EvalMetrics(
-        n_pairs=len(result.pairs),
-        failure_count=result.failure_count,
+        n_pairs=len(rel_poses),
         translation_median=float(np.median(t_err)),
         translation_std=float(t_err.std()),
         rotation_median=float(np.median(r_err)),

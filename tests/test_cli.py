@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from radarodo import PolarScan, SensorMeta, save_scan
 from radarodo.cli import main, read_config_file, read_pose_csv
 
 SMALL_SIM = """
@@ -37,6 +38,10 @@ def simulate(tmp_path, seed=0):
     rc = main(["simulate", "--config", str(cfg), "--seed", str(seed), "--out", str(out)])
     assert rc == 0
     return cfg, out
+
+
+def read_metrics(path):
+    return dict(line.split(" = ") for line in path.read_text().splitlines() if " = " in line)
 
 
 def test_version_flag():
@@ -103,9 +108,7 @@ def test_odometry_then_eval_round_trip(tmp_path):
     metrics_path = odo / "metrics.txt"
     assert traj_csv.exists() and metrics_path.exists()
 
-    metrics = dict(
-        line.split(" = ") for line in metrics_path.read_text().splitlines() if " = " in line
-    )
+    metrics = read_metrics(metrics_path)
     assert int(metrics["n_pairs"]) == 3
     assert int(metrics["failures"]) == 0
     assert float(metrics["translation_median_m"]) < 0.25
@@ -151,6 +154,53 @@ def test_odometry_plot_writes_svg(tmp_path):
     svg = (out / "trajectory.svg").read_text()
     assert svg.startswith("<svg") or "<svg" in svg
     assert "polyline" in svg
+
+
+@pytest.mark.parametrize("method", ["ro", "icp"])
+def test_eval_agrees_with_odometry_metrics(tmp_path, method):
+    cfg, data = simulate(tmp_path, seed=3)
+    out = tmp_path / method
+    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out),
+               "--method", method])
+    assert rc == 0
+    rc = main(["eval", "--trajectory", str(out / "trajectory.csv"),
+               "--truth", str(data / "truth.csv"), "--out", str(tmp_path / "eval.txt")])
+    assert rc == 0
+    own = read_metrics(out / "metrics.txt")
+    ev = read_metrics(tmp_path / "eval.txt")
+    assert ev["n_pairs"] == own["n_pairs"] == "3"
+    for key in ("translation_median_m", "translation_std_m", "rotation_median_deg", "rotation_std_deg"):
+        assert abs(float(ev[key]) - float(own[key])) <= 1e-9
+
+
+def write_blank_dataset(root, stamps):
+    root.mkdir()
+    meta = SensorMeta(64, 48, 0.5, 0.25)
+    for k, t in enumerate(stamps):
+        save_scan(root / f"scan_{k:05d}.rscan", PolarScan(meta, np.zeros((64, 48)), t))
+    return root
+
+
+@pytest.mark.parametrize("method", ["ro", "icp"])
+def test_odometry_with_no_matched_pair_exits_4_after_writing(tmp_path, method):
+    data = write_blank_dataset(tmp_path / "blank", [0.0, 0.25, 0.5, 0.75])
+    out = tmp_path / "out"
+    rc = main(["odometry", "--dataset", str(data), "--out", str(out), "--method", method])
+    assert rc == 4
+    metrics = read_metrics(out / "metrics.txt")
+    assert metrics["n_pairs"] == "3" and metrics["failures"] == "3"
+    stamps, poses = read_pose_csv(out / "trajectory.csv")
+    assert len(poses) == 4 and all(p.x == p.y == p.theta == 0.0 for p in poses)
+    assert json.loads((out / "manifest.json").read_text())["command"] == "odometry"
+
+
+@pytest.mark.parametrize("method", ["ro", "icp"])
+def test_odometry_rejects_unordered_or_single_scans(tmp_path, method):
+    for name, stamps in (("one", [0.0]), ("stale", [0.0, 0.0])):
+        data = write_blank_dataset(tmp_path / name, stamps)
+        rc = main(["odometry", "--dataset", str(data), "--out", str(tmp_path / f"o_{name}"),
+                   "--method", method])
+        assert rc == 2
 
 
 def test_odometry_on_empty_dataset_is_io_error(tmp_path):

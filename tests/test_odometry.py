@@ -5,6 +5,7 @@ import pytest
 
 from radarodo import (
     ArtifactModel,
+    IcpConfig,
     PipelineConfig,
     Pose2,
     RadarOdoError,
@@ -13,6 +14,8 @@ from radarodo import (
     compose,
     evaluate,
     extract_keypoints,
+    icp_match,
+    icp_matcher,
     inverse,
     match_scan_pair,
     random_world,
@@ -44,8 +47,6 @@ def test_pipeline_config_validation():
         PipelineConfig(prior="gps")
     with pytest.raises(ValueError):
         PipelineConfig(l_max=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(workers=0)
     with pytest.raises(ValueError):
         PipelineConfig(a_max=0.0)
 
@@ -130,19 +131,6 @@ def test_run_odometry_validates_input():
         run_odometry([scan, stale], CFG)
 
 
-def test_parallel_matches_sequential():
-    world = close_world(6)
-    traj = TrajectorySpec(
-        poses=tuple(Pose2(0.7 * k, 0.0, 0.01 * k) for k in range(5)),
-        timestamps=tuple(0.25 * k for k in range(5)),
-    )
-    scans = render_sequence(world, traj, META, QUIET, seed=20)
-    seq = run_odometry(scans, CFG)
-    par = run_odometry(scans, PipelineConfig(l_max=200, alpha=64, rho=64, workers=4))
-    for p, q in zip(seq.trajectory, par.trajectory):
-        assert p == q
-
-
 def test_failed_pair_uses_constant_velocity_fallback():
     world = close_world(7)
     pose_step = Pose2(0.75, 0.0, 0.0)
@@ -183,9 +171,8 @@ def test_evaluate_computes_pairwise_error_stats():
     )
     scans = render_sequence(world, traj, META, QUIET, seed=40)
     result = run_odometry(scans, CFG)
-    metrics = evaluate(result, traj)
+    metrics = evaluate([p.pose for p in result.pairs], result.timestamps, traj)
     assert metrics.n_pairs == 3
-    assert metrics.failure_count == 0
     assert metrics.translation_median < 0.25
     assert metrics.rotation_median < math.radians(0.5)
     errs = []
@@ -203,6 +190,43 @@ def test_evaluate_rejects_mismatched_truth():
     )
     scans = render_sequence(world, traj, META, QUIET, seed=50)
     result = run_odometry(scans, CFG)
+    rel = [p.pose for p in result.pairs]
     short = TrajectorySpec(poses=traj.poses[:2], timestamps=traj.timestamps[:2])
     with pytest.raises(ValueError):
-        evaluate(result, short)
+        evaluate(rel, result.timestamps, short)
+    late = TrajectorySpec(poses=traj.poses, timestamps=(0.0, 0.25, 0.6))
+    with pytest.raises(ValueError):
+        evaluate(rel, result.timestamps, late)
+    with pytest.raises(ValueError):
+        evaluate([], result.timestamps[:1], TrajectorySpec(traj.poses[:1], traj.timestamps[:1]))
+
+
+def test_icp_matcher_chains_like_a_reference_loop():
+    # three tracked pairs, then a blank scan the ICP cannot pair with
+    world = close_world(10)
+    poses = [Pose2(0.6 * k, 0.0, 0.01 * k) for k in range(5)]
+    scans = [
+        render_scan(world if k < 4 else [], pose, META, QUIET, seed=60 + k, timestamp=0.25 * k)
+        for k, pose in enumerate(poses)
+    ]
+    icp_cfg = IcpConfig(nn_radius=1.5)
+    result = run_odometry(scans, CFG, matcher=icp_matcher(icp_cfg))
+
+    kps = [extract_keypoints(s, CFG.l_max) for s in scans]
+    trajectory, last = [Pose2()], Pose2()
+    for a, b in zip(kps, kps[1:]):
+        try:
+            fitted, _ = icp_match(a, b, icp_cfg)
+            last = inverse(fitted)
+        except RadarOdoError:
+            pass
+        trajectory.append(compose(trajectory[-1], last))
+    assert result.trajectory == tuple(trajectory)
+
+    assert [p.failed for p in result.pairs] == [False, False, False, True]
+    good, failed = result.pairs[2], result.pairs[3]
+    assert failed.pose == good.pose
+    assert failed.failure_reason.startswith("IcpDivergedError")
+    assert set(failed.timings) == {"extract"}
+    assert good.n_selected >= 3 and good.residual_rms >= 0.0
+    assert set(good.timings) == {"icp", "extract"}
