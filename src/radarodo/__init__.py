@@ -24,6 +24,7 @@ from .errors import (
     NoCandidatesError,
     NoCompatibilityError,
     RadarOdoError,
+    ScanFormatError,
     UnderdeterminedError,
 )
 from .icp import IcpConfig, IcpDiagnostics, icp_match, icp_matcher

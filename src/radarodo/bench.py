@@ -15,6 +15,7 @@ from functools import partial
 
 import numpy as np
 
+from .errors import RadarOdoError
 from .keypoints import extract_keypoints
 from .odometry import PipelineConfig, match_keypoint_sets
 from .scan import SensorMeta
@@ -66,8 +67,16 @@ def _best_of_each(fns, repeats: int):
     return best, outs
 
 
+def _match_budget(l_max, kp_a, kp_b, cfg):
+    try:
+        return match_keypoint_sets(kp_a, kp_b, cfg)
+    except RadarOdoError as err:
+        raise ValueError(f"region budget {l_max} leaves too little to match: {err}") from err
+
+
 def sweep_association(l_max_values, seed: int = 0, repeats: int = 3, meta: SensorMeta | None = None):
-    """Time ``match_keypoint_sets`` (no prior) per region budget."""
+    """Time ``match_keypoint_sets`` per region budget. A budget whose scene
+    cannot be matched raises ValueError naming it."""
     if len(l_max_values) < 3:
         raise ValueError("need at least 3 sweep points")
     meta = meta or SensorMeta(256, 256, 0.5, 0.25)
@@ -75,11 +84,11 @@ def sweep_association(l_max_values, seed: int = 0, repeats: int = 3, meta: Senso
     cfg = PipelineConfig(alpha=64, rho=64)
     runs = [
         partial(
-            match_keypoint_sets,
+            _match_budget,
+            l_max,
             extract_keypoints(scan_a, l_max),
             extract_keypoints(scan_b, l_max),
             cfg,
-            meta.scan_period,
         )
         for l_max in l_max_values
     ]

@@ -9,8 +9,9 @@ outputs, and stage wall times next to its outputs.
 ``odometry.run_odometry`` and scores them, like ``eval``, with
 ``odometry.evaluate``.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 I/O error,
-4 no scan pair could be matched (``odometry`` still writes its outputs).
+Exit codes: 0 success, 2 configuration or usage error, 3 I/O error
+(including a malformed scan file), 4 no scan pair could be matched
+(``odometry`` still writes its outputs).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .bench import slope_of, sweep_association, sweep_extraction
-from .errors import RadarOdoError
+from .errors import RadarOdoError, ScanFormatError
 from .icp import IcpConfig, icp_matcher
 from .keypoints import extract_keypoints, write_keypoints_csv
 from .odometry import EvalMetrics, PipelineConfig, evaluate, run_odometry
@@ -68,9 +69,6 @@ CONFIG_SCHEMA = {
     "alpha": (int, 0),  # 0 means "use the scan's azimuth count"
     "rho": (int, 0),
     "sigma_c": (float, 0.0),  # 0 means "use the range resolution"
-    "prior": (str, "none"),
-    "a_max": (float, 8.0),
-    "standstill_allowance": (float, 1.0),
     "nn_radius": (float, 2.0),
     "icp_tol": (float, 1e-5),
     "icp_max_iterations": (int, 50),
@@ -104,12 +102,8 @@ def resolve_config(args) -> dict:
     cfg = {k: default for k, (_, default) in CONFIG_SCHEMA.items()}
     if getattr(args, "config", None):
         cfg.update(read_config_file(args.config))
-    for key in ("l_max", "prior"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    if cfg["prior"] not in ("none", "max_accel"):
-        raise ConfigError(f"prior must be 'none' or 'max_accel', got {cfg['prior']!r}")
+    if getattr(args, "l_max", None) is not None:
+        cfg["l_max"] = args.l_max
     return cfg
 
 
@@ -119,9 +113,6 @@ def pipeline_config(cfg: dict) -> PipelineConfig:
         alpha=cfg["alpha"] or None,
         rho=cfg["rho"] or None,
         sigma_c=cfg["sigma_c"] or None,
-        prior=cfg["prior"],
-        a_max=cfg["a_max"],
-        standstill_allowance=cfg["standstill_allowance"],
     )
 
 
@@ -302,11 +293,12 @@ def cmd_odometry(args) -> int:
         "n_pairs": len(result.pairs),
         "failures": result.failure_count,
     }
-    if args.method == "ro":
+    matched = [p for p in result.pairs if not p.failed]
+    if args.method == "ro" and matched:
         entries["mean_mutual_compatibility"] = float(
-            np.mean([p.mutual_compatibility for p in result.pairs])
+            np.mean([p.mutual_compatibility for p in matched])
         )
-        entries["mean_eigengap"] = float(np.mean([p.eigengap for p in result.pairs]))
+        entries["mean_eigengap"] = float(np.mean([p.eigengap for p in matched]))
 
     truth_path = Path(args.truth) if args.truth else dataset / "truth.csv"
     true_poses = None
@@ -436,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="directory of scan_*.rscan files")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--method", choices=("ro", "icp"), default="ro")
-    p.add_argument("--prior", choices=("none", "max_accel"), default=None)
     p.add_argument("--truth", default=None, help="truth CSV (default: dataset/truth.csv)")
     p.add_argument("--plot", action="store_true", help="also write an SVG overlay")
     p.set_defaults(fn=cmd_odometry)
@@ -470,7 +461,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, FileNotFoundError) as err:
+    except (OSError, ScanFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
     except RadarOdoError as err:

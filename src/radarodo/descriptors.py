@@ -38,7 +38,7 @@ class Descriptor:
 
 @dataclass(frozen=True, eq=False)
 class UnaryMatches:
-    """Best descriptor match in L2 for each (surviving) L1 keypoint."""
+    """Best descriptor match in L2 for each L1 keypoint."""
 
     l1_indices: np.ndarray
     l2_indices: np.ndarray
@@ -104,20 +104,11 @@ def descriptor_matrix(kset, alpha: int, rho: int, max_range: float) -> np.ndarra
     return out
 
 
-def propose_unary_matches(
-    l1,
-    l2,
-    alpha: int,
-    rho: int,
-    max_range: float,
-    gate_radius: float | None = None,
-) -> UnaryMatches:
+def propose_unary_matches(l1, l2, alpha: int, rho: int, max_range: float) -> UnaryMatches:
     """Pair each L1 keypoint with its nearest L2 descriptor.
 
-    ``gate_radius`` restricts candidates to L2 keypoints within that
-    Euclidean distance of the L1 keypoint; keypoints whose candidate disk
-    is empty are dropped. Distance ties resolve to the lowest L2 index.
-    The caller is expected to pass the smaller set as ``l1``.
+    Distance ties resolve to the lowest L2 index. The caller is expected to
+    pass the smaller set as ``l1``.
     """
     xy1, xy2 = _points(l1), _points(l2)
     if xy1.shape[0] == 0 or xy2.shape[0] == 0:
@@ -129,18 +120,9 @@ def propose_unary_matches(
         (d1 * d1).sum(axis=1)[:, None] + (d2 * d2).sum(axis=1)[None, :] - 2.0 * d1 @ d2.T,
         0.0,
     )
-    if gate_radius is not None:
-        sep = np.hypot(
-            xy1[:, 0:1] - xy2[None, :, 0], xy1[:, 1:2] - xy2[None, :, 1]
-        )
-        sq[sep > gate_radius] = np.inf
     best = np.argmin(sq, axis=1)
-    dist = np.sqrt(sq[np.arange(xy1.shape[0]), best])
-    keep = np.isfinite(dist)
-    if not keep.any():
-        raise NoCandidatesError("gate removed every candidate pair")
     return UnaryMatches(
-        l1_indices=np.flatnonzero(keep),
-        l2_indices=best[keep],
-        distances=dist[keep],
+        l1_indices=np.arange(xy1.shape[0]),
+        l2_indices=best,
+        distances=np.sqrt(sq[np.arange(xy1.shape[0]), best]),
     )

@@ -1,12 +1,17 @@
 """Exception types shared across the pipeline."""
 
 
+class ScanFormatError(ValueError):
+    """A scan file that cannot be parsed. Not a :class:`RadarOdoError`: it
+    is bad input, not a pipeline failure."""
+
+
 class RadarOdoError(Exception):
     """Base class for pipeline failures a caller may want to recover from."""
 
 
 class NoCandidatesError(RadarOdoError):
-    """Unary proposal produced no candidate pairs (e.g. the gate removed all)."""
+    """Unary proposal produced no candidate pairs (an empty keypoint set)."""
 
 
 class DegenerateProblemError(RadarOdoError):

@@ -85,9 +85,9 @@ def icp_match(l1, l2, config: IcpConfig | None = None):
 
 def icp_matcher(config: IcpConfig | None = None):
     """A ``run_odometry`` pair matcher that aligns a's keypoints onto b's by
-    ICP from ``config.initial_guess``; ``dt`` and ``prev_speed`` are unused."""
+    ICP from ``config.initial_guess``."""
 
-    def match(kp_a, kp_b, dt, prev_speed):
+    def match(kp_a, kp_b):
         t0 = time.perf_counter()
         fitted, diag = icp_match(kp_a, kp_b, config)
         stats = {

@@ -1,17 +1,16 @@
 """Scan-to-scan motion estimation, whole-sequence odometry and evaluation.
 
 For each consecutive scan pair: extract keypoints, propose descriptor
-matches (optionally gated by a kinematic reachability radius), select a
-consistent subset spectrally, and fit an SE(2) transform. The relative pose
-convention is "scan_b's frame expressed in scan_a's frame", i.e. for a
-landmark seen in both scans  p_a = R p_b + t.  The smaller keypoint set
-always drives the matching; the fitted transform is inverted if the sets
-were swapped to arrange that.
+matches, select a consistent subset spectrally, and fit an SE(2) transform.
+The relative pose convention is "scan_b's frame expressed in scan_a's
+frame", i.e. for a landmark seen in both scans  p_a = R p_b + t.  The
+smaller keypoint set always drives the matching; the fitted transform is
+inverted if the sets were swapped to arrange that.
 
 ``run_odometry`` is the one loop that chains scan pairs. It takes any pair
-matcher with the signature of ``match_keypoint_sets`` minus the config (the
-spectral matcher by default, or ``icp.icp_matcher`` for the ICP baseline),
-so both methods share its input checks, timings, failure reasons and
+matcher ``(kp_a, kp_b) -> (pose, stats)`` (``match_keypoint_sets`` with the
+config by default, or ``icp.icp_matcher`` for the ICP baseline), so both
+methods share its input checks, timings, failure reasons and
 constant-velocity fallback. ``evaluate`` scores the per-pair poses against
 ground truth.
 """
@@ -32,8 +31,6 @@ from .scan import PolarScan
 from .se2 import Pose2, apply_pose, compose, estimate_se2, inverse, relative_pose, wrap_angle
 from .simulate import TrajectorySpec
 
-_PRIOR_KINDS = ("none", "max_accel")
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -44,17 +41,10 @@ class PipelineConfig:
     alpha: int | None = None
     rho: int | None = None
     sigma_c: float | None = None
-    prior: str = "none"
-    a_max: float = 8.0
-    standstill_allowance: float = 1.0
 
     def __post_init__(self):
-        if self.prior not in _PRIOR_KINDS:
-            raise ValueError(f"prior must be one of {_PRIOR_KINDS}")
         if self.l_max < 1:
             raise ValueError("l_max must be >= 1")
-        if self.a_max <= 0 or self.standstill_allowance < 0:
-            raise ValueError("a_max must be positive, standstill_allowance >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,26 +84,15 @@ class EvalMetrics:
     rotation_std: float
 
 
-def gate_radius(cfg: PipelineConfig, dt: float, prev_speed: float | None) -> float | None:
-    """Reachability radius under the braking-limit prior; None disables gating."""
-    if cfg.prior == "none":
-        return None
-    if dt <= 0:
-        raise ValueError("scan timestamps must be increasing")
-    reach = 0.5 * cfg.a_max * dt * dt
-    if prev_speed is None:
-        return reach + cfg.standstill_allowance
-    return prev_speed * dt + reach
-
-
 def match_keypoint_sets(
     kp_a: KeypointSet,
     kp_b: KeypointSet,
     cfg: PipelineConfig,
-    dt: float,
-    prev_speed: float | None = None,
+    dt: float | None = None,
 ):
     """Match two keypoint sets; returns (pose of b in a's frame, stats dict).
+
+    ``dt`` is accepted for older callers and ignored.
 
     Raises errors from the matching stages, or MatchFailureError when fewer
     than two matches survive selection.
@@ -127,9 +106,7 @@ def match_keypoint_sets(
 
     timings = {}
     t0 = time.perf_counter()
-    unary = propose_unary_matches(
-        l1, l2, alpha, rho, meta.max_range, gate_radius=gate_radius(cfg, dt, prev_speed)
-    )
+    unary = propose_unary_matches(l1, l2, alpha, rho, meta.max_range)
     timings["describe"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -164,7 +141,6 @@ def match_scan_pair(
     scan_a: PolarScan,
     scan_b: PolarScan,
     cfg: PipelineConfig | None = None,
-    prev_speed: float | None = None,
 ):
     """Extract and match one scan pair; returns (pose of b in a, stats dict)."""
     cfg = cfg if cfg is not None else PipelineConfig()
@@ -172,15 +148,14 @@ def match_scan_pair(
     kp_a = extract_keypoints(scan_a, cfg.l_max)
     kp_b = extract_keypoints(scan_b, cfg.l_max)
     t_extract = time.perf_counter() - t0
-    dt = scan_b.timestamp - scan_a.timestamp
-    pose, stats = match_keypoint_sets(kp_a, kp_b, cfg, dt, prev_speed)
+    pose, stats = match_keypoint_sets(kp_a, kp_b, cfg)
     stats["timings"]["extract"] = t_extract
     return pose, stats
 
 
-def _pair_result(scan_a, scan_b, kp_a, kp_b, matcher, prev_speed, extract_time):
+def _pair_result(scan_a, scan_b, kp_a, kp_b, matcher, extract_time):
     try:
-        pose, stats = matcher(kp_a, kp_b, scan_b.timestamp - scan_a.timestamp, prev_speed)
+        pose, stats = matcher(kp_a, kp_b)
     except RadarOdoError as err:
         stats = getattr(err, "diagnostics", None) or {}
         timings = stats.get("timings", {})
@@ -212,17 +187,16 @@ def _pair_result(scan_a, scan_b, kp_a, kp_b, matcher, prev_speed, extract_time):
 def run_odometry(scans, cfg: PipelineConfig | None = None, matcher=None) -> OdometryResult:
     """Estimate relative poses over a scan sequence and integrate them.
 
-    ``matcher(kp_a, kp_b, dt, prev_speed)`` returns (pose of b in a, stats
-    dict) and raises :class:`RadarOdoError` when the pair cannot be matched;
-    ``None`` means :func:`match_keypoint_sets` with ``cfg``. Keypoints are
-    extracted with ``cfg.l_max`` either way. A failed pair keeps the previous
-    relative pose (constant velocity carry-over, identity for a first-pair
-    failure) and is flagged. Pairs run in order because the prior's gate
-    depends on the previous pair's speed.
+    ``matcher(kp_a, kp_b)`` returns (pose of b in a, stats dict) and raises
+    :class:`RadarOdoError` when the pair cannot be matched; ``None`` means
+    :func:`match_keypoint_sets` with ``cfg``. Keypoints are extracted with
+    ``cfg.l_max`` either way. A failed pair keeps the previous relative pose
+    (constant velocity carry-over, identity for a first-pair failure) and is
+    flagged.
     """
     cfg = cfg if cfg is not None else PipelineConfig()
     if matcher is None:
-        matcher = lambda kp_a, kp_b, dt, v: match_keypoint_sets(kp_a, kp_b, cfg, dt, v)
+        matcher = lambda kp_a, kp_b: match_keypoint_sets(kp_a, kp_b, cfg)
     scans = list(scans)
     if len(scans) < 2:
         raise ValueError("need at least 2 scans")
@@ -239,20 +213,17 @@ def run_odometry(scans, cfg: PipelineConfig | None = None, matcher=None) -> Odom
 
     pairs = []
     fallback = Pose2()
-    prev_speed = None
     for k in range(len(scans) - 1):
         # charge each pair with the extraction of the scan it introduces
         extract = extract_times[k] + extract_times[k + 1] if k == 0 else extract_times[k + 1]
         p = _pair_result(
-            scans[k], scans[k + 1], keypoint_sets[k], keypoint_sets[k + 1], matcher, prev_speed,
-            extract,
+            scans[k], scans[k + 1], keypoint_sets[k], keypoint_sets[k + 1], matcher, extract
         )
         if p.failed:
             p = replace(p, pose=fallback)
         else:
             fallback = p.pose
         pairs.append(p)
-        prev_speed = math.hypot(p.pose.x, p.pose.y) / (ts[k + 1] - ts[k])
 
     trajectory = [Pose2()]
     for p in pairs:

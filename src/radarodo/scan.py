@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ScanFormatError
+
 _SCAN_MAGIC = b"#polarscan1\n"
 
 
@@ -27,8 +29,8 @@ class SensorMeta:
     def __post_init__(self):
         if self.num_azimuths < 2 or self.num_range_bins < 2:
             raise ValueError("need at least 2 azimuths and 2 range bins")
-        if not (self.range_resolution > 0.0) or not (self.scan_period > 0.0):
-            raise ValueError("range_resolution and scan_period must be positive")
+        if not (0.0 < self.range_resolution < math.inf) or not (0.0 < self.scan_period < math.inf):
+            raise ValueError("range_resolution and scan_period must be positive and finite")
 
     @property
     def max_range(self) -> float:
@@ -52,6 +54,8 @@ class PolarScan:
             )
         if not np.all(np.isfinite(power)) or np.any(power < 0.0):
             raise ValueError("power must be finite and non-negative")
+        if not math.isfinite(self.timestamp):
+            raise ValueError("timestamp must be finite")
         power = power.copy()
         power.setflags(write=False)
         object.__setattr__(self, "power", power)
@@ -112,14 +116,21 @@ def save_scan(path, scan: PolarScan) -> None:
 
 
 def load_scan(path) -> PolarScan:
-    """Read a scan written by :func:`save_scan`."""
+    """Read a scan written by :func:`save_scan`.
+
+    Raises :class:`ScanFormatError`, naming ``path``, when the file is not a
+    well-formed scan.
+    """
     with open(path, "rb") as f:
         magic = f.readline()
         if magic != _SCAN_MAGIC:
-            raise ValueError(f"{path}: not a polar scan file")
-        fields = f.readline().decode("ascii").split()
+            raise ScanFormatError(f"{path}: not a polar scan file")
+        header = f.readline()
+        raw = f.read()
+    try:
+        fields = header.decode("ascii").split()
         if len(fields) != 5:
-            raise ValueError(f"{path}: malformed scan header")
+            raise ValueError("malformed scan header")
         m, n = int(fields[0]), int(fields[1])
         meta = SensorMeta(
             num_azimuths=m,
@@ -127,9 +138,11 @@ def load_scan(path) -> PolarScan:
             range_resolution=float.fromhex(fields[2]),
             scan_period=float.fromhex(fields[3]),
         )
-        raw = f.read()
-    expected = m * n * 8
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} payload bytes, got {len(raw)}")
-    power = np.frombuffer(raw, dtype="<f8").reshape(m, n)
-    return PolarScan(meta=meta, power=power, timestamp=float.fromhex(fields[4]))
+        timestamp = float.fromhex(fields[4])
+        expected = m * n * 8
+        if len(raw) != expected:
+            raise ValueError(f"expected {expected} payload bytes, got {len(raw)}")
+        power = np.frombuffer(raw, dtype="<f8").reshape(m, n)
+        return PolarScan(meta=meta, power=power, timestamp=timestamp)
+    except (ValueError, OverflowError) as err:  # UnicodeDecodeError is a ValueError
+        raise ScanFormatError(f"{path}: {err}") from err

@@ -66,13 +66,12 @@ def test_01_real_sensor_figures_are_out_of_scope():
     # the synthetic + property suite below, plus the shipped operating
     # defaults that those figures were produced with
     assert PipelineConfig().l_max == 1000
-    assert PipelineConfig().a_max == 8.0
     assert IcpConfig().nn_radius == 2.0
     assert IcpConfig().convergence_tol == 1e-5
     assert META.scan_period == 0.25  # 4 Hz rotation
     print(
         "PASS 1: real-sensor medians out of scope (no datasets available); "
-        "defaults pinned: l_max=1000, a_max=8.0 m/s^2, icp nn=2.0 m, tol=1e-5, 4 Hz"
+        "defaults pinned: l_max=1000, icp nn=2.0 m, tol=1e-5, 4 Hz"
     )
 
 

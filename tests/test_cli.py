@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from radarodo import PolarScan, SensorMeta, save_scan
+from radarodo import PipelineConfig, PolarScan, SensorMeta, load_scan, run_odometry, save_scan
 from radarodo.cli import main, read_config_file, read_pose_csv
 
 SMALL_SIM = """
@@ -70,6 +70,27 @@ def test_config_rejects_bad_value(tmp_path):
 
 def test_missing_scan_file_is_io_error(tmp_path):
     rc = main(["extract", "--scan", str(tmp_path / "nope.rscan"), "--out", str(tmp_path / "kp.csv")])
+    assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"#notascan\n1 2 x y z\n",
+        b"#polarscan1\n8 16 0x1.0p-1 \xff\xfe 0x0.0p+0\n" + bytes(8 * 16 * 8),
+        b"#polarscan1\n8 16 0x1.0p-1 0x1.0p-2 0x0.0p+0\n" + bytes(8 * 16 * 8 - 8),
+    ],
+    ids=["bad_magic", "non_ascii_header", "truncated_payload"],
+)
+def test_malformed_scan_file_is_io_error(tmp_path, content, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    scan = data / "scan_00000.rscan"
+    scan.write_bytes(content)
+    rc = main(["extract", "--scan", str(scan), "--out", str(tmp_path / "kp.csv")])
+    assert rc == 3
+    assert str(scan) in capsys.readouterr().err
+    rc = main(["odometry", "--dataset", str(data), "--out", str(tmp_path / "o")])
     assert rc == 3
 
 
@@ -192,6 +213,27 @@ def test_odometry_with_no_matched_pair_exits_4_after_writing(tmp_path, method):
     stamps, poses = read_pose_csv(out / "trajectory.csv")
     assert len(poses) == 4 and all(p.x == p.y == p.theta == 0.0 for p in poses)
     assert json.loads((out / "manifest.json").read_text())["command"] == "odometry"
+    # no pair succeeded, so there is no confidence to average
+    assert "mean_mutual_compatibility" not in metrics and "mean_eigengap" not in metrics
+
+
+def test_confidences_average_over_matched_pairs_only(tmp_path):
+    cfg, data = simulate(tmp_path)
+    blank = load_scan(data / "scan_00002.rscan")
+    save_scan(data / "scan_00002.rscan",
+              PolarScan(blank.meta, np.zeros_like(blank.power), blank.timestamp))
+    out = tmp_path / "ro"
+    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out)])
+    assert rc == 0
+    metrics = read_metrics(out / "metrics.txt")
+    assert metrics["failures"] == "2"
+
+    scans = [load_scan(p) for p in sorted(data.glob("scan_*.rscan"))]
+    result = run_odometry(scans, PipelineConfig(l_max=200, alpha=64, rho=64))
+    matched = [p for p in result.pairs if not p.failed]
+    assert len(matched) == 1
+    assert float(metrics["mean_mutual_compatibility"]) == matched[0].mutual_compatibility > 0
+    assert float(metrics["mean_eigengap"]) == matched[0].eigengap > 0
 
 
 @pytest.mark.parametrize("method", ["ro", "icp"])
@@ -213,6 +255,14 @@ def test_odometry_on_empty_dataset_is_io_error(tmp_path):
 def test_bench_requires_three_sweep_points(tmp_path):
     rc = main(["bench", "--out", str(tmp_path / "b"), "--sweep", "50,100"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("sweep", ["10,12,14", "5,10,15"])
+def test_bench_with_an_unmatchable_budget_is_a_usage_error(tmp_path, sweep, capsys):
+    rc = main(["bench", "--out", str(tmp_path / "b"), "--sweep", sweep,
+               "--grid-sweep", "32x64,48x96,64x128", "--repeats", "1"])
+    assert rc == 2
+    assert f"region budget {sweep.split(',')[0]} " in capsys.readouterr().err
 
 
 def test_bench_writes_summary(tmp_path):

@@ -124,21 +124,6 @@ def test_unary_identity_sets_match_one_to_one():
     assert np.allclose(matches.distances, 0.0, atol=1e-9)
 
 
-def test_unary_gate_drops_far_keypoints():
-    xy1 = np.array([[0.0, 0.0], [10.0, 0.0], [40.0, 40.0]])
-    xy2 = np.array([[0.5, 0.0], [10.5, 0.0]])
-    matches = propose_unary_matches(xy1, xy2, 8, 6, MAX_RANGE, gate_radius=2.0)
-    assert list(matches.l1_indices) == [0, 1]
-    assert list(matches.l2_indices) == [0, 1]
-
-
-def test_unary_gate_can_remove_everything():
-    xy1 = np.array([[0.0, 0.0], [1.0, 0.0]])
-    xy2 = np.array([[30.0, 30.0], [31.0, 30.0]])
-    with pytest.raises(NoCandidatesError):
-        propose_unary_matches(xy1, xy2, 8, 6, MAX_RANGE, gate_radius=1.0)
-
-
 def test_unary_rejects_empty_sets():
     with pytest.raises(NoCandidatesError):
         propose_unary_matches(np.zeros((0, 2)), np.zeros((3, 2)), 8, 6, MAX_RANGE)

@@ -24,7 +24,7 @@ from radarodo import (
     render_sequence,
     run_odometry,
 )
-from radarodo.odometry import gate_radius, match_keypoint_sets
+from radarodo.odometry import match_keypoint_sets
 from radarodo.se2 import wrap_angle
 
 from conftest import close_world
@@ -44,20 +44,7 @@ def render_pair(world, pose_a, pose_b, seed=0):
 
 def test_pipeline_config_validation():
     with pytest.raises(ValueError):
-        PipelineConfig(prior="gps")
-    with pytest.raises(ValueError):
         PipelineConfig(l_max=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(a_max=0.0)
-
-
-def test_gate_radius_formula():
-    cfg = PipelineConfig(prior="max_accel", a_max=8.0, standstill_allowance=1.0)
-    dt = 0.25
-    reach = 0.5 * 8.0 * dt * dt
-    assert gate_radius(cfg, dt, None) == pytest.approx(reach + 1.0)
-    assert gate_radius(cfg, dt, prev_speed=3.0) == pytest.approx(3.0 * dt + reach)
-    assert gate_radius(PipelineConfig(prior="none"), dt, 3.0) is None
 
 
 def test_match_scan_pair_recovers_motion():
@@ -83,8 +70,8 @@ def test_match_is_symmetric_under_swap():
     scan_a, scan_b = render_pair(world, Pose2(), pose_b, seed=3)
     kp_a = extract_keypoints(scan_a, CFG.l_max)
     kp_b = extract_keypoints(scan_b, CFG.l_max)
-    fwd, _ = match_keypoint_sets(kp_a, kp_b, CFG, dt=0.25)
-    rev, _ = match_keypoint_sets(kp_b, kp_a, CFG, dt=0.25)
+    fwd, _ = match_keypoint_sets(kp_a, kp_b, CFG)
+    rev, _ = match_keypoint_sets(kp_b, kp_a, CFG)
     back = inverse(rev)
     assert math.hypot(fwd.x - back.x, fwd.y - back.y) < 0.1
     assert abs(wrap_angle(fwd.theta - back.theta)) < math.radians(0.3)
@@ -150,17 +137,17 @@ def test_failed_pair_uses_constant_velocity_fallback():
     assert math.hypot(p0.x - p1.x, p0.y - p1.y) < 1e-9
 
 
-def test_max_accel_prior_still_matches():
+def test_positional_dt_is_ignored():
+    # older callers pass the scan interval positionally; it changes nothing
     world = close_world(8)
-    cfg = PipelineConfig(l_max=200, alpha=64, rho=64, prior="max_accel", a_max=8.0)
-    traj = TrajectorySpec(
-        poses=(Pose2(), Pose2(0.5, 0.0, 0.0), Pose2(1.0, 0.0, 0.01)),
-        timestamps=(0.0, 0.25, 0.5),
-    )
-    scans = render_sequence(world, traj, META, QUIET, seed=30)
-    result = run_odometry(scans, cfg)
-    assert result.failure_count == 0
-    assert abs(result.pairs[1].pose.x - 0.5) < 0.25
+    scan_a, scan_b = render_pair(world, Pose2(), Pose2(0.5, 0.0, 0.01), seed=30)
+    kp_a = extract_keypoints(scan_a, CFG.l_max)
+    kp_b = extract_keypoints(scan_b, CFG.l_max)
+    pose, stats = match_keypoint_sets(kp_a, kp_b, CFG)
+    pose_dt, stats_dt = match_keypoint_sets(kp_a, kp_b, CFG, 0.25)
+    assert pose_dt == pose
+    untimed = lambda st: {k: v for k, v in st.items() if k != "timings"}
+    assert untimed(stats_dt) == untimed(stats)
 
 
 def test_evaluate_computes_pairwise_error_stats():

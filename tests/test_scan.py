@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from radarodo import PolarScan, SensorMeta, load_scan, save_scan
+from radarodo import PolarScan, ScanFormatError, SensorMeta, load_scan, save_scan
 from radarodo.scan import (
     azimuth_angle,
     bin_center_range,
@@ -22,6 +22,8 @@ def test_sensor_meta_validation():
         SensorMeta(10, 10, -1.0, 0.25)
     with pytest.raises(ValueError):
         SensorMeta(10, 10, 0.5, 0.0)
+    with pytest.raises(ValueError):
+        SensorMeta(10, 10, math.inf, 0.25)
 
 
 def test_max_range():
@@ -79,6 +81,8 @@ def test_polar_scan_validation():
     bad[1, 2] = np.nan
     with pytest.raises(ValueError):
         PolarScan(meta, bad)
+    with pytest.raises(ValueError):
+        PolarScan(meta, np.zeros((4, 6)), timestamp=math.nan)
 
 
 def test_polar_scan_power_is_frozen_copy():
@@ -130,4 +134,34 @@ def test_load_rejects_truncated_payload(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(ValueError):
+        load_scan(path)
+
+
+HEADER = "#polarscan1\n8 16 0x1.0p-1 0x1.0p-2 0x0.0p+0\n"
+PAYLOAD = np.ones((8, 16)).astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"#polarscan1\n\xff 16 0x1.0p-1 0x1.0p-2 0x0.0p+0\n" + PAYLOAD,
+        b"#polarscan1\n8 16 0x1.0p-1\n" + PAYLOAD,
+        HEADER.replace("8 16", "8 sixteen").encode() + PAYLOAD,
+        HEADER.replace("0x1.0p-1", "half").encode() + PAYLOAD,
+        HEADER.replace("0x1.0p-1", "0x1.0p+99999").encode() + PAYLOAD,
+        HEADER.replace("8 16", "1 16").encode() + PAYLOAD[: 16 * 8],
+        HEADER.replace("0x1.0p-1", "-0x1.0p-1").encode() + PAYLOAD,
+        HEADER.replace("0x1.0p-1", "inf").encode() + PAYLOAD,
+        HEADER.replace("0x0.0p+0", "nan").encode() + PAYLOAD,
+        HEADER.encode() + np.full((8, 16), -1.0).astype("<f8").tobytes(),
+        HEADER.encode() + np.full((8, 16), np.nan).astype("<f8").tobytes(),
+    ],
+    ids=["non_ascii", "short_header", "bad_int", "bad_hex", "hex_overflow", "one_azimuth",
+         "negative_resolution", "infinite_resolution", "nan_timestamp", "negative_power",
+         "nan_power"],
+)
+def test_load_raises_one_typed_error_naming_the_file(tmp_path, content):
+    path = tmp_path / "bad.rscan"
+    path.write_bytes(content)
+    with pytest.raises(ScanFormatError, match="bad.rscan"):
         load_scan(path)
