@@ -10,7 +10,7 @@ against the swept parameter summarizes the scaling.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -68,8 +68,10 @@ def _best_of_each(fns, repeats: int):
 
 
 def _match_budget(l_max, kp_a, kp_b, cfg):
+    # fresh copies, so every timed call describes both sets instead of
+    # reading the descriptors an earlier call cached on them
     try:
-        return match_keypoint_sets(kp_a, kp_b, cfg)
+        return match_keypoint_sets(replace(kp_a), replace(kp_b), cfg)
     except RadarOdoError as err:
         raise ValueError(f"region budget {l_max} leaves too little to match: {err}") from err
 

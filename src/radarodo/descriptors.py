@@ -12,6 +12,17 @@ sampling thins with range, so distant neighbors count for more):
   last bin.
 
 Descriptor distance is plain Euclidean over the two channels concatenated.
+
+One numpy kernel describes blocks of keypoints at a time: both channels of
+a whole block come from one ``bincount`` each and one batched FFT. Each
+histogram still sums its neighbors one by one in index order, so every
+entry is bit-identical to describing the keypoint on its own.
+
+A :class:`~radarodo.keypoints.KeypointSet` is described once per
+``(alpha, rho, max_range)``: :func:`descriptor_matrix` keeps the matrix in
+the set's ``descriptor_cache`` and hands out that read-only array on every
+later call. The set's own arrays are read-only too, so the cache cannot go
+stale.
 """
 
 from __future__ import annotations
@@ -22,8 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoCandidatesError
+from .keypoints import KeypointSet
 
 _TWO_PI = 2.0 * math.pi
+# keypoints per kernel call: the (block, n) temporaries stay near 0.5 MB
+# each at n = 1000 neighbors
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -54,53 +69,74 @@ def _points(kset) -> np.ndarray:
     return np.asarray(xy, dtype=float)
 
 
-def _channel_histograms(xy, i, alpha, rho, max_range):
-    """Raw weighted angular and radial histograms for keypoint ``i``."""
-    mask = np.ones(xy.shape[0], dtype=bool)
-    mask[i] = False
-    rel = xy[mask] - xy[i]
-    if rel.shape[0] == 0:
-        return np.zeros(alpha), np.zeros(rho)
-    w = np.hypot(xy[mask, 0], xy[mask, 1]) / max_range
-    bearing_i = math.atan2(xy[i, 1], xy[i, 0])
-    ang = np.arctan2(rel[:, 1], rel[:, 0]) - bearing_i
-    a_bins = np.minimum((np.mod(ang, _TWO_PI) / _TWO_PI * alpha).astype(int), alpha - 1)
-    hist_a = np.bincount(a_bins, weights=w, minlength=alpha)
-    dist = np.hypot(rel[:, 0], rel[:, 1])
-    r_bins = np.minimum((dist / (max_range / rho)).astype(int), rho - 1)
-    hist_r = np.bincount(r_bins, weights=w, minlength=rho)
-    return hist_a, hist_r
-
-
-def _normalize_peak(v: np.ndarray) -> np.ndarray:
-    peak = v.max() if v.size else 0.0
-    return v / peak if peak > 0 else v
-
-
-def compute_descriptor(i: int, kset, alpha: int, rho: int, max_range: float) -> Descriptor:
-    """Descriptor of keypoint ``i``; a keypoint with no neighbors gets zeros."""
+def _check_params(alpha, rho, max_range):
     if alpha < 1 or rho < 1:
         raise ValueError("alpha and rho must be >= 1")
     if not (max_range > 0):
         raise ValueError("max_range must be positive")
+
+
+def _describe_rows(xy, rows, alpha, rho, max_range) -> np.ndarray:
+    """Descriptor vectors of keypoints ``rows`` of the cloud ``xy``, one row
+    each; a keypoint with no neighbors gets zeros."""
+    b = rows.size
+    # a keypoint is not its own neighbor: zero weight adds exactly nothing
+    weights = np.broadcast_to(np.hypot(xy[:, 0], xy[:, 1]) / max_range, (b, xy.shape[0])).copy()
+    weights[np.arange(b), rows] = 0.0
+    weights = weights.ravel()
+    rel_x = xy[None, :, 0] - xy[rows, 0][:, None]
+    rel_y = xy[None, :, 1] - xy[rows, 1][:, None]
+    # histogram bin k of block row r sits at r * bins + k of one bincount
+    offset = np.arange(b)[:, None]
+
+    bearing = np.array([math.atan2(xy[i, 1], xy[i, 0]) for i in rows])
+    ang = np.arctan2(rel_y, rel_x) - bearing[:, None]
+    a_bins = np.minimum((np.mod(ang, _TWO_PI) / _TWO_PI * alpha).astype(int), alpha - 1)
+    hist_a = np.bincount((offset * alpha + a_bins).ravel(), weights=weights, minlength=b * alpha)
+
+    dist = np.hypot(rel_x, rel_y)
+    r_bins = np.minimum((dist / (max_range / rho)).astype(int), rho - 1)
+    hist_r = np.bincount((offset * rho + r_bins).ravel(), weights=weights, minlength=b * rho)
+
+    out = np.empty((b, alpha + rho))
+    out[:, :alpha] = np.abs(np.fft.fft(hist_a.reshape(b, alpha), axis=1))
+    out[:, alpha:] = hist_r.reshape(b, rho)
+    for channel in (out[:, :alpha], out[:, alpha:]):
+        peak = channel.max(axis=1, keepdims=True)
+        np.divide(channel, peak, out=channel, where=peak > 0)
+    return out
+
+
+def compute_descriptor(i: int, kset, alpha: int, rho: int, max_range: float) -> Descriptor:
+    """Descriptor of keypoint ``i``; a keypoint with no neighbors gets zeros."""
+    _check_params(alpha, rho, max_range)
     xy = _points(kset)
     if not (0 <= i < xy.shape[0]):
         raise ValueError(f"keypoint index {i} out of range")
-    hist_a, hist_r = _channel_histograms(xy, i, alpha, rho, max_range)
-    return Descriptor(
-        angular=_normalize_peak(np.abs(np.fft.fft(hist_a))),
-        radial=_normalize_peak(hist_r),
-    )
+    row = _describe_rows(xy, np.array([i]), alpha, rho, max_range)[0]
+    return Descriptor(angular=row[:alpha], radial=row[alpha:])
 
 
 def descriptor_matrix(kset, alpha: int, rho: int, max_range: float) -> np.ndarray:
-    """Stacked descriptor vectors, one row per keypoint. Shape (N, alpha+rho)."""
+    """Stacked descriptor vectors, one row per keypoint. Shape (N, alpha+rho).
+
+    For a :class:`KeypointSet` the matrix is built on the first call with
+    these parameters and returned, read-only, from the set's cache after.
+    """
+    _check_params(alpha, rho, max_range)
+    cache = kset.descriptor_cache if isinstance(kset, KeypointSet) else None
+    key = (alpha, rho, max_range)
+    if cache is not None and key in cache:
+        return cache[key]
     xy = _points(kset)
-    out = np.zeros((xy.shape[0], alpha + rho))
-    for i in range(xy.shape[0]):
-        d = compute_descriptor(i, xy, alpha, rho, max_range)
-        out[i, :alpha] = d.angular
-        out[i, alpha:] = d.radial
+    n = xy.shape[0]
+    out = np.empty((n, alpha + rho))
+    for lo in range(0, n, _BLOCK):
+        rows = np.arange(lo, min(lo + _BLOCK, n))
+        out[lo : lo + rows.size] = _describe_rows(xy, rows, alpha, rho, max_range)
+    if cache is not None:
+        out.flags.writeable = False
+        cache[key] = out
     return out
 
 
@@ -110,19 +146,21 @@ def propose_unary_matches(l1, l2, alpha: int, rho: int, max_range: float) -> Una
     Distance ties resolve to the lowest L2 index. The caller is expected to
     pass the smaller set as ``l1``.
     """
-    xy1, xy2 = _points(l1), _points(l2)
-    if xy1.shape[0] == 0 or xy2.shape[0] == 0:
+    n1 = _points(l1).shape[0]
+    if n1 == 0 or _points(l2).shape[0] == 0:
         raise NoCandidatesError("cannot match empty keypoint sets")
-    d1 = descriptor_matrix(xy1, alpha, rho, max_range)
-    d2 = descriptor_matrix(xy2, alpha, rho, max_range)
-    # (u1, u2) squared descriptor distances via the expanded dot product
-    sq = np.maximum(
-        (d1 * d1).sum(axis=1)[:, None] + (d2 * d2).sum(axis=1)[None, :] - 2.0 * d1 @ d2.T,
-        0.0,
-    )
+    d1 = descriptor_matrix(l1, alpha, rho, max_range)
+    d2 = descriptor_matrix(l2, alpha, rho, max_range)
+    # (u1, u2) squared descriptor distances via the expanded dot product,
+    # worked in place: one (u1, u2) temporary besides the result
+    sq = (d1 * d1).sum(axis=1)[:, None] + (d2 * d2).sum(axis=1)[None, :]
+    cross = 2.0 * d1 @ d2.T
+    np.subtract(sq, cross, out=sq)
+    del cross
+    np.maximum(sq, 0.0, out=sq)
     best = np.argmin(sq, axis=1)
     return UnaryMatches(
-        l1_indices=np.arange(xy1.shape[0]),
+        l1_indices=np.arange(n1),
         l2_indices=best,
-        distances=np.sqrt(sq[np.arange(xy1.shape[0]), best]),
+        distances=np.sqrt(sq[np.arange(n1), best]),
     )

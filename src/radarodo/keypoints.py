@@ -13,7 +13,7 @@ discarded as single-beam clutter. Azimuth 0 and m-1 are neighbors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +31,14 @@ class Keypoint(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class KeypointSet:
-    """Keypoints of one scan, ordered by (azimuth index, range bin)."""
+    """Keypoints of one scan, ordered by (azimuth index, range bin).
+
+    The set holds read-only copies of its arrays, so values derived from
+    them can be cached on the set: ``descriptor_cache`` maps
+    ``(alpha, rho, max_range)`` to the set's descriptor matrix (see
+    :func:`radarodo.descriptors.descriptor_matrix`). ``dataclasses.replace``
+    gives a copy with an empty cache.
+    """
 
     azimuths: np.ndarray
     range_bins: np.ndarray
@@ -39,6 +46,13 @@ class KeypointSet:
     strengths: np.ndarray
     meta: SensorMeta
     timestamp: float = 0.0
+    descriptor_cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("azimuths", "range_bins", "xy", "strengths"):
+            arr = np.array(getattr(self, name))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __len__(self):
         return self.azimuths.shape[0]

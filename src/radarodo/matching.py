@@ -7,7 +7,8 @@ a greedy sweep over its squared entries then commits candidates one at a
 time, enforcing one-to-one use of keypoints, and stops as soon as a
 cosine-based consistency index drops. Two confidence measures come out of
 the process: the consistency index of the final selection and a normalized
-eigengap of the selection-restricted matrix.
+eigengap of the selection-restricted matrix, taken from the k x k block of
+the k selected candidates.
 """
 
 from __future__ import annotations
@@ -55,24 +56,37 @@ def pairwise_compatibility(u_matches: UnaryMatches, l1, l2, sigma: float) -> np.
         raise DegenerateProblemError(f"need at least 2 candidates, got {u}")
     p1 = _points(l1)[u_matches.l1_indices]
     p2 = _points(l2)[u_matches.l2_indices]
-    d1 = np.hypot(p1[:, 0:1] - p1[None, :, 0], p1[:, 1:2] - p1[None, :, 1])
-    d2 = np.hypot(p2[:, 0:1] - p2[None, :, 0], p2[:, 1:2] - p2[None, :, 1])
-    delta = np.abs(d1 - d2)
-    c = np.exp(-(delta**2) / (2.0 * sigma**2))
+    # exp(-(|d1 - d2| ** 2) / (2 sigma^2)) worked in place, step by step in
+    # the expression's own order: the same values bit for bit, with at most
+    # three (u, u) float arrays alive at once
+    c, delta, spare = (np.empty((u, u)) for _ in range(3))
+    _distances(p1, out=delta, spare=spare)
+    _distances(p2, out=c, spare=spare)
+    del spare
+    np.subtract(delta, c, out=delta)
+    np.abs(delta, out=delta)
+    np.square(delta, out=c)
+    np.negative(c, out=c)
+    np.divide(c, 2.0 * sigma**2, out=c)
+    np.exp(c, out=c)
     c[delta > 3.0 * sigma] = 0.0
-    conflict = (u_matches.l1_indices[:, None] == u_matches.l1_indices[None, :]) | (
-        u_matches.l2_indices[:, None] == u_matches.l2_indices[None, :]
-    )
+    del delta
+    i1, i2 = u_matches.l1_indices, u_matches.l2_indices
+    conflict = i1[:, None] == i1[None, :]
+    conflict |= i2[:, None] == i2[None, :]
     c[conflict] = 0.0
     return c
 
 
-def _power_iteration(c, v0, tol, max_iter, sign_invariant=False):
-    """Power iteration returning (rayleigh, vector, iterations).
+def _distances(p, out, spare):
+    """Pairwise Euclidean distances of the rows of ``p``, written to ``out``."""
+    np.subtract(p[:, 0:1], p[None, :, 0], out=out)
+    np.subtract(p[:, 1:2], p[None, :, 1], out=spare)
+    return np.hypot(out, spare, out=out)
 
-    With ``sign_invariant`` the convergence test ignores sign flips, which a
-    dominant negative eigenvalue produces on every step.
-    """
+
+def _power_iteration(c, v0, tol, max_iter):
+    """Power iteration returning (rayleigh, vector, iterations)."""
     v = v0
     its = 0
     for its in range(1, max_iter + 1):
@@ -82,8 +96,6 @@ def _power_iteration(c, v0, tol, max_iter, sign_invariant=False):
             break
         y /= norm
         step = np.linalg.norm(y - v)
-        if sign_invariant:
-            step = min(step, np.linalg.norm(y + v))
         v = y
         if step < tol:
             break
@@ -111,17 +123,20 @@ def principal_eigenvector(c: np.ndarray, tol: float = 1e-9, max_iter: int = 1000
     return SpectralSolution(eigenvector=v, eigenvalue=lam, iterations=its)
 
 
+def _cosine(w: np.ndarray, m: np.ndarray) -> float:
+    nw = np.linalg.norm(w)
+    if nw == 0.0:
+        return 0.0
+    return float(np.clip((w @ m) / (nw * np.linalg.norm(m)), 0.0, 1.0))
+
+
 def mutual_compatibility_index(c: np.ndarray, v_star: np.ndarray, indicator) -> float:
     """Cosine between C (indicator * v_star) and the indicator; 0 if the
     projected vector vanishes."""
     m = np.asarray(indicator, dtype=float)
     if not m.any():
         raise ValueError("indicator selects no candidates")
-    w = c @ (m * v_star)
-    nw = np.linalg.norm(w)
-    if nw == 0.0:
-        return 0.0
-    return float(np.clip((w @ m) / (nw * np.linalg.norm(m)), 0.0, 1.0))
+    return _cosine(c @ (m * v_star), m)
 
 
 def global_score(indicator, c: np.ndarray) -> float:
@@ -134,32 +149,28 @@ def global_score(indicator, c: np.ndarray) -> float:
 
 def eigengap_measure(c: np.ndarray, selected_rows) -> float:
     """Normalized gap between the two dominant eigenvalues of the
-    selection-restricted matrix, clamped to [0, 1].
+    selection-restricted matrix, clamped to [0, 1]: (lambda1 - lambda2) / u.
 
-    Rows and columns of non-selected candidates are zeroed. Both eigenvalues
-    come from power iteration, the second after deflating the first; a large
-    gap means the selection stands out against every alternative grouping.
+    The restricted matrix keeps the rows and columns of the selected
+    candidates and zeroes the rest, so its nonzero spectrum is that of the
+    k x k block ``c[rows][:, rows]``, taken here with rows in ascending
+    order whatever order they are given in. lambda1 is the block's largest
+    eigenvalue (its Perron root, as ``c`` is non-negative); lambda2 is the
+    eigenvalue of largest magnitude among the rest, which can be negative,
+    and 0 when there is no other. These are the values deflated power
+    iteration would converge to. A large gap means the selection stands out
+    against every alternative grouping.
     """
-    rows = np.asarray(selected_rows, dtype=int)
+    rows = np.unique(np.asarray(selected_rows, dtype=int))
     if rows.size < 1:
         raise ValueError("need at least one selected candidate")
-    u = c.shape[0]
-    keep = np.zeros(u, dtype=bool)
-    keep[rows] = True
-    cstar = np.where(keep[:, None] & keep[None, :], c, 0.0)
-    if not cstar.any():
+    block = c[np.ix_(rows, rows)]
+    if not block.any():
         return 0.0
-    lam1, v1, _ = _power_iteration(cstar, np.full(u, 1.0 / math.sqrt(u)), 1e-9, 1000)
-    deflated = cstar - lam1 * np.outer(v1, v1)
-    # a fixed-seed start: the uniform vector can be exactly orthogonal to the
-    # runner-up eigenvector (e.g. two equal disjoint groups)
-    v0 = np.random.default_rng(0).standard_normal(u)
-    v0 -= (v0 @ v1) * v1
-    n0 = np.linalg.norm(v0)
-    if n0 == 0.0:
-        return float(np.clip(lam1 / u, 0.0, 1.0))
-    lam2, _, _ = _power_iteration(deflated, v0 / n0, 1e-9, 1000, sign_invariant=True)
-    return float(np.clip((lam1 - lam2) / u, 0.0, 1.0))
+    eigenvalues = np.linalg.eigvalsh(block)  # ascending
+    lam1, rest = eigenvalues[-1], eigenvalues[:-1]
+    lam2 = rest[np.argmax(np.abs(rest))] if rest.size else 0.0
+    return float(np.clip((lam1 - lam2) / c.shape[0], 0.0, 1.0))
 
 
 def greedy_select(c: np.ndarray, solution: SpectralSolution, u_matches: UnaryMatches) -> MatchSelection:
@@ -169,6 +180,8 @@ def greedy_select(c: np.ndarray, solution: SpectralSolution, u_matches: UnaryMat
     not drop; the first candidate is always kept. Committing a candidate
     removes every candidate sharing one of its keypoints from further
     consideration, so the selection always uses each keypoint at most once.
+    The index's projection C (indicator * v) is kept up to date by adding
+    one column per commit.
     """
     v = solution.eigenvector
     u = u_matches.u
@@ -177,12 +190,14 @@ def greedy_select(c: np.ndarray, solution: SpectralSolution, u_matches: UnaryMat
     weight = v**2
     open_mask = np.ones(u, dtype=bool)
     indicator = np.zeros(u)
+    projected = np.zeros(u)
     rows = []
     current = None
     while open_mask.any():
         g = int(np.argmax(np.where(open_mask, weight, -np.inf)))
         indicator[g] = 1.0
-        score = mutual_compatibility_index(c, v, indicator)
+        projected += c[:, g] * v[g]
+        score = _cosine(projected, indicator)
         if current is not None and score < current:
             indicator[g] = 0.0
             break
@@ -197,6 +212,6 @@ def greedy_select(c: np.ndarray, solution: SpectralSolution, u_matches: UnaryMat
         selected=selected,
         indicator=indicator,
         mutual_compatibility=float(current),
-        eigengap=eigengap_measure(c, np.asarray(rows)),
+        eigengap=eigengap_measure(c, rows),
         global_score=global_score(indicator, c),
     )

@@ -204,26 +204,28 @@ def run_odometry(scans, cfg: PipelineConfig | None = None, matcher=None) -> Odom
     if not np.all(np.diff(ts) > 0):
         raise ValueError("scan timestamps must be strictly increasing")
 
-    extract_times = []
-    keypoint_sets = []
-    for scan in scans:
+    def extract(scan):
         t0 = time.perf_counter()
-        keypoint_sets.append(extract_keypoints(scan, cfg.l_max))
-        extract_times.append(time.perf_counter() - t0)
+        kp = extract_keypoints(scan, cfg.l_max)
+        return kp, time.perf_counter() - t0
 
+    # extract as the sequence goes, so only two keypoint sets (and their
+    # cached descriptors) are alive at a time
+    kp_a, first_extract = extract(scans[0])
     pairs = []
     fallback = Pose2()
     for k in range(len(scans) - 1):
+        kp_b, extract_time = extract(scans[k + 1])
         # charge each pair with the extraction of the scan it introduces
-        extract = extract_times[k] + extract_times[k + 1] if k == 0 else extract_times[k + 1]
-        p = _pair_result(
-            scans[k], scans[k + 1], keypoint_sets[k], keypoint_sets[k + 1], matcher, extract
-        )
+        if k == 0:
+            extract_time += first_extract
+        p = _pair_result(scans[k], scans[k + 1], kp_a, kp_b, matcher, extract_time)
         if p.failed:
             p = replace(p, pose=fallback)
         else:
             fallback = p.pose
         pairs.append(p)
+        kp_a = kp_b
 
     trajectory = [Pose2()]
     for p in pairs:

@@ -7,8 +7,10 @@ from radarodo import (
     SensorMeta,
     TrajectorySpec,
     compose,
+    extract_keypoints,
     make_trajectory,
     random_world,
+    render_scan,
 )
 
 
@@ -50,4 +52,27 @@ def random_pose(rng, t_scale=5.0):
         rng.uniform(-t_scale, t_scale),
         rng.uniform(-t_scale, t_scale),
         rng.uniform(-np.pi, np.pi),
+    )
+
+
+@pytest.fixture(scope="session")
+def noisy_keypoints():
+    """Keypoints of one noisy 400x500 scan, as in the seq_noisy benchmark."""
+    meta = SensorMeta(num_azimuths=400, num_range_bins=500, range_resolution=0.2, scan_period=0.25)
+    world = random_world(120, 80.0, seed=0, min_range=6.0, min_separation=3.0)
+    return extract_keypoints(render_scan(world, Pose2(), meta, NOISY_ARTIFACTS, seed=200), 600)
+
+
+@pytest.fixture(scope="session")
+def busy_keypoints():
+    """Keypoints of two scans of the association sweep's clutter-rich scene
+    (about 880 each at l_max 960)."""
+    meta = SensorMeta(num_azimuths=256, num_range_bins=256, range_resolution=0.5, scan_period=0.25)
+    world = random_world(600, 0.85 * meta.max_range, seed=0, min_range=4.0,
+                         reflectivity_range=(0.6, 2.0))
+    art = ArtifactModel(speckle_scale=0.15, background_noise=0.01, beam_width_azimuths=2.5)
+    poses = (Pose2(), Pose2(0.4, 0.1, 0.01))
+    return tuple(
+        extract_keypoints(render_scan(world, pose, meta, art, seed=k, timestamp=0.25 * k), 960)
+        for k, pose in enumerate(poses)
     )

@@ -1,10 +1,11 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from radarodo import NoCandidatesError, Pose2, apply_pose
+from radarodo import KeypointSet, NoCandidatesError, Pose2, SensorMeta, apply_pose
 from radarodo.descriptors import (
     compute_descriptor,
     descriptor_matrix,
@@ -44,6 +45,91 @@ def reference_descriptor(xy, i, alpha, rho, max_range):
     if peak_r > 0:
         rad = [v / peak_r for v in rad]
     return spectrum, rad
+
+
+def per_keypoint_matrix(xy, alpha, rho, max_range):
+    """The descriptor matrix built one keypoint at a time with numpy: the
+    reference the block kernel must match bit for bit."""
+    out = np.zeros((xy.shape[0], alpha + rho))
+    for i in range(xy.shape[0]):
+        mask = np.ones(xy.shape[0], dtype=bool)
+        mask[i] = False
+        rel = xy[mask] - xy[i]
+        if rel.shape[0] == 0:
+            continue
+        w = np.hypot(xy[mask, 0], xy[mask, 1]) / max_range
+        ang = np.arctan2(rel[:, 1], rel[:, 0]) - math.atan2(xy[i, 1], xy[i, 0])
+        a_bins = np.minimum((np.mod(ang, 2 * math.pi) / (2 * math.pi) * alpha).astype(int), alpha - 1)
+        dist = np.hypot(rel[:, 0], rel[:, 1])
+        r_bins = np.minimum((dist / (max_range / rho)).astype(int), rho - 1)
+        channels = (
+            np.abs(np.fft.fft(np.bincount(a_bins, weights=w, minlength=alpha))),
+            np.bincount(r_bins, weights=w, minlength=rho),
+        )
+        for lo, v in zip((0, alpha), channels):
+            out[i, lo : lo + v.size] = v / v.max() if v.max() > 0 else v
+    return out
+
+
+def meta_args(kset):
+    meta = kset.meta
+    return meta.num_azimuths, meta.num_range_bins, meta.max_range
+
+
+def test_descriptor_matrix_is_bit_identical_to_per_keypoint_reference(
+    noisy_keypoints, busy_keypoints
+):
+    kp = busy_keypoints[0]
+    sets = [noisy_keypoints, kp] + [
+        KeypointSet(kp.azimuths[:n], kp.range_bins[:n], kp.xy[:n], kp.strengths[:n], kp.meta)
+        for n in (0, 1, 2)
+    ]
+    for kset in sets:
+        args = meta_args(kset)
+        mat = descriptor_matrix(dataclasses.replace(kset), *args)
+        assert mat.shape == (len(kset), args[0] + args[1])
+        assert np.array_equal(mat, per_keypoint_matrix(kset.xy, *args))
+        # the same kernel on a raw cloud, uncached
+        assert np.array_equal(descriptor_matrix(kset.xy, *args), mat)
+
+
+def test_compute_descriptor_is_exactly_its_matrix_row(noisy_keypoints):
+    args = meta_args(noisy_keypoints)
+    mat = descriptor_matrix(noisy_keypoints.xy, *args)
+    for i in range(0, len(noisy_keypoints), 7):
+        d = compute_descriptor(i, noisy_keypoints, *args)
+        assert np.array_equal(d.vector, mat[i])
+
+
+def test_keypoint_set_is_described_once_per_parameter_set(noisy_keypoints):
+    kset = dataclasses.replace(noisy_keypoints)
+    assert kset.descriptor_cache == {}
+    args = meta_args(kset)
+    first = descriptor_matrix(kset, *args)
+    assert descriptor_matrix(kset, *args) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 2.0
+    coarse = descriptor_matrix(kset, 16, 12, args[2])
+    assert coarse.shape == (len(kset), 28)
+    assert np.array_equal(coarse, descriptor_matrix(kset.xy, 16, 12, args[2]))
+    assert descriptor_matrix(kset, *args) is first
+    assert len(kset.descriptor_cache) == 2
+    # a copy starts with its own, empty cache
+    assert dataclasses.replace(kset).descriptor_cache == {}
+
+
+def test_keypoint_set_arrays_are_read_only_copies():
+    xy = np.array([[1.0, 2.0], [3.0, 4.0]])
+    kset = KeypointSet(
+        np.array([0, 1]), np.array([2, 3]), xy, np.array([1.0, 1.0]),
+        SensorMeta(4, 8, 1.0, 0.25),
+    )
+    for arr in (kset.azimuths, kset.range_bins, kset.xy, kset.strengths):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    xy[0, 0] = 9.0  # the caller's array stays writable and the set keeps its values
+    assert kset.xy[0, 0] == 1.0
 
 
 def test_descriptor_matches_loop_reference():

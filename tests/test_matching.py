@@ -10,7 +10,7 @@ from radarodo import (
     Pose2,
     apply_pose,
 )
-from radarodo.descriptors import UnaryMatches
+from radarodo.descriptors import UnaryMatches, propose_unary_matches
 from radarodo.matching import (
     eigengap_measure,
     global_score,
@@ -66,6 +66,127 @@ def exhaustive_optimum(c, um):
             continue
         best = max(best, float(m @ c @ m / m.sum()))
     return best
+
+
+def reference_greedy(c, v, um):
+    """The greedy loop with C (m * v) recomputed from scratch, O(u^2), on
+    every tentative commit; returns (rows, mutual compatibility)."""
+    weight = v**2
+    open_mask = np.ones(um.u, dtype=bool)
+    indicator = np.zeros(um.u)
+    rows, current = [], None
+    while open_mask.any():
+        g = int(np.argmax(np.where(open_mask, weight, -np.inf)))
+        indicator[g] = 1.0
+        score = mutual_compatibility_index(c, v, indicator)
+        if current is not None and score < current:
+            break
+        current = score
+        rows.append(g)
+        open_mask &= um.l1_indices != um.l1_indices[g]
+        open_mask &= um.l2_indices != um.l2_indices[g]
+    return rows, current
+
+
+def reference_power_iteration(c, v0, sign_invariant=False):
+    v = v0
+    for _ in range(1000):
+        y = c @ v
+        norm = np.linalg.norm(y)
+        if norm == 0.0:
+            break
+        y /= norm
+        step = np.linalg.norm(y - v)
+        if sign_invariant:
+            step = min(step, np.linalg.norm(y + v))
+        v = y
+        if step < 1e-9:
+            break
+    return float(v @ c @ v), v
+
+
+def reference_eigengap(c, rows):
+    """The eigengap by power iteration on the masked u x u matrix, then on
+    the deflated matrix from a fixed random start (sign flips ignored)."""
+    u = c.shape[0]
+    keep = np.zeros(u, dtype=bool)
+    keep[rows] = True
+    cstar = np.where(keep[:, None] & keep[None, :], c, 0.0)
+    if not cstar.any():
+        return 0.0
+    lam1, v1 = reference_power_iteration(cstar, np.full(u, 1.0 / math.sqrt(u)))
+    v0 = np.random.default_rng(0).standard_normal(u)
+    v0 -= (v0 @ v1) * v1
+    lam2, _ = reference_power_iteration(
+        cstar - lam1 * np.outer(v1, v1), v0 / np.linalg.norm(v0), sign_invariant=True
+    )
+    return float(np.clip((lam1 - lam2) / u, 0.0, 1.0))
+
+
+@pytest.fixture(scope="module")
+def busy_problem(busy_keypoints):
+    """Compatibility matrix, eigenvector and candidates of a busy-scene pair."""
+    l1, l2 = busy_keypoints
+    meta = l1.meta
+    um = propose_unary_matches(l1, l2, meta.num_azimuths, meta.num_range_bins, meta.max_range)
+    c = pairwise_compatibility(um, l1, l2, meta.range_resolution)
+    return c, principal_eigenvector(c), um
+
+
+def greedy_instances(busy_problem):
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        c, um = clique_instance(rng, int(rng.integers(3, 9)), extra=int(rng.integers(0, 5)),
+                                jitter=float(rng.uniform(0.0, 0.3)), conflicts=int(rng.integers(0, 3)))
+        if c.any():
+            yield c, principal_eigenvector(c), um
+    yield busy_problem
+
+
+def test_incremental_greedy_selects_what_the_full_recompute_did(busy_problem):
+    for c, sol, um in greedy_instances(busy_problem):
+        sel = greedy_select(c, sol, um)
+        rows, score = reference_greedy(c, sol.eigenvector, um)
+        assert [(int(um.l1_indices[g]), int(um.l2_indices[g])) for g in rows] == list(sel.selected)
+        assert np.array_equal(np.flatnonzero(sel.indicator), np.sort(rows))
+        assert abs(sel.mutual_compatibility - score) <= 1e-12
+    assert len(sel.selected) > 100  # the busy pair came last
+
+
+def test_eigengap_matches_deflated_power_iteration(busy_problem):
+    rng = np.random.default_rng(10)
+    cases = []
+    for k, extra in ((3, 2), (5, 4), (6, 0)):
+        c, um = clique_instance(rng, k, extra=extra, jitter=0.3)
+        cases += [(c, list(range(k))), (c, list(range(um.u)))]
+    c, sol, um = busy_problem
+    cases.append((c, np.flatnonzero(greedy_select(c, sol, um).indicator)))
+    # a 2 x 3 bipartite block with weak links inside each part: lambda1 = 2.7
+    # and the most negative eigenvalue, -2.2, outweighs every other one
+    block = np.zeros((5, 5))
+    block[:2, 2:] = block[2:, :2] = 1.0
+    block[:2, :2] = 0.3
+    block[2:, 2:] = 0.1
+    np.fill_diagonal(block, 0.0)
+    lam = np.linalg.eigvalsh(block)
+    assert lam[0] < -2.0 and -lam[0] > lam[-2] and lam[-1] > -lam[0]
+    c = np.zeros((8, 8))
+    c[np.ix_([0, 2, 3, 5, 7], [0, 2, 3, 5, 7])] = block
+    c[1, 4] = c[4, 1] = 0.8
+    cases.append((c, [0, 2, 3, 5, 7]))
+    for c, rows in cases:
+        assert eigengap_measure(c, rows) == pytest.approx(reference_eigengap(c, rows), abs=1e-9)
+    # lambda2 is the dominant negative eigenvalue, not the second largest
+    assert eigengap_measure(c, [0, 2, 3, 5, 7]) == pytest.approx((lam[-1] - lam[0]) / 8, abs=1e-12)
+
+
+def test_eigengap_ignores_the_order_of_the_rows(busy_problem):
+    c, sol, um = busy_problem
+    rows = np.flatnonzero(greedy_select(c, sol, um).indicator)
+    gap = eigengap_measure(c, rows)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        assert eigengap_measure(c, rng.permutation(rows)) == gap
 
 
 def selection_score(c, sel):
