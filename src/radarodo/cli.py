@@ -1,9 +1,10 @@
 """Command line front end: simulate, extract, odometry, eval, bench.
 
 Configuration comes from an optional flat key-value file (``key = value``
-per line, ``#`` comments) overridden by command line flags. Every command
-writes a ``manifest.json`` recording the resolved configuration, inputs,
-outputs, and stage wall times next to its outputs.
+per line, ``#`` comments) overridden by command line flags. ``simulate``,
+``extract`` and ``odometry`` write a ``manifest.json`` recording the
+resolved configuration, inputs, outputs, and stage wall times next to
+their outputs.
 
 ``odometry`` runs both methods (``ro`` and ``icp``) through
 ``odometry.run_odometry`` and scores them, like ``eval``, with
@@ -20,14 +21,13 @@ import argparse
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .bench import slope_of, sweep_association, sweep_extraction
-from .errors import RadarOdoError, ScanFormatError
+from .errors import RadarOdoError, ScanFormatError, stage
 from .icp import IcpConfig, icp_matcher
 from .keypoints import extract_keypoints, write_keypoints_csv
 from .odometry import EvalMetrics, PipelineConfig, evaluate, run_odometry
@@ -214,40 +214,39 @@ def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    meta = SensorMeta(
-        cfg["num_azimuths"], cfg["num_range_bins"], cfg["range_resolution"], cfg["scan_period"]
-    )
-    world = random_world(
-        cfg["n_landmarks"],
-        cfg["world_extent"],
-        seed=args.seed,
-        min_range=cfg["min_range"],
-        min_separation=cfg["min_separation"],
-    )
-    traj = make_trajectory(
-        cfg["kind"], cfg["steps"], cfg["speed"], cfg["yaw_rate"], cfg["dt"], seed=args.seed
-    )
-    art = ArtifactModel(
-        speckle_scale=cfg["speckle_scale"],
-        background_noise=cfg["background_noise"],
-        false_positive_rate=cfg["false_positive_rate"],
-        dropout_prob=cfg["dropout_prob"],
-        beam_width_azimuths=cfg["beam_width_azimuths"],
-        range_spread_bins=cfg["range_spread_bins"],
-    )
-    scans = render_sequence(world, traj, meta, art, seed=args.seed)
-    outputs = []
-    for k, scan in enumerate(scans):
-        p = out_dir / f"scan_{k:05d}.rscan"
-        save_scan(p, scan)
-        outputs.append(p)
-    truth_path = out_dir / "truth.csv"
-    write_pose_csv(truth_path, traj.timestamps, traj.poses)
-    outputs.append(truth_path)
-    write_manifest(
-        out_dir, "simulate", cfg, args.seed, [], outputs, {"total": time.perf_counter() - t0}
-    )
+    stats = {}
+    with stage("total", stats):
+        meta = SensorMeta(
+            cfg["num_azimuths"], cfg["num_range_bins"], cfg["range_resolution"], cfg["scan_period"]
+        )
+        world = random_world(
+            cfg["n_landmarks"],
+            cfg["world_extent"],
+            seed=args.seed,
+            min_range=cfg["min_range"],
+            min_separation=cfg["min_separation"],
+        )
+        traj = make_trajectory(
+            cfg["kind"], cfg["steps"], cfg["speed"], cfg["yaw_rate"], cfg["dt"], seed=args.seed
+        )
+        art = ArtifactModel(
+            speckle_scale=cfg["speckle_scale"],
+            background_noise=cfg["background_noise"],
+            false_positive_rate=cfg["false_positive_rate"],
+            dropout_prob=cfg["dropout_prob"],
+            beam_width_azimuths=cfg["beam_width_azimuths"],
+            range_spread_bins=cfg["range_spread_bins"],
+        )
+        scans = render_sequence(world, traj, meta, art, seed=args.seed)
+        outputs = []
+        for k, scan in enumerate(scans):
+            p = out_dir / f"scan_{k:05d}.rscan"
+            save_scan(p, scan)
+            outputs.append(p)
+        truth_path = out_dir / "truth.csv"
+        write_pose_csv(truth_path, traj.timestamps, traj.poses)
+        outputs.append(truth_path)
+    write_manifest(out_dir, "simulate", cfg, args.seed, [], outputs, stats["timings"])
     print(f"wrote {len(scans)} scans + truth.csv to {out_dir}")
     return 0
 
@@ -257,12 +256,12 @@ def cmd_extract(args) -> int:
     scan = load_scan(args.scan)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    kset = extract_keypoints(scan, cfg["l_max"])
-    elapsed = time.perf_counter() - t0
+    stats = {}
+    with stage("extract", stats):
+        kset = extract_keypoints(scan, cfg["l_max"])
     write_keypoints_csv(out_path, kset)
     write_manifest(
-        out_path.parent, "extract", cfg, args.seed, [args.scan], [out_path], {"extract": elapsed}
+        out_path.parent, "extract", cfg, args.seed, [args.scan], [out_path], stats["timings"]
     )
     print(f"{len(kset)} keypoints -> {out_path}")
     return 0
@@ -276,18 +275,18 @@ def cmd_odometry(args) -> int:
     scan_paths = _scan_paths(dataset)
     scans = [load_scan(p) for p in scan_paths]
 
-    t0 = time.perf_counter()
-    matcher = None
-    if args.method == "icp":
-        matcher = icp_matcher(
-            IcpConfig(
-                nn_radius=cfg["nn_radius"],
-                convergence_tol=cfg["icp_tol"],
-                max_iterations=cfg["icp_max_iterations"],
+    stats = {}
+    with stage("total", stats):
+        matcher = None
+        if args.method == "icp":
+            matcher = icp_matcher(
+                IcpConfig(
+                    nn_radius=cfg["nn_radius"],
+                    convergence_tol=cfg["icp_tol"],
+                    max_iterations=cfg["icp_max_iterations"],
+                )
             )
-        )
-    result = run_odometry(scans, pipeline_config(cfg), matcher)
-    total = time.perf_counter() - t0
+        result = run_odometry(scans, pipeline_config(cfg), matcher)
     entries = {
         "method": args.method,
         "n_pairs": len(result.pairs),
@@ -308,13 +307,13 @@ def cmd_odometry(args) -> int:
             truth = TrajectorySpec(true_poses, true_ts)
             metrics = evaluate([p.pose for p in result.pairs], result.timestamps, truth)
             entries.update(error_entries(metrics))
-        except ValueError:
-            pass  # truth that does not line up with the scans is not scored
+        except ValueError as err:
+            print(f"warning: truth not scored: {err}", file=sys.stderr)
 
     pair_times = [sum(p.timings.values()) for p in result.pairs]
     entries["timing_pair_p50_s"] = float(np.percentile(pair_times, 50))
     entries["timing_pair_p90_s"] = float(np.percentile(pair_times, 90))
-    entries["timing_total_s"] = total
+    entries["timing_total_s"] = stats["timings"]["total"]
 
     traj_path = out_dir / "trajectory.csv"
     write_pose_csv(traj_path, result.timestamps, result.trajectory)
@@ -329,7 +328,7 @@ def cmd_odometry(args) -> int:
         write_trajectory_svg(svg_path, tracks)
         outputs.append(svg_path)
     write_manifest(
-        out_dir, "odometry", cfg, args.seed, [str(p) for p in scan_paths], outputs, {"total": total}
+        out_dir, "odometry", cfg, args.seed, [str(p) for p in scan_paths], outputs, stats["timings"]
     )
     print(f"{args.method}: {len(result.pairs)} pairs, {result.failure_count} failures -> {out_dir}")
     if result.failure_count == len(result.pairs):
@@ -433,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_odometry)
 
     p = sub.add_parser("eval", help="compare a trajectory CSV against truth")
-    common(p)
     p.add_argument("--trajectory", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--out", required=True, help="output metrics file")
@@ -441,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("bench", help="timing sweeps and log-log scaling slopes")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="scene seed")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--sweep", default="240,480,960", help="comma list of region budgets")
     p.add_argument(

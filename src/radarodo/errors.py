@@ -1,4 +1,8 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, and the stage clock that
+hands a failing stage's statistics to its error."""
+
+import time
+from contextlib import contextmanager
 
 
 class ScanFormatError(ValueError):
@@ -7,7 +11,27 @@ class ScanFormatError(ValueError):
 
 
 class RadarOdoError(Exception):
-    """Base class for pipeline failures a caller may want to recover from."""
+    """Base class for pipeline failures a caller may want to recover from;
+    ``diagnostics`` holds the partial stats of the :func:`stage` it left."""
+
+    diagnostics = None
+
+
+@contextmanager
+def stage(name, stats):
+    """Add the block's wall time to ``stats["timings"][name]``. A
+    :class:`RadarOdoError` leaving it without diagnostics gets ``stats``, so
+    the innermost stage's stats win; other exceptions pass untouched."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except RadarOdoError as err:
+        if err.diagnostics is None:
+            err.diagnostics = stats
+        raise
+    finally:
+        timings = stats.setdefault("timings", {})
+        timings[name] = timings.get(name, 0.0) + (time.perf_counter() - t0)
 
 
 class NoCandidatesError(RadarOdoError):
@@ -32,10 +56,6 @@ class DegenerateGeometryError(RadarOdoError):
 
 class MatchFailureError(RadarOdoError):
     """Scan pair produced fewer than two selected matches."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
 
 
 class IcpDivergedError(RadarOdoError):

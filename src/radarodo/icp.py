@@ -9,13 +9,12 @@ result depends heavily on the initial guess. ``icp_matcher`` wraps
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .descriptors import _points
-from .errors import IcpDivergedError
+from .errors import IcpDivergedError, stage
 from .se2 import Pose2, apply_pose, estimate_se2, inverse
 
 
@@ -27,7 +26,8 @@ class IcpConfig:
     initial_guess: Pose2 = field(default_factory=Pose2)
 
     def __post_init__(self):
-        if self.nn_radius <= 0 or self.convergence_tol <= 0 or self.max_iterations < 1:
+        # written so that NaN fails too
+        if not (self.nn_radius > 0 and self.convergence_tol > 0) or self.max_iterations < 1:
             raise ValueError("nn_radius, convergence_tol, max_iterations must be positive")
 
 
@@ -88,13 +88,11 @@ def icp_matcher(config: IcpConfig | None = None):
     ICP from ``config.initial_guess``."""
 
     def match(kp_a, kp_b):
-        t0 = time.perf_counter()
-        fitted, diag = icp_match(kp_a, kp_b, config)
-        stats = {
-            "n_selected": diag.pair_count,
-            "residual_rms": diag.residual_rms,
-            "timings": {"icp": time.perf_counter() - t0},
-        }
+        stats = {}
+        with stage("icp", stats):
+            fitted, diag = icp_match(kp_a, kp_b, config)
+        stats["n_selected"] = diag.pair_count
+        stats["residual_rms"] = diag.residual_rms
         # fitted maps a's points into b's frame; express b in a's frame
         return inverse(fitted), stats
 

@@ -37,7 +37,6 @@ class MatchSelection:
     indicator: np.ndarray
     mutual_compatibility: float
     eigengap: float
-    global_score: float
 
 
 def pairwise_compatibility(u_matches: UnaryMatches, l1, l2, sigma: float) -> np.ndarray:
@@ -85,23 +84,6 @@ def _distances(p, out, spare):
     return np.hypot(out, spare, out=out)
 
 
-def _power_iteration(c, v0, tol, max_iter):
-    """Power iteration returning (rayleigh, vector, iterations)."""
-    v = v0
-    its = 0
-    for its in range(1, max_iter + 1):
-        y = c @ v
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            break
-        y /= norm
-        step = np.linalg.norm(y - v)
-        v = y
-        if step < tol:
-            break
-    return float(v @ c @ v), v, its
-
-
 def principal_eigenvector(c: np.ndarray, tol: float = 1e-9, max_iter: int = 1000) -> SpectralSolution:
     """Dominant eigenvector of a non-negative symmetric matrix.
 
@@ -116,8 +98,19 @@ def principal_eigenvector(c: np.ndarray, tol: float = 1e-9, max_iter: int = 1000
     if not c.any():
         raise NoCompatibilityError("compatibility matrix is identically zero")
     u = c.shape[0]
-    v0 = np.full(u, 1.0 / math.sqrt(u))
-    lam, v, its = _power_iteration(c, v0, tol, max_iter)
+    v = np.full(u, 1.0 / math.sqrt(u))
+    its = 0
+    for its in range(1, max_iter + 1):
+        y = c @ v
+        norm = np.linalg.norm(y)
+        if norm == 0.0:
+            break
+        y /= norm
+        step = np.linalg.norm(y - v)
+        v = y
+        if step < tol:
+            break
+    lam = float(v @ c @ v)
     if v.sum() < 0:
         v = -v
     return SpectralSolution(eigenvector=v, eigenvalue=lam, iterations=its)
@@ -213,5 +206,4 @@ def greedy_select(c: np.ndarray, solution: SpectralSolution, u_matches: UnaryMat
         indicator=indicator,
         mutual_compatibility=float(current),
         eigengap=eigengap_measure(c, rows),
-        global_score=global_score(indicator, c),
     )

@@ -18,13 +18,12 @@ ground truth.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .descriptors import propose_unary_matches
-from .errors import MatchFailureError, RadarOdoError
+from .errors import MatchFailureError, RadarOdoError, stage
 from .keypoints import KeypointSet, extract_keypoints
 from .matching import greedy_select, pairwise_compatibility, principal_eigenvector
 from .scan import PolarScan
@@ -95,7 +94,7 @@ def match_keypoint_sets(
     ``dt`` is accepted for older callers and ignored.
 
     Raises errors from the matching stages, or MatchFailureError when fewer
-    than two matches survive selection.
+    than two matches survive selection, with the stats reached as diagnostics.
     """
     meta = kp_a.meta
     alpha = cfg.alpha if cfg.alpha is not None else meta.num_azimuths
@@ -104,36 +103,29 @@ def match_keypoint_sets(
     swapped = len(kp_a) > len(kp_b)
     l1, l2 = (kp_b, kp_a) if swapped else (kp_a, kp_b)
 
-    timings = {}
-    t0 = time.perf_counter()
-    unary = propose_unary_matches(l1, l2, alpha, rho, meta.max_range)
-    timings["describe"] = time.perf_counter() - t0
+    stats = {}
+    with stage("describe", stats):
+        unary = propose_unary_matches(l1, l2, alpha, rho, meta.max_range)
+    stats["u"] = unary.u
 
-    t0 = time.perf_counter()
-    c = pairwise_compatibility(unary, l1, l2, sigma)
-    solution = principal_eigenvector(c)
-    selection = greedy_select(c, solution, unary)
-    timings["match"] = time.perf_counter() - t0
+    with stage("match", stats):
+        c = pairwise_compatibility(unary, l1, l2, sigma)
+        solution = principal_eigenvector(c)
+        selection = greedy_select(c, solution, unary)
+        stats["n_selected"] = len(selection.selected)
+        stats["mutual_compatibility"] = selection.mutual_compatibility
+        stats["eigengap"] = selection.eigengap
+        if len(selection.selected) < 2:
+            raise MatchFailureError("fewer than 2 matches selected")
 
-    stats = {
-        "u": unary.u,
-        "n_selected": len(selection.selected),
-        "mutual_compatibility": selection.mutual_compatibility,
-        "eigengap": selection.eigengap,
-        "timings": timings,
-    }
-    if len(selection.selected) < 2:
-        raise MatchFailureError("fewer than 2 matches selected", diagnostics=stats)
-
-    t0 = time.perf_counter()
-    idx1 = np.array([g for g, _ in selection.selected])
-    idx2 = np.array([h for _, h in selection.selected])
-    fitted = estimate_se2(l1.xy[idx1], l2.xy[idx2])
-    resid = apply_pose(fitted, l1.xy[idx1]) - l2.xy[idx2]
-    stats["residual_rms"] = float(np.sqrt((resid**2).sum(axis=1).mean()))
-    # fitted maps l1 coords into l2's frame; express b in a's frame
-    pose = fitted if swapped else inverse(fitted)
-    timings["estimate"] = time.perf_counter() - t0
+    with stage("estimate", stats):
+        idx1 = np.array([g for g, _ in selection.selected])
+        idx2 = np.array([h for _, h in selection.selected])
+        fitted = estimate_se2(l1.xy[idx1], l2.xy[idx2])
+        resid = apply_pose(fitted, l1.xy[idx1]) - l2.xy[idx2]
+        stats["residual_rms"] = float(np.sqrt((resid**2).sum(axis=1).mean()))
+        # fitted maps l1 coords into l2's frame; express b in a's frame
+        pose = fitted if swapped else inverse(fitted)
     return pose, stats
 
 
@@ -144,43 +136,36 @@ def match_scan_pair(
 ):
     """Extract and match one scan pair; returns (pose of b in a, stats dict)."""
     cfg = cfg if cfg is not None else PipelineConfig()
-    t0 = time.perf_counter()
-    kp_a = extract_keypoints(scan_a, cfg.l_max)
-    kp_b = extract_keypoints(scan_b, cfg.l_max)
-    t_extract = time.perf_counter() - t0
+    extracted = {}
+    with stage("extract", extracted):
+        kp_a = extract_keypoints(scan_a, cfg.l_max)
+        kp_b = extract_keypoints(scan_b, cfg.l_max)
     pose, stats = match_keypoint_sets(kp_a, kp_b, cfg)
-    stats["timings"]["extract"] = t_extract
+    stats["timings"].update(extracted["timings"])
     return pose, stats
 
 
 def _pair_result(scan_a, scan_b, kp_a, kp_b, matcher, extract_time):
     try:
         pose, stats = matcher(kp_a, kp_b)
+        reason = ""
     except RadarOdoError as err:
-        stats = getattr(err, "diagnostics", None) or {}
-        timings = stats.get("timings", {})
-        timings["extract"] = extract_time
-        return PairResult(
-            t_a=scan_a.timestamp,
-            t_b=scan_b.timestamp,
-            pose=Pose2(),
-            u=stats.get("u", 0),
-            n_selected=stats.get("n_selected", 0),
-            timings=timings,
-            failed=True,
-            failure_reason=f"{type(err).__name__}: {err}",
-        )
-    stats["timings"]["extract"] = extract_time
+        pose, stats = Pose2(), err.diagnostics or {}
+        reason = f"{type(err).__name__}: {err}"
+    timings = stats.setdefault("timings", {})
+    timings["extract"] = extract_time
     return PairResult(
         t_a=scan_a.timestamp,
         t_b=scan_b.timestamp,
         pose=pose,
         u=stats.get("u", 0),
-        n_selected=stats["n_selected"],
+        n_selected=stats.get("n_selected", 0),
         mutual_compatibility=stats.get("mutual_compatibility", 0.0),
         eigengap=stats.get("eigengap", 0.0),
-        residual_rms=stats["residual_rms"],
-        timings=stats["timings"],
+        residual_rms=stats.get("residual_rms", 0.0),
+        timings=timings,
+        failed=bool(reason),
+        failure_reason=reason,
     )
 
 
@@ -192,7 +177,7 @@ def run_odometry(scans, cfg: PipelineConfig | None = None, matcher=None) -> Odom
     :func:`match_keypoint_sets` with ``cfg``. Keypoints are extracted with
     ``cfg.l_max`` either way. A failed pair keeps the previous relative pose
     (constant velocity carry-over, identity for a first-pair failure) and is
-    flagged.
+    flagged; it reports the stats and timings its error carries.
     """
     cfg = cfg if cfg is not None else PipelineConfig()
     if matcher is None:
@@ -204,21 +189,17 @@ def run_odometry(scans, cfg: PipelineConfig | None = None, matcher=None) -> Odom
     if not np.all(np.diff(ts) > 0):
         raise ValueError("scan timestamps must be strictly increasing")
 
-    def extract(scan):
-        t0 = time.perf_counter()
-        kp = extract_keypoints(scan, cfg.l_max)
-        return kp, time.perf_counter() - t0
-
-    # extract as the sequence goes, so only two keypoint sets (and their
-    # cached descriptors) are alive at a time
-    kp_a, first_extract = extract(scans[0])
+    # a pair is charged with extracting the scans it introduces; extracting
+    # as we go keeps two keypoint sets (and cached descriptors) alive
+    extracted = {}
+    with stage("extract", extracted):
+        kp_a = extract_keypoints(scans[0], cfg.l_max)
     pairs = []
     fallback = Pose2()
     for k in range(len(scans) - 1):
-        kp_b, extract_time = extract(scans[k + 1])
-        # charge each pair with the extraction of the scan it introduces
-        if k == 0:
-            extract_time += first_extract
+        with stage("extract", extracted):
+            kp_b = extract_keypoints(scans[k + 1], cfg.l_max)
+        extract_time = extracted["timings"].pop("extract")
         p = _pair_result(scans[k], scans[k + 1], kp_a, kp_b, matcher, extract_time)
         if p.failed:
             p = replace(p, pose=fallback)

@@ -283,3 +283,46 @@ def test_bench_writes_summary(tmp_path):
     summary = (out / "bench_summary.txt").read_text()
     assert "association_slope" in summary
     assert "extraction_slope" in summary
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--trajectory", "t.csv", "--truth", "g.csv", "--out", "e.txt", *extra]
+        for extra in (["--config", "/nonexistent"], ["--l-max", "5"], ["--seed", "9"])
+    ]
+    + [
+        ["bench", "--out", "b", "--sweep", "1", *extra]
+        for extra in (["--config", "/nonexistent"], ["--l-max", "3"])
+    ],
+    ids=["eval-config", "eval-l-max", "eval-seed", "bench-config", "bench-l-max"],
+)
+def test_commands_reject_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["nn_radius = nan", "icp_tol = nan"])
+def test_nan_icp_setting_is_a_config_error(tmp_path, line):
+    cfg, data = simulate(tmp_path)
+    bad = write_cfg(tmp_path, SMALL_SIM + line + "\n", name="nan.ini")
+    rc = main(["odometry", "--config", str(bad), "--dataset", str(data),
+               "--out", str(tmp_path / "icp"), "--method", "icp"])
+    assert rc == 2
+
+
+def test_misaligned_truth_is_reported_not_scored(tmp_path, capsys):
+    cfg, data = simulate(tmp_path)
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join((data / "truth.csv").read_text().splitlines()[:-1]) + "\n")
+    out = tmp_path / "ro"
+    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out),
+               "--truth", str(short)])
+    assert rc == 0
+    warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
+    assert warnings == ["warning: truth not scored: truth length does not match scan count"]
+    metrics = read_metrics(out / "metrics.txt")
+    assert metrics["n_pairs"] == "3" and "translation_median_m" not in metrics
+    assert (out / "trajectory.csv").exists() and (out / "manifest.json").exists()

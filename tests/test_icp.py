@@ -18,6 +18,12 @@ def test_config_validation():
         IcpConfig(max_iterations=0)
 
 
+@pytest.mark.parametrize("field", ["nn_radius", "convergence_tol"])
+def test_config_rejects_nan(field):
+    with pytest.raises(ValueError):
+        IcpConfig(**{field: math.nan})
+
+
 def test_exact_zero_residual_stops_after_one_iteration():
     pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     pose, diag = icp_match(pts, pts)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from radarodo import (
     render_sequence,
     run_odometry,
 )
+from radarodo import odometry
 from radarodo.odometry import match_keypoint_sets
 from radarodo.se2 import wrap_angle
 
@@ -214,6 +216,49 @@ def test_icp_matcher_chains_like_a_reference_loop():
     good, failed = result.pairs[2], result.pairs[3]
     assert failed.pose == good.pose
     assert failed.failure_reason.startswith("IcpDivergedError")
-    assert set(failed.timings) == {"extract"}
+    assert set(failed.timings) == {"icp", "extract"}
     assert good.n_selected >= 3 and good.residual_rms >= 0.0
     assert set(good.timings) == {"icp", "extract"}
+
+
+def test_a_pair_failing_mid_match_reports_the_stages_it_passed():
+    # a blank scan mid-sequence has no keypoints, so describing finds no
+    # candidate; both pairs touching it still report their describe time
+    world = close_world(11)
+    scans = [
+        render_scan(world if k != 2 else [], Pose2(0.6 * k, 0.0, 0.0), META, QUIET,
+                    seed=70 + k, timestamp=0.25 * k)
+        for k in range(4)
+    ]
+    result = run_odometry(scans, CFG)
+    assert [p.failed for p in result.pairs] == [False, True, True]
+    for p in result.pairs[1:]:
+        assert p.failure_reason.startswith("NoCandidatesError")
+        assert set(p.timings) == {"describe", "extract"}
+        assert p.u == 0 and p.n_selected == 0
+    assert set(result.pairs[0].timings) == {"describe", "match", "estimate", "extract"}
+
+
+def test_a_match_failure_keeps_its_candidate_and_selection_counts(monkeypatch):
+    world = close_world(12)
+    scans = [
+        render_scan(world, Pose2(0.6 * k, 0.0, 0.0), META, QUIET, seed=80 + k, timestamp=0.25 * k)
+        for k in range(3)
+    ]
+    matched = run_odometry(scans, CFG)
+    assert matched.failure_count == 0
+
+    real_select = odometry.greedy_select
+
+    def select_one(c, solution, unary):
+        selection = real_select(c, solution, unary)
+        return replace(selection, selected=selection.selected[:1])
+
+    monkeypatch.setattr(odometry, "greedy_select", select_one)
+    result = run_odometry(scans, CFG)
+    assert result.failure_count == 2
+    for good, failed in zip(matched.pairs, result.pairs):
+        assert failed.failure_reason == "MatchFailureError: fewer than 2 matches selected"
+        assert failed.u == good.u > 0
+        assert failed.n_selected == 1
+        assert set(failed.timings) == {"describe", "match", "extract"}
