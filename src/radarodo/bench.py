@@ -57,6 +57,8 @@ def _best_of_each(fns, repeats: int):
     result. Every call runs once untimed first; then each round times every
     call once, so a slow spell on the host spreads over all sweep points
     instead of landing on one."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     outs = [fn() for fn in fns]
     best = [np.inf] * len(fns)
     for _ in range(repeats):
@@ -76,13 +78,12 @@ def _match_budget(l_max, kp_a, kp_b, cfg):
         raise ValueError(f"region budget {l_max} leaves too little to match: {err}") from err
 
 
-def sweep_association(l_max_values, seed: int = 0, repeats: int = 3, meta: SensorMeta | None = None):
-    """Time ``match_keypoint_sets`` per region budget. A budget whose scene
-    cannot be matched raises ValueError naming it."""
+def sweep_association(l_max_values, seed: int = 0, repeats: int = 3):
+    """Time ``match_keypoint_sets`` per region budget on a 256x256 busy scene.
+    A budget whose scene cannot be matched raises ValueError naming it."""
     if len(l_max_values) < 3:
         raise ValueError("need at least 3 sweep points")
-    meta = meta or SensorMeta(256, 256, 0.5, 0.25)
-    scan_a, scan_b = _busy_scene(meta, seed)
+    scan_a, scan_b = _busy_scene(SensorMeta(256, 256, 0.5, 0.25), seed)
     cfg = PipelineConfig(alpha=64, rho=64)
     runs = [
         partial(
@@ -105,8 +106,8 @@ def sweep_association(l_max_values, seed: int = 0, repeats: int = 3, meta: Senso
     ]
 
 
-def sweep_extraction(grid_shapes, seed: int = 0, repeats: int = 3, l_max: int = 200):
-    """Time keypoint extraction per (azimuths, range bins) grid shape."""
+def sweep_extraction(grid_shapes, seed: int = 0, repeats: int = 3):
+    """Time ``extract_keypoints(scan, 200)`` per (azimuths, range bins) grid shape."""
     if len(grid_shapes) < 3:
         raise ValueError("need at least 3 sweep points")
     world = random_world(120, 50.0, seed=seed, min_range=4.0)
@@ -115,7 +116,7 @@ def sweep_extraction(grid_shapes, seed: int = 0, repeats: int = 3, l_max: int = 
         render_scan(world, Pose2(), SensorMeta(m, n, 64.0 / n, 0.25), art, seed=seed)
         for m, n in grid_shapes
     ]
-    seconds, ksets = _best_of_each([partial(extract_keypoints, s, l_max) for s in scans], repeats)
+    seconds, ksets = _best_of_each([partial(extract_keypoints, s, 200) for s in scans], repeats)
     return [
         BenchPoint(
             parameter=float(m * n),

@@ -40,10 +40,6 @@ EXIT_IO = 3
 EXIT_MATCH = 4
 
 
-class ConfigError(Exception):
-    pass
-
-
 # every config key with its type and default; flags override file values
 CONFIG_SCHEMA = {
     "kind": (str, "straight"),
@@ -80,21 +76,23 @@ def read_config_file(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
-        raise ConfigError(f"cannot read config file: {err}") from err
+        raise ValueError(f"cannot read config file: {err}") from err
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (s.strip() for s in line.split("=", 1))
         if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         typ, _ = CONFIG_SCHEMA[key]
         try:
             values[key] = typ(raw)
         except ValueError as err:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {err}") from err
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {err}") from err
+        if typ is float and not math.isfinite(values[key]):
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {raw} is not finite")
     return values
 
 
@@ -370,9 +368,9 @@ def cmd_bench(args) -> int:
                 m, n = token.split("x")
                 grid_shapes.append((int(m), int(n)))
     except ValueError as err:
-        raise ConfigError(f"bad sweep specification: {err}") from err
+        raise ValueError(f"bad sweep specification: {err}") from err
     if len(l_max_values) < 3 or len(grid_shapes) < 3:
-        raise ConfigError("each sweep needs at least 3 points")
+        raise ValueError("each sweep needs at least 3 points")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -456,9 +454,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except (OSError, ScanFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -98,37 +98,34 @@ def mark_regions(h: np.ndarray, s_prime: np.ndarray, l_max: int):
 
     Returns (marked, region_count). ``region_count`` only advances when a
     newly marked span contains no previously marked cell. Marking stops at
-    ``l_max`` regions, on a fully marked grid, or when no unmarked cell
-    scores above zero: sub-zero cells are region boundaries, not regions,
-    and marking them would let bare noise lend adjacency support to
-    isolated detections. Score ties are visited in (azimuth, range) order.
+    ``l_max`` regions or when no unmarked cell scores above zero: sub-zero
+    cells are region boundaries, not regions, and marking them would let
+    bare noise lend adjacency support to isolated detections. Score ties
+    are visited in (azimuth, range) order.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     m, n = h.shape
     marked = np.zeros((m, n), dtype=bool)
-    # stable argsort on the negated flat image = descending h, ties by (a, r)
-    order = np.argsort(-h, axis=None, kind="stable")
-    neg_by_row = [np.flatnonzero(s_prime[a] < 0.0) for a in range(m)]
+    # each cell's span ends at the nearest below-mean bin on either side of
+    # it on its azimuth (inclusive), or at the row's end when there is none
+    bins = np.arange(n)
+    below = s_prime < 0.0
+    r_lo = np.maximum.accumulate(np.where(below, bins, 0), axis=1)
+    r_hi = np.minimum.accumulate(np.where(below, bins, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    # stable sort of the positive cells = descending h, ties by (a, r)
+    pos = np.flatnonzero(h > 0.0)
+    order = pos[np.argsort(-h.flat[pos], kind="stable")]
     region_count = 0
-    unmarked = m * n
     for flat in order:
-        if region_count >= l_max or unmarked == 0:
-            break
-        if h.flat[flat] <= 0.0:
+        if region_count >= l_max:
             break
         a, r = divmod(int(flat), n)
         if marked[a, r]:
             continue
-        neg = neg_by_row[a]
-        k_lo = np.searchsorted(neg, r, side="right") - 1
-        r_lo = int(neg[k_lo]) if k_lo >= 0 else 0
-        k_hi = np.searchsorted(neg, r, side="left")
-        r_hi = int(neg[k_hi]) if k_hi < neg.size else n - 1
-        span = marked[a, r_lo : r_hi + 1]
+        span = marked[a, r_lo[a, r] : r_hi[a, r] + 1]
         if not span.any():
             region_count += 1
-        unmarked -= int(span.size - span.sum())
         span[:] = True
     return marked, region_count
 
@@ -153,12 +150,12 @@ def extract_keypoints(scan: PolarScan, l_max: int = 1000) -> KeypointSet:
     """
     h, s_prime = scoring_image(scan)
     marked, _ = mark_regions(h, s_prime, l_max)
-    m = scan.meta.num_azimuths
+    # support[a] is marked on either neighboring azimuth (wrapping)
+    support = np.roll(marked, 1, axis=0) | np.roll(marked, -1, axis=0)
     az, rb, strength = [], [], []
-    for a in range(m):
-        up, down = (a - 1) % m, (a + 1) % m
+    for a in range(scan.meta.num_azimuths):
         for lo, hi in _runs(marked[a]):
-            if not (marked[up, lo : hi + 1].any() or marked[down, lo : hi + 1].any()):
+            if not support[a, lo : hi + 1].any():
                 continue
             seg = h[a, lo : hi + 1]
             j = int(np.argmax(seg))

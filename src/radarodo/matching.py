@@ -84,13 +84,13 @@ def _distances(p, out, spare):
     return np.hypot(out, spare, out=out)
 
 
-def principal_eigenvector(c: np.ndarray, tol: float = 1e-9, max_iter: int = 1000) -> SpectralSolution:
+def principal_eigenvector(c: np.ndarray) -> SpectralSolution:
     """Dominant eigenvector of a non-negative symmetric matrix.
 
     Power iteration from the uniform unit vector; converged when successive
-    iterates differ by less than ``tol`` in Euclidean norm. The eigenvector
-    is entrywise non-negative (sign fixed) and the eigenvalue reported is
-    the Rayleigh quotient.
+    iterates differ by less than 1e-9 in Euclidean norm, or stopped after
+    1000 steps. The eigenvector is entrywise non-negative (sign fixed) and
+    the eigenvalue reported is the Rayleigh quotient.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -100,7 +100,7 @@ def principal_eigenvector(c: np.ndarray, tol: float = 1e-9, max_iter: int = 1000
     u = c.shape[0]
     v = np.full(u, 1.0 / math.sqrt(u))
     its = 0
-    for its in range(1, max_iter + 1):
+    for its in range(1, 1001):
         y = c @ v
         norm = np.linalg.norm(y)
         if norm == 0.0:
@@ -108,7 +108,7 @@ def principal_eigenvector(c: np.ndarray, tol: float = 1e-9, max_iter: int = 1000
         y /= norm
         step = np.linalg.norm(y - v)
         v = y
-        if step < tol:
+        if step < 1e-9:
             break
     lam = float(v @ c @ v)
     if v.sum() < 0:

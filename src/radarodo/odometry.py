@@ -140,7 +140,11 @@ def match_scan_pair(
     with stage("extract", extracted):
         kp_a = extract_keypoints(scan_a, cfg.l_max)
         kp_b = extract_keypoints(scan_b, cfg.l_max)
-    pose, stats = match_keypoint_sets(kp_a, kp_b, cfg)
+    try:
+        pose, stats = match_keypoint_sets(kp_a, kp_b, cfg)
+    except RadarOdoError as err:
+        err.diagnostics["timings"].update(extracted["timings"])
+        raise
     stats["timings"].update(extracted["timings"])
     return pose, stats
 

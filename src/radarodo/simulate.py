@@ -46,13 +46,13 @@ class ArtifactModel:
     range_spread_bins: float = 1.0
 
     def __post_init__(self):
-        if self.speckle_scale < 0 or self.background_noise < 0:
+        if not (self.speckle_scale >= 0 and self.background_noise >= 0):
             raise ValueError("noise scales must be non-negative")
-        if self.false_positive_rate < 0:
+        if not self.false_positive_rate >= 0:
             raise ValueError("false_positive_rate must be non-negative")
         if not (0.0 <= self.dropout_prob <= 1.0):
             raise ValueError("dropout_prob must lie in [0, 1]")
-        if self.beam_width_azimuths <= 0 or self.range_spread_bins <= 0:
+        if not (self.beam_width_azimuths > 0 and self.range_spread_bins > 0):
             raise ValueError("blob spreads must be positive")
 
 

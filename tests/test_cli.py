@@ -62,10 +62,27 @@ def test_config_rejects_unknown_key(tmp_path):
     assert rc == 2
 
 
-def test_config_rejects_bad_value(tmp_path):
-    path = write_cfg(tmp_path, "steps = soon\n")
+def test_config_rejects_bad_value(tmp_path, capsys):
+    # a non-finite float would reach the manifest as NaN or Infinity
+    for text in ("steps = soon", "speckle_scale = nan", "background_noise = nan",
+                 "false_positive_rate = nan", "yaw_rate = nan", "nn_radius = inf",
+                 "speed = -inf"):
+        path = write_cfg(tmp_path, f"steps = 3\n{text}\n")
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 2, text
+        key = text.split(" = ")[0]
+        assert f"{path}:2: bad value for {key}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_config_is_a_config_error(tmp_path, kind, capsys):
+    path = tmp_path / "cfg.ini"
+    if kind == "directory":
+        path.mkdir()
     rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
     assert rc == 2
+    assert "cannot read config file" in capsys.readouterr().err
 
 
 def test_missing_scan_file_is_io_error(tmp_path):
@@ -255,6 +272,16 @@ def test_odometry_on_empty_dataset_is_io_error(tmp_path):
 def test_bench_requires_three_sweep_points(tmp_path):
     rc = main(["bench", "--out", str(tmp_path / "b"), "--sweep", "50,100"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_bench_requires_a_positive_repeat_count(tmp_path, repeats, capsys):
+    out = tmp_path / "b"
+    rc = main(["bench", "--out", str(out), "--sweep", "20,40,80",
+               "--grid-sweep", "32x64,48x96,64x128", "--repeats", repeats])
+    assert rc == 2
+    assert "repeats must be at least 1" in capsys.readouterr().err
+    assert not (out / "bench.csv").exists()
 
 
 @pytest.mark.parametrize("sweep", ["10,12,14", "5,10,15"])

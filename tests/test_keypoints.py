@@ -236,22 +236,27 @@ def test_fixtures_agree_with_reference():
         assert pairs_of(extract_keypoints(scan_of(fx), l_max=l_max)) == ref
 
 
+def assert_matches_reference(scan, l_max, label):
+    ref_kp, ref_marked, ref_regions = reference_extract(scan.power, l_max)
+    h, s_prime = scoring_image(scan)
+    marked, regions = mark_regions(h, s_prime, l_max)
+    assert np.array_equal(marked, ref_marked), label
+    assert regions == ref_regions, label
+    assert pairs_of(extract_keypoints(scan, l_max=l_max)) == ref_kp, label
+
+
 def test_random_integer_grids_match_reference():
     # integer-valued power keeps every score arithmetic exact, so tie
-    # handling must agree route for route
+    # handling must agree route for route; a budget of m*n regions is never
+    # reached, so marking stops by running out of positive cells
     rng = np.random.default_rng(2)
     for trial in range(25):
         m = int(rng.integers(4, 10))
         n = int(rng.integers(8, 24))
         power = rng.integers(0, 6, size=(m, n)).astype(float)
         l_max = int(rng.integers(1, 12))
-        ref_kp, ref_marked, ref_regions = reference_extract(power, l_max)
-        scan = scan_of(power)
-        h, s_prime = scoring_image(scan)
-        marked, regions = mark_regions(h, s_prime, l_max)
-        assert np.array_equal(marked, ref_marked), f"trial {trial}"
-        assert regions == ref_regions, f"trial {trial}"
-        assert pairs_of(extract_keypoints(scan, l_max=l_max)) == ref_kp, f"trial {trial}"
+        for budget in (l_max, m * n):
+            assert_matches_reference(scan_of(power), budget, f"trial {trial}, l_max {budget}")
 
 
 def test_rendered_scans_match_reference():
@@ -260,8 +265,7 @@ def test_rendered_scans_match_reference():
     for seed in range(5):
         world = random_world(12, 0.8 * meta.max_range, seed=seed, min_range=3.0)
         scan = render_scan(world, Pose2(), meta, art, seed=seed)
-        ref_kp, _, _ = reference_extract(scan.power, 40)
-        assert pairs_of(extract_keypoints(scan, l_max=40)) == ref_kp
+        assert_matches_reference(scan, 40, f"seed {seed}")
 
 
 def test_offset_invariance():

@@ -26,6 +26,7 @@ from radarodo import (
     run_odometry,
 )
 from radarodo import odometry
+from radarodo.errors import NoCandidatesError
 from radarodo.odometry import match_keypoint_sets
 from radarodo.se2 import wrap_angle
 
@@ -62,6 +63,15 @@ def test_match_scan_pair_recovers_motion():
     assert 0.0 <= stats["mutual_compatibility"] <= 1.0
     assert 0.0 <= stats["eigengap"] <= 1.0
     assert set(stats["timings"]) >= {"describe", "match", "estimate", "extract"}
+
+
+def test_match_scan_pair_error_carries_the_extract_time():
+    # a blank scan_b has no keypoints, so describing finds no candidate
+    scan_a = render_scan(close_world(0), Pose2(), META, QUIET, seed=0)
+    scan_b = render_scan([], Pose2(), META, QUIET, seed=1, timestamp=META.scan_period)
+    with pytest.raises(NoCandidatesError) as exc:
+        match_scan_pair(scan_a, scan_b, CFG)
+    assert set(exc.value.diagnostics["timings"]) == {"describe", "extract"}
 
 
 def test_match_is_symmetric_under_swap():

@@ -36,6 +36,10 @@ def test_artifact_model_validation():
         ArtifactModel(dropout_prob=1.5)
     with pytest.raises(ValueError):
         ArtifactModel(beam_width_azimuths=0.0)
+    for field in ("speckle_scale", "background_noise", "false_positive_rate", "dropout_prob",
+                  "beam_width_azimuths", "range_spread_bins"):
+        with pytest.raises(ValueError):
+            ArtifactModel(**{field: math.nan})
 
 
 def test_trajectory_spec_validation():
