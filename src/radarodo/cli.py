@@ -130,17 +130,32 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, seed, inputs, outputs
 
 
 def read_pose_csv(path):
-    """Read a (timestamp, x, y, theta) CSV; returns (timestamps, poses)."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    """Read a (timestamp, x, y, theta) CSV; returns (timestamps, poses).
+
+    Raises ValueError for a file that is not ASCII, lacks the header, or has
+    a row that is not four finite numbers (naming ``path:line``).
+    """
+    try:
+        lines = Path(path).read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not an ASCII pose CSV") from err
     if not lines or lines[0].strip() != "timestamp,x,y,theta":
         raise ValueError(f"{path}: expected header 'timestamp,x,y,theta'")
     ts, poses = [], []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        t, x, y, th = (float(v) for v in line.split(","))
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
+        try:
+            t, x, y, th = (float(v) for v in fields)
+            if not math.isfinite(t):
+                raise ValueError("timestamp must be finite")
+            poses.append(Pose2(x, y, th))
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from err
         ts.append(t)
-        poses.append(Pose2(x, y, th))
     return np.asarray(ts), poses
 
 
@@ -211,7 +226,6 @@ def _scan_paths(dataset: Path):
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stats = {}
     with stage("total", stats):
         meta = SensorMeta(
@@ -236,6 +250,7 @@ def cmd_simulate(args) -> int:
             range_spread_bins=cfg["range_spread_bins"],
         )
         scans = render_sequence(world, traj, meta, art, seed=args.seed)
+        out_dir.mkdir(parents=True, exist_ok=True)
         outputs = []
         for k, scan in enumerate(scans):
             p = out_dir / f"scan_{k:05d}.rscan"

@@ -5,6 +5,12 @@ closed-form rigid re-fit, and stops when the mean squared residual settles.
 Unlike the spectral matcher there is no global consistency check, so the
 result depends heavily on the initial guess. ``icp_matcher`` wraps
 ``icp_match`` as a pair matcher for ``odometry.run_odometry``.
+
+Pairing contract: each moved source point pairs with its Euclidean nearest
+target when that target lies within ``nn_radius`` (inclusive); ties go to
+the lowest target index. Only targets within ``nn_radius`` in x are
+examined: the targets are sorted by x once per call, and each iteration
+searches a window of them around every point.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ from .descriptors import _points
 from .errors import IcpDivergedError, stage
 from .se2 import Pose2, apply_pose, estimate_se2, inverse
 
+EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class IcpConfig:
@@ -27,8 +35,11 @@ class IcpConfig:
 
     def __post_init__(self):
         # written so that NaN fails too
-        if not (self.nn_radius > 0 and self.convergence_tol > 0) or self.max_iterations < 1:
-            raise ValueError("nn_radius, convergence_tol, max_iterations must be positive")
+        if not (self.nn_radius > 0 and self.convergence_tol > 0):
+            raise ValueError("nn_radius and convergence_tol must be positive")
+        m = self.max_iterations
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError("max_iterations must be an int >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,13 +54,20 @@ def icp_match(l1, l2, config: IcpConfig | None = None):
     """Align L1 points onto L2 points; returns (pose, diagnostics).
 
     The pose maps L1 coordinates into L2's frame. Raises
-    :class:`IcpDivergedError` when an iteration pairs fewer than two points.
+    :class:`IcpDivergedError` when an iteration pairs fewer than two points,
+    and when either set is empty or a target point holds NaN.
     """
     cfg = config if config is not None else IcpConfig()
     src = _points(l1)
     dst = _points(l2)
     if src.shape[0] == 0 or dst.shape[0] == 0:
         raise IcpDivergedError("cannot align empty keypoint sets")
+    if np.isnan(dst).any():
+        raise IcpDivergedError("cannot align onto NaN target points")
+    r2 = cfg.nn_radius**2
+    order = np.argsort(dst[:, 0], kind="stable")
+    tx = dst[order, 0]
+    ty = dst[order, 1]
     pose = cfg.initial_guess
     history = []
     prev_mse = None
@@ -57,9 +75,25 @@ def icp_match(l1, l2, config: IcpConfig | None = None):
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         moved = apply_pose(pose, src)
-        d2 = ((moved[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2)
-        nn = np.argmin(d2, axis=1)
-        within = d2[np.arange(src.shape[0]), nn] <= cfg.nn_radius**2
+        qx = moved[:, 0]
+        qy = moved[:, 1]
+        # widened by a few ulps so that a target just outside a window is
+        # farther than nn_radius even after the rounding of qx - tx and d2;
+        # the exact d2 test below then decides as a dense search would
+        reach = cfg.nn_radius + 4 * EPS * (np.abs(qx) + cfg.nn_radius)
+        lo = np.searchsorted(tx, qx - reach, side="left")
+        hi = np.searchsorted(tx, qx + reach, side="right")
+        width = max(int((hi - lo).max()), 1)
+        # columns past a window's end repeat its last target, which moves
+        # neither the minimum nor the tie-break; an empty window reads a
+        # target outside it (index lo - 1, or the last), which d2 rejects
+        cols = np.minimum(lo[:, None] + np.arange(width), hi[:, None] - 1)
+        # the same two squares and one sum as a dense (n, m, 2) tensor's
+        # .sum(axis=2), so each d2 is bit-identical to it
+        d2 = (qx[:, None] - tx[cols]) ** 2 + (qy[:, None] - ty[cols]) ** 2
+        best = d2.min(axis=1)
+        nn = np.where(d2 == best[:, None], order[cols], dst.shape[0]).min(axis=1)
+        within = best <= r2
         pair_count = int(within.sum())
         if pair_count < 2:
             raise IcpDivergedError(

@@ -211,6 +211,8 @@ def random_world(
     Rejects points closer than ``min_range`` to the origin (the radar starts
     there) and, optionally, closer than ``min_separation`` to each other.
     """
+    if n_landmarks < 0:
+        raise ValueError("n_landmarks must be >= 0")
     if extent <= min_range:
         raise ValueError("extent must exceed min_range")
     rng = np.random.default_rng(seed)

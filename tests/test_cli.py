@@ -1,8 +1,12 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radarodo import PipelineConfig, PolarScan, SensorMeta, load_scan, run_odometry, save_scan
 from radarodo.cli import main, read_config_file, read_pose_csv
@@ -73,6 +77,14 @@ def test_config_rejects_bad_value(tmp_path, capsys):
         key = text.split(" = ")[0]
         assert f"{path}:2: bad value for {key}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+
+def test_negative_landmark_count_is_a_config_error(tmp_path, capsys):
+    path = write_cfg(tmp_path, SMALL_SIM + "n_landmarks = -1\n")
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "n_landmarks" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
@@ -353,3 +365,55 @@ def test_misaligned_truth_is_reported_not_scored(tmp_path, capsys):
     metrics = read_metrics(out / "metrics.txt")
     assert metrics["n_pairs"] == "3" and "translation_median_m" not in metrics
     assert (out / "trajectory.csv").exists() and (out / "manifest.json").exists()
+
+
+def test_malformed_pose_row_names_file_and_line(tmp_path):
+    path = tmp_path / "poses.csv"
+    path.write_text("timestamp,x,y,theta\n0.0,0.0,0.0,0.0\n\n0.25,1.0,0.0\n")
+    with pytest.raises(ValueError, match=rf"^{path}:4: expected 4 fields, got 3$"):
+        read_pose_csv(path)
+    for row, reason in [("0.25,1.0,0.0,x", "could not convert"), ("nan,1.0,0.0,0.0", "finite"),
+                        ("0.25,inf,0.0,0.0", "finite")]:
+        path.write_text(f"timestamp,x,y,theta\n{row}\n")
+        with pytest.raises(ValueError, match=rf"^{path}:2: .*{reason}"):
+            read_pose_csv(path)
+
+
+POSE_HEADER = b"timestamp,x,y,theta\n"
+pose_number = st.one_of(
+    st.floats(), st.sampled_from(["", "-", "1e999", "0x1p3", " 1_0 ", "nan", "0.25"])
+).map(str)
+pose_csv_bytes = st.one_of(
+    st.binary(max_size=120),
+    st.binary(max_size=120).map(lambda b: POSE_HEADER + b),
+    st.lists(
+        st.lists(pose_number, min_size=3, max_size=5).map(",".join), max_size=5
+    ).map(lambda rows: POSE_HEADER + "\n".join(rows).encode()),
+    st.lists(
+        st.tuples(st.floats(0, 1.0), st.floats(-1e300, 1e300), st.floats(-1e300, 1e300),
+                  st.floats(-10, 10)),
+        max_size=5,
+    ).map(lambda rows: POSE_HEADER + "".join(f"{t!r},{x!r},{y!r},{a!r}\n"
+                                             for t, x, y, a in sorted(rows)).encode()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=pose_csv_bytes)
+def test_any_pose_file_reads_or_is_a_value_error_and_eval_exits_0_or_2(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "poses.csv"
+        path.write_bytes(content)
+        try:
+            stamps, poses = read_pose_csv(path)
+        except ValueError:
+            pass
+        else:
+            assert len(stamps) == len(poses)
+        truth = tmp / "truth.csv"
+        truth.write_text("timestamp,x,y,theta\n0.0,0.0,0.0,0.0\n0.25,1.0,0.0,0.0\n")
+        for traj, ref in [(path, path), (path, truth), (truth, path)]:
+            rc = main(["eval", "--trajectory", str(traj), "--truth", str(ref),
+                       "--out", str(tmp / "eval.txt")])
+            assert rc in (0, 2)

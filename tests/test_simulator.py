@@ -175,6 +175,12 @@ def test_random_world_respects_bounds():
     assert d.min() >= 2.0
 
 
+def test_random_world_rejects_a_negative_landmark_count():
+    with pytest.raises(ValueError, match="n_landmarks"):
+        random_world(-1, 30.0)
+    assert random_world(0, 30.0) == []
+
+
 def test_render_sequence_matches_trajectory():
     world = random_world(15, 25.0, seed=7)
     traj = make_trajectory("straight", 4, speed=2.0, dt=0.25)
