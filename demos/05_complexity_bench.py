@@ -3,9 +3,10 @@
 Data association builds a u x u compatibility matrix over the unary
 candidates, so its cost should grow clearly faster than linearly in the
 region budget that feeds it. Keypoint extraction is a fixed number of
-array passes over the polar grid, so its cost should track the cell
-count roughly linearly. Both sweeps time the best of three runs per
-point and summarize with a log-log slope.
+array passes over the polar grid, a greedy marking loop that stops at
+the region budget, and one pass over the marked cells, so its cost
+should track the cell count roughly linearly. Both sweeps time the best
+of three runs per point and summarize with a log-log slope.
 
 Run time is a couple of minutes on a laptop; the association sweep at
 l_max=960 dominates.

@@ -77,6 +77,8 @@ def read_config_file(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ValueError(f"cannot read config file: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not a UTF-8 config file: {err}") from err
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:

@@ -15,6 +15,7 @@ searches a window of them around every point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,11 @@ class IcpConfig:
         # written so that NaN fails too
         if not (self.nn_radius > 0 and self.convergence_tol > 0):
             raise ValueError("nn_radius and convergence_tol must be positive")
+        # icp_match compares squared distances with nn_radius**2, which a
+        # finite radius must not overflow (an infinite one pairs all points)
+        r = float(self.nn_radius)
+        if r < math.inf and r * r == math.inf:
+            raise ValueError("a finite nn_radius must have a finite square")
         m = self.max_iterations
         if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
             raise ValueError("max_iterations must be an int >= 1")

@@ -5,7 +5,8 @@ mean and how flat its neighborhood is (low gradient), then greedily marks
 peak regions in score order. A region on one azimuth is the inclusive span
 between the nearest below-mean bins on either side of the visited cell.
 Marking stops after ``l_max`` disjoint regions, or sooner once only
-zero-or-below scores remain. Each contiguous marked run
+zero-or-below scores remain. Emission is one pass over the marked cells,
+with runs broken at each azimuth's range ends: each contiguous marked run
 on an azimuth yields at most one keypoint (its score maximum), and runs
 with no range-overlapping marked cells on a neighboring azimuth are
 discarded as single-beam clutter. Azimuth 0 and m-1 are neighbors.
@@ -130,47 +131,38 @@ def mark_regions(h: np.ndarray, s_prime: np.ndarray, l_max: int):
     return marked, region_count
 
 
-def _runs(row: np.ndarray):
-    """Yield (lo, hi) for each maximal contiguous True run of a bool row."""
-    idx = np.flatnonzero(row)
-    if idx.size == 0:
-        return
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    for s, e in zip(starts, ends):
-        yield int(idx[s]), int(idx[e])
-
-
 def extract_keypoints(scan: PolarScan, l_max: int = 1000) -> KeypointSet:
     """Extract at most one keypoint per marked run per azimuth.
 
-    A run survives only if some cell of its range span is also marked on an
-    adjacent azimuth, and only if its best score is strictly positive.
+    Emission is one pass over the marked cells in (azimuth, range) order,
+    with runs broken at gaps and at each azimuth's range ends. A run yields
+    its first score maximum, and survives only if some cell of its range
+    span is also marked on an adjacent azimuth and its best score is
+    strictly positive.
     """
     h, s_prime = scoring_image(scan)
     marked, _ = mark_regions(h, s_prime, l_max)
-    # support[a] is marked on either neighboring azimuth (wrapping)
-    support = np.roll(marked, 1, axis=0) | np.roll(marked, -1, axis=0)
-    az, rb, strength = [], [], []
-    for a in range(scan.meta.num_azimuths):
-        for lo, hi in _runs(marked[a]):
-            if not support[a, lo : hi + 1].any():
-                continue
-            seg = h[a, lo : hi + 1]
-            j = int(np.argmax(seg))
-            if seg[j] <= 0.0:
-                continue
-            az.append(a)
-            rb.append(lo + j)
-            strength.append(float(seg[j]))
-    az = np.asarray(az, dtype=int)
-    rb = np.asarray(rb, dtype=int)
+    n = scan.meta.num_range_bins
+    flat = marked.ravel()
+    cells = np.flatnonzero(flat)
+    # a run starts after a gap and at range bin 0, so runs never span azimuths
+    is_start = (np.diff(cells, prepend=-2) != 1) | (cells % n == 0)
+    starts = np.flatnonzero(is_start)
+    run = np.cumsum(is_start) - 1
+    hc = h.ravel()[cells]
+    best = np.maximum.reduceat(hc, starts)
+    # each run's first cell at its maximum, which is argmax's tie-break
+    at_best = np.where(hc == best[run], np.arange(cells.size), cells.size)
+    first = np.minimum.reduceat(at_best, starts)
+    # a cell is supported if marked on either neighboring azimuth (wrapping)
+    support = flat[(cells - n) % flat.size] | flat[(cells + n) % flat.size]
+    keep = np.logical_or.reduceat(support, starts) & (best > 0.0)
+    az, rb = np.divmod(cells[first[keep]], n)
     return KeypointSet(
         azimuths=az,
         range_bins=rb,
         xy=bins_to_points(az, rb, scan.meta).reshape(-1, 2),
-        strengths=np.asarray(strength, dtype=float),
+        strengths=best[keep],
         meta=scan.meta,
         timestamp=scan.timestamp,
     )

@@ -48,6 +48,14 @@ class ArtifactModel:
     def __post_init__(self):
         if not (self.speckle_scale >= 0 and self.background_noise >= 0):
             raise ValueError("noise scales must be non-negative")
+        if self.speckle_scale > 0:
+            # render_scan draws gamma(k, 1 / k) speckle with k = 1 / speckle_scale**2
+            s2 = float(self.speckle_scale) * float(self.speckle_scale)
+            if not (0.0 < s2 < math.inf and 1.0 / s2 < math.inf):
+                raise ValueError(
+                    "speckle_scale must keep the gamma shape 1 / speckle_scale**2 "
+                    "finite and nonzero"
+                )
         if not self.false_positive_rate >= 0:
             raise ValueError("false_positive_rate must be non-negative")
         if not (0.0 <= self.dropout_prob <= 1.0):

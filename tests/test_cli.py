@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from radarodo import PipelineConfig, PolarScan, SensorMeta, load_scan, run_odometry, save_scan
 from radarodo.cli import main, read_config_file, read_pose_csv
+from radarodo.errors import ScanFormatError
 
 SMALL_SIM = """
 # compact scene for fast pipeline tests
@@ -87,6 +88,15 @@ def test_negative_landmark_count_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("scale", ["1e-200", "1e200"])
+def test_speckle_scale_without_a_finite_gamma_shape_is_a_config_error(tmp_path, scale, capsys):
+    path = write_cfg(tmp_path, SMALL_SIM + f"speckle_scale = {scale}\n")
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "speckle_scale" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 def test_unreadable_config_is_a_config_error(tmp_path, kind, capsys):
     path = tmp_path / "cfg.ini"
@@ -95,6 +105,16 @@ def test_unreadable_config_is_a_config_error(tmp_path, kind, capsys):
     rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_non_utf8_config_names_the_file(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_bytes(b"steps = 3\n\xff\n")
+    with pytest.raises(ValueError, match=f"^{path}: not a UTF-8 config file"):
+        read_config_file(path)
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert str(path) in capsys.readouterr().err
 
 
 def test_missing_scan_file_is_io_error(tmp_path):
@@ -343,7 +363,7 @@ def test_commands_reject_flags_they_do_not_read(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["nn_radius = nan", "icp_tol = nan"])
+@pytest.mark.parametrize("line", ["nn_radius = nan", "icp_tol = nan", "nn_radius = 1e200"])
 def test_nan_icp_setting_is_a_config_error(tmp_path, line):
     cfg, data = simulate(tmp_path)
     bad = write_cfg(tmp_path, SMALL_SIM + line + "\n", name="nan.ini")
@@ -417,3 +437,91 @@ def test_any_pose_file_reads_or_is_a_value_error_and_eval_exits_0_or_2(content):
             rc = main(["eval", "--trajectory", str(traj), "--truth", str(ref),
                        "--out", str(tmp / "eval.txt")])
             assert rc in (0, 2)
+
+
+CONFIG_KEYS = ["l_max", "steps", "speed", "kind", "speckle_scale", "nn_radius", "warp"]
+config_value = st.one_of(
+    st.integers(-3, 5000).map(str), st.floats().map(repr),
+    st.sampled_from(["", "1e400", "0x10", " 1_0 ", "nan", "-inf", "9" * 5000, "\x00", "#"]),
+)
+config_bytes = st.one_of(
+    st.binary(max_size=120),
+    st.lists(
+        st.tuples(st.sampled_from(CONFIG_KEYS), st.sampled_from([" = ", "=", " "]), config_value)
+        .map("".join),
+        max_size=4,
+    ).map(lambda lines: "\n".join(lines).encode()),
+    st.tuples(st.binary(max_size=20), st.binary(max_size=20)).map(
+        lambda t: t[0] + b"l_max = 5\n" + t[1]
+    ),
+)
+
+
+def small_scan_file(path):
+    power = np.random.default_rng(0).random((6, 10)) * 3.0
+    save_scan(path, PolarScan(SensorMeta(6, 10, 0.5, 0.25), power))
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=config_bytes)
+def test_any_config_file_reads_or_is_a_value_error_and_extract_exits_0_or_2(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "cfg.ini"
+        path.write_bytes(content)
+        try:
+            values = read_config_file(path)
+        except ValueError as err:
+            assert str(path) in str(err)
+        else:
+            assert isinstance(values, dict)
+        scan = tmp / "scan.rscan"
+        small_scan_file(scan)
+        rc = main(["extract", "--config", str(path), "--scan", str(scan),
+                   "--out", str(tmp / "kp.csv")])
+        assert rc in (0, 2)
+
+
+SCAN_MAGIC = b"#polarscan1\n"
+any_float = st.one_of(st.floats(), st.sampled_from([0.0, 1.7e308, -1.0, 5e-324]))
+power_float = st.floats(min_value=0.0, max_value=1.7e308)
+header_field = st.one_of(
+    st.integers(-2, 6).map(str), any_float.map(float.hex),
+    st.sampled_from(["", "x", "0x1p99999", "9" * 5000, "\xff"]),
+)
+
+
+@st.composite
+def scan_bytes(draw):
+    """A scan file: random bytes, or the magic line, a header of small grid
+    sizes and floats (fitting ones half the time, broken fields sometimes)
+    and a payload of fitting or unfitting size."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=120))
+    fits = draw(st.booleans())
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    value = st.floats(1e-3, 1e3) if fits else any_float
+    fields = [str(m), str(n)] + [draw(value).hex() for _ in range(3)]
+    if draw(st.integers(0, 3)) == 0:
+        fields = draw(st.lists(header_field, max_size=6))
+    header = " ".join(fields).encode() + b"\n"
+    cells = m * n + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    power = draw(st.lists(power_float if fits else any_float, min_size=cells, max_size=cells))
+    return SCAN_MAGIC + header + np.array(power, dtype="<f8").tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=scan_bytes())
+def test_any_scan_file_loads_or_is_a_scan_format_error_and_extract_exits_0_or_3(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "scan.rscan"
+        path.write_bytes(content)
+        try:
+            scan = load_scan(path)
+        except ScanFormatError as err:
+            assert str(path) in str(err)
+        else:
+            assert isinstance(scan, PolarScan)
+        rc = main(["extract", "--scan", str(path), "--out", str(tmp / "kp.csv")])
+        assert rc in (0, 3)

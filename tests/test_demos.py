@@ -1,6 +1,9 @@
-"""Every demo runs to completion (exit 0) against this checkout's package."""
+"""Every demo, and the README's quick start, runs to completion (exit 0)
+against this checkout's package."""
 
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,14 +23,30 @@ DEMOS = [
 ]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_exits_0(demo, tmp_path):
+def run_python(args, cwd):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
-        timeout=300,
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_exits_0(demo, tmp_path):
+    run_python([str(demo)], tmp_path)
+
+
+def test_readme_quick_start_runs_and_recovers_the_motion(tmp_path):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    pose_line, confidence_line = run_python(["-c", blocks[0]], tmp_path).splitlines()
+    # scan_b is rendered at Pose2(2.0, 0.5, 0.05) and scan_a at the origin
+    x, y, theta = (float(v) for v in re.fullmatch(
+        r"Pose2\(x=(\S+), y=(\S+), theta=(\S+)\)", pose_line).groups())
+    assert math.hypot(x - 2.0, y - 0.5) < 0.25
+    assert abs(theta - 0.05) < 0.01
+    assert 0.5 < float(confidence_line) <= 1.0

@@ -158,6 +158,11 @@ def test_config_validation():
         IcpConfig(nn_radius=0.0)
     with pytest.raises(ValueError):
         IcpConfig(convergence_tol=0.0)
+    # nn_radius**2 must not overflow: 1e155**2 does, 1e154**2 does not
+    for bad in (1e155, 1e200):
+        with pytest.raises(ValueError, match="nn_radius"):
+            IcpConfig(nn_radius=bad)
+    assert IcpConfig(nn_radius=1e154).nn_radius == 1e154
     for bad in (0, -3, 2.5, 3.0, True, "3", None):
         with pytest.raises(ValueError):
             IcpConfig(max_iterations=bad)

@@ -292,6 +292,18 @@ def test_all_constant_scan_yields_nothing():
     assert len(extract_keypoints(scan_of(np.full((6, 10), 2.0)), l_max=5)) == 0
 
 
+def test_run_whose_best_score_is_nan_is_not_emitted():
+    # a cell near the float maximum overflows the gradient, so its diagonal
+    # neighbours score NaN; the marked run on azimuth 1 holds one of them
+    power = np.zeros((6, 16))
+    power[2, 4] = 1.3e308
+    power[1, 6:8] = (3e306, 1e307)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kset = extract_keypoints(scan_of(power), l_max=10)
+    assert pairs_of(kset) == [(2, 4)]
+    assert np.all(kset.strengths > 0)
+
+
 def test_keypoint_xy_lies_on_bin_centers():
     scan = scan_of(FIXTURE_A)
     kset = extract_keypoints(scan, l_max=3)

@@ -40,6 +40,12 @@ def test_artifact_model_validation():
                   "beam_width_azimuths", "range_spread_bins"):
         with pytest.raises(ValueError):
             ArtifactModel(**{field: math.nan})
+    # the gamma shape 1 / speckle_scale**2 must be finite and nonzero
+    for bad in (1e-200, 1e-155, 1e155, 1e200, math.inf):
+        with pytest.raises(ValueError, match="speckle_scale"):
+            ArtifactModel(speckle_scale=bad)
+    for ok in (1e-154, 1e154):
+        assert ArtifactModel(speckle_scale=ok).speckle_scale == ok
 
 
 def test_trajectory_spec_validation():
