@@ -18,6 +18,13 @@ a whole block come from one ``bincount`` each and one batched FFT. Each
 histogram still sums its neighbors one by one in index order, so every
 entry is bit-identical to describing the keypoint on its own.
 
+Each description uses one temporary (N, N) distance matrix, freed on
+return. Distances are exactly symmetric (``hypot`` ignores sign), so only
+its upper triangle is computed, one block of rows at a time, and each
+block's off-diagonal part is mirrored into the rows below.
+:func:`radarodo.matching.pairwise_compatibility` builds its matrix the same
+way.
+
 A :class:`~radarodo.keypoints.KeypointSet` is described once per
 ``(alpha, rho, max_range)``: :func:`descriptor_matrix` keeps the matrix in
 the set's ``descriptor_cache`` and hands out that read-only array on every
@@ -76,9 +83,32 @@ def _check_params(alpha, rho, max_range):
         raise ValueError("max_range must be positive")
 
 
-def _describe_rows(xy, rows, alpha, rho, max_range) -> np.ndarray:
+def _upper_distances(p: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Distances from points ``lo:hi`` of ``p`` to points ``lo:`` of ``p``:
+    rows ``lo:hi`` of the pairwise distance matrix, columns ``lo:`` only."""
+    dx = p[lo:hi, 0:1] - p[None, lo:, 0]
+    dy = p[lo:hi, 1:2] - p[None, lo:, 1]
+    return np.hypot(dx, dy, out=dx)
+
+
+def _angular_bins(ang: np.ndarray, alpha: int) -> np.ndarray:
+    """Bins of angles in [-2 pi, 2 pi] wrapped into [0, 2 pi), worked in place.
+
+    The same bins as ``np.mod(ang, 2 pi)`` bin for bin. The order of the two
+    wraps matters: a tiny negative angle plus 2 pi rounds to exactly 2 pi,
+    which ``np.mod`` also returns and which then falls in the last bin.
+    """
+    np.putmask(ang, ang >= _TWO_PI, 0.0)
+    np.add(ang, _TWO_PI, out=ang, where=ang < 0.0)
+    ang /= _TWO_PI
+    ang *= alpha
+    return np.minimum(ang.astype(int), alpha - 1)
+
+
+def _describe_rows(xy, rows, dist, alpha, rho, max_range) -> np.ndarray:
     """Descriptor vectors of keypoints ``rows`` of the cloud ``xy``, one row
-    each; a keypoint with no neighbors gets zeros."""
+    each, given their distances ``dist`` to every keypoint; a keypoint with
+    no neighbors gets zeros."""
     b = rows.size
     # a keypoint is not its own neighbor: zero weight adds exactly nothing
     weights = np.broadcast_to(np.hypot(xy[:, 0], xy[:, 1]) / max_range, (b, xy.shape[0])).copy()
@@ -90,11 +120,11 @@ def _describe_rows(xy, rows, alpha, rho, max_range) -> np.ndarray:
     offset = np.arange(b)[:, None]
 
     bearing = np.array([math.atan2(xy[i, 1], xy[i, 0]) for i in rows])
-    ang = np.arctan2(rel_y, rel_x) - bearing[:, None]
-    a_bins = np.minimum((np.mod(ang, _TWO_PI) / _TWO_PI * alpha).astype(int), alpha - 1)
+    ang = np.arctan2(rel_y, rel_x, out=rel_x)
+    ang -= bearing[:, None]
+    a_bins = _angular_bins(ang, alpha)
     hist_a = np.bincount((offset * alpha + a_bins).ravel(), weights=weights, minlength=b * alpha)
 
-    dist = np.hypot(rel_x, rel_y)
     r_bins = np.minimum((dist / (max_range / rho)).astype(int), rho - 1)
     hist_r = np.bincount((offset * rho + r_bins).ravel(), weights=weights, minlength=b * rho)
 
@@ -113,7 +143,8 @@ def compute_descriptor(i: int, kset, alpha: int, rho: int, max_range: float) -> 
     xy = _points(kset)
     if not (0 <= i < xy.shape[0]):
         raise ValueError(f"keypoint index {i} out of range")
-    row = _describe_rows(xy, np.array([i]), alpha, rho, max_range)[0]
+    dist = np.hypot(xy[:, 0] - xy[i, 0], xy[:, 1] - xy[i, 1])[None, :]
+    row = _describe_rows(xy, np.array([i]), dist, alpha, rho, max_range)[0]
     return Descriptor(angular=row[:alpha], radial=row[alpha:])
 
 
@@ -131,9 +162,13 @@ def descriptor_matrix(kset, alpha: int, rho: int, max_range: float) -> np.ndarra
     xy = _points(kset)
     n = xy.shape[0]
     out = np.empty((n, alpha + rho))
+    dist = np.empty((n, n))
     for lo in range(0, n, _BLOCK):
-        rows = np.arange(lo, min(lo + _BLOCK, n))
-        out[lo : lo + rows.size] = _describe_rows(xy, rows, alpha, rho, max_range)
+        hi = min(lo + _BLOCK, n)
+        # columns below lo were mirrored in by the blocks above
+        dist[lo:hi, lo:] = _upper_distances(xy, lo, hi)
+        dist[hi:, lo:hi] = dist[lo:hi, hi:].T
+        out[lo:hi] = _describe_rows(xy, np.arange(lo, hi), dist[lo:hi], alpha, rho, max_range)
     if cache is not None:
         out.flags.writeable = False
         cache[key] = out
@@ -151,16 +186,20 @@ def propose_unary_matches(l1, l2, alpha: int, rho: int, max_range: float) -> Una
         raise NoCandidatesError("cannot match empty keypoint sets")
     d1 = descriptor_matrix(l1, alpha, rho, max_range)
     d2 = descriptor_matrix(l2, alpha, rho, max_range)
-    # (u1, u2) squared descriptor distances via the expanded dot product,
-    # worked in place: one (u1, u2) temporary besides the result
-    sq = (d1 * d1).sum(axis=1)[:, None] + (d2 * d2).sum(axis=1)[None, :]
-    cross = 2.0 * d1 @ d2.T
-    np.subtract(sq, cross, out=sq)
-    del cross
-    np.maximum(sq, 0.0, out=sq)
-    best = np.argmin(sq, axis=1)
-    return UnaryMatches(
-        l1_indices=np.arange(n1),
-        l2_indices=best,
-        distances=np.sqrt(sq[np.arange(n1), best]),
-    )
+    # squared descriptor distances via the expanded dot product, one block
+    # of L1 rows at a time. The product stays whole (a row-blocked product
+    # changes its last bits); doubling it after is exact.
+    cross = d1 @ d2.T
+    cross *= 2.0
+    norm1 = (d1 * d1).sum(axis=1)
+    norm2 = (d2 * d2).sum(axis=1)
+    best = np.empty(n1, dtype=np.intp)
+    distances = np.empty(n1)
+    for lo in range(0, n1, _BLOCK):
+        hi = min(lo + _BLOCK, n1)
+        sq = norm1[lo:hi, None] + norm2[None, :]
+        np.subtract(sq, cross[lo:hi], out=sq)
+        np.maximum(sq, 0.0, out=sq)
+        best[lo:hi] = np.argmin(sq, axis=1)
+        distances[lo:hi] = np.sqrt(sq[np.arange(hi - lo), best[lo:hi]])
+    return UnaryMatches(l1_indices=np.arange(n1), l2_indices=best, distances=distances)

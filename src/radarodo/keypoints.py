@@ -72,14 +72,26 @@ class KeypointSet:
         )
 
 
-def gradient_magnitude(scan: PolarScan) -> np.ndarray:
-    """Prewitt gradient magnitude of the power grid, normalized to peak 1.
+def _peak_exponent(power: np.ndarray) -> int:
+    """The ``frexp`` exponent e of the peak power: every cell of the power
+    times 2**-e is below 1, so no sum of the Prewitt stencil or of the mean
+    can overflow. A power-of-two scale is exact, so ordinary scans keep
+    the same values bit for bit."""
+    return int(np.frexp(power.max())[1])
 
-    The azimuth axis wraps (the scan is one full rotation); the range axis
-    replicates its edge bins. An all-constant scan maps to all zeros.
-    """
-    p = np.pad(scan.power, ((1, 1), (0, 0)), mode="wrap")
-    p = np.pad(p, ((0, 0), (1, 1)), mode="edge")
+
+def _prewitt_magnitude(power: np.ndarray, e: int) -> np.ndarray:
+    """Prewitt gradient magnitude of ``power`` times 2**-e, normalized to
+    peak 1."""
+    # the scaled grid padded by one cell, wrapped along azimuth and then
+    # edge-repeated along range: what two np.pad calls give, in one array
+    m, n = power.shape
+    p = np.empty((m + 2, n + 2))
+    np.ldexp(power, -e, out=p[1:-1, 1:-1])
+    p[0, 1:-1] = p[-2, 1:-1]
+    p[-1, 1:-1] = p[1, 1:-1]
+    p[:, 0] = p[:, 1]
+    p[:, -1] = p[:, -2]
     ga = (p[2:, :-2] + p[2:, 1:-1] + p[2:, 2:]) - (p[:-2, :-2] + p[:-2, 1:-1] + p[:-2, 2:])
     gr = (p[:-2, 2:] + p[1:-1, 2:] + p[2:, 2:]) - (p[:-2, :-2] + p[1:-1, :-2] + p[2:, :-2])
     g = np.hypot(ga, gr)
@@ -87,10 +99,26 @@ def gradient_magnitude(scan: PolarScan) -> np.ndarray:
     return g / peak if peak > 0 else g
 
 
+def gradient_magnitude(scan: PolarScan) -> np.ndarray:
+    """Prewitt gradient magnitude of the power grid, normalized to peak 1.
+
+    The azimuth axis wraps (the scan is one full rotation); the range axis
+    replicates its edge bins. An all-constant scan maps to all zeros. The
+    power is scaled by a power of two first, so any finite scan gives a
+    finite gradient.
+    """
+    return _prewitt_magnitude(scan.power, _peak_exponent(scan.power))
+
+
 def scoring_image(scan: PolarScan):
-    """Return (H, S') where S' is mean-subtracted power and H = (1 - G) * S'."""
-    s_prime = scan.power - scan.power.mean()
-    h = (1.0 - gradient_magnitude(scan)) * s_prime
+    """Return (H, S') where S' is mean-subtracted power and H = (1 - G) * S'.
+
+    The mean, like G, is taken of the power scaled by a power of two and
+    scaled back, so both stay finite for any finite scan.
+    """
+    e = _peak_exponent(scan.power)
+    s_prime = scan.power - np.ldexp(np.ldexp(scan.power, -e).mean(), e)
+    h = (1.0 - _prewitt_magnitude(scan.power, e)) * s_prime
     return h, s_prime
 
 

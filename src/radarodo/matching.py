@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import UnaryMatches, _points
+from .descriptors import _BLOCK, UnaryMatches, _points, _upper_distances
 from .errors import DegenerateProblemError, NoCompatibilityError
 
 
@@ -47,41 +47,41 @@ def pairwise_compatibility(u_matches: UnaryMatches, l1, l2, sigma: float) -> np.
     counterparts; discrepancies beyond 3 sigma are cut to exactly zero. The
     diagonal is zero, and so are entries of candidate pairs that share a
     keypoint on either side (they can never be selected together).
+
+    C is exactly symmetric: ``hypot`` ignores sign and every later step is
+    elementwise. So only its upper triangle is computed, a block of rows
+    ``[lo, hi)`` at a time over columns ``lo:u``, and each block's
+    off-diagonal part is mirrored into the rows below; C is the only (u, u)
+    array.
     """
     if not (sigma > 0):
         raise ValueError("sigma must be positive")
     u = u_matches.u
     if u < 2:
         raise DegenerateProblemError(f"need at least 2 candidates, got {u}")
-    p1 = _points(l1)[u_matches.l1_indices]
-    p2 = _points(l2)[u_matches.l2_indices]
-    # exp(-(|d1 - d2| ** 2) / (2 sigma^2)) worked in place, step by step in
-    # the expression's own order: the same values bit for bit, with at most
-    # three (u, u) float arrays alive at once
-    c, delta, spare = (np.empty((u, u)) for _ in range(3))
-    _distances(p1, out=delta, spare=spare)
-    _distances(p2, out=c, spare=spare)
-    del spare
-    np.subtract(delta, c, out=delta)
-    np.abs(delta, out=delta)
-    np.square(delta, out=c)
-    np.negative(c, out=c)
-    np.divide(c, 2.0 * sigma**2, out=c)
-    np.exp(c, out=c)
-    c[delta > 3.0 * sigma] = 0.0
-    del delta
     i1, i2 = u_matches.l1_indices, u_matches.l2_indices
-    conflict = i1[:, None] == i1[None, :]
-    conflict |= i2[:, None] == i2[None, :]
-    c[conflict] = 0.0
+    p1 = _points(l1)[i1]
+    p2 = _points(l2)[i2]
+    c = np.empty((u, u))
+    for lo in range(0, u, _BLOCK):
+        hi = min(lo + _BLOCK, u)
+        # exp(-(|d1 - d2| ** 2) / (2 sigma^2)), step by step in the
+        # expression's own order
+        delta = _upper_distances(p1, lo, hi)
+        block = c[lo:hi, lo:]
+        np.subtract(delta, _upper_distances(p2, lo, hi), out=delta)
+        np.abs(delta, out=delta)
+        np.square(delta, out=block)
+        np.negative(block, out=block)
+        np.divide(block, 2.0 * sigma**2, out=block)
+        np.exp(block, out=block)
+        # the 3 sigma cut, and pairs sharing a keypoint on either side
+        cut = delta > 3.0 * sigma
+        cut |= i1[lo:hi, None] == i1[None, lo:]
+        cut |= i2[lo:hi, None] == i2[None, lo:]
+        block[cut] = 0.0
+        c[hi:, lo:hi] = c[lo:hi, hi:].T
     return c
-
-
-def _distances(p, out, spare):
-    """Pairwise Euclidean distances of the rows of ``p``, written to ``out``."""
-    np.subtract(p[:, 0:1], p[None, :, 0], out=out)
-    np.subtract(p[:, 1:2], p[None, :, 1], out=spare)
-    return np.hypot(out, spare, out=out)
 
 
 def principal_eigenvector(c: np.ndarray) -> SpectralSolution:
@@ -174,7 +174,7 @@ def greedy_select(c: np.ndarray, solution: SpectralSolution, u_matches: UnaryMat
     removes every candidate sharing one of its keypoints from further
     consideration, so the selection always uses each keypoint at most once.
     The index's projection C (indicator * v) is kept up to date by adding
-    one column per commit.
+    one row per commit (C is exactly symmetric, and a row is contiguous).
     """
     v = solution.eigenvector
     u = u_matches.u
@@ -189,7 +189,7 @@ def greedy_select(c: np.ndarray, solution: SpectralSolution, u_matches: UnaryMat
     while open_mask.any():
         g = int(np.argmax(np.where(open_mask, weight, -np.inf)))
         indicator[g] = 1.0
-        projected += c[:, g] * v[g]
+        projected += c[g] * v[g]
         score = _cosine(projected, indicator)
         if current is not None and score < current:
             indicator[g] = 0.0

@@ -7,6 +7,7 @@ import pytest
 
 from radarodo import KeypointSet, NoCandidatesError, Pose2, SensorMeta, apply_pose
 from radarodo.descriptors import (
+    _angular_bins,
     compute_descriptor,
     descriptor_matrix,
     propose_unary_matches,
@@ -71,6 +72,17 @@ def per_keypoint_matrix(xy, alpha, rho, max_range):
     return out
 
 
+def dense_unary(d1, d2):
+    """Nearest L2 descriptor of each L1 row from whole (u1, u2) arrays, in
+    the expanded dot product's order: the reference the row-blocked search
+    must match bit for bit. Returns (l2 indices, distances)."""
+    sq = (d1 * d1).sum(axis=1)[:, None] + (d2 * d2).sum(axis=1)[None, :]
+    sq = sq - 2.0 * d1 @ d2.T
+    np.maximum(sq, 0.0, out=sq)
+    best = np.argmin(sq, axis=1)
+    return best, np.sqrt(sq[np.arange(d1.shape[0]), best])
+
+
 def meta_args(kset):
     meta = kset.meta
     return meta.num_azimuths, meta.num_range_bins, meta.max_range
@@ -82,7 +94,7 @@ def test_descriptor_matrix_is_bit_identical_to_per_keypoint_reference(
     kp = busy_keypoints[0]
     sets = [noisy_keypoints, kp] + [
         KeypointSet(kp.azimuths[:n], kp.range_bins[:n], kp.xy[:n], kp.strengths[:n], kp.meta)
-        for n in (0, 1, 2)
+        for n in (0, 1, 2, 63, 64, 65, 130)
     ]
     for kset in sets:
         args = meta_args(kset)
@@ -222,3 +234,48 @@ def test_unary_tie_breaks_to_lowest_index():
     xy2 = np.array([[10.0, 0.0], [-10.0, 0.0]])
     matches = propose_unary_matches(xy1, xy2, 8, 6, MAX_RANGE)
     assert list(matches.l2_indices) == [0]
+
+
+def test_unary_matches_equal_the_dense_search(noisy_keypoints, busy_keypoints):
+    kp = busy_keypoints[1]
+    rng = np.random.default_rng(12)
+    pairs = [
+        (noisy_keypoints, busy_keypoints[0]),
+        (busy_keypoints[0], busy_keypoints[1]),
+        (noisy_keypoints, noisy_keypoints),
+    ] + [
+        # L1 sizes on both sides of a block edge, drawn with repeats
+        (kp.xy[rng.choice(len(kp), n1)], kp.xy[: n1 + 7]) for n1 in (1, 63, 64, 65, 130)
+    ]
+    args = meta_args(busy_keypoints[0])
+    for l1, l2 in pairs:
+        got = propose_unary_matches(l1, l2, *args)
+        d1 = descriptor_matrix(l1, *args)
+        best, dist = dense_unary(d1, descriptor_matrix(l2, *args))
+        assert np.array_equal(got.l1_indices, np.arange(d1.shape[0]))
+        assert got.l2_indices.dtype == best.dtype
+        assert np.array_equal(got.l2_indices, best)
+        assert np.array_equal(got.distances, dist)
+
+
+WRAP_EDGES = [
+    2 * math.pi, -2 * math.pi, 0.0, -0.0, -1e-300, -5e-324, -1e-17, 1e-300,
+    math.pi, -math.pi, np.nextafter(2 * math.pi, 0.0), np.nextafter(-2 * math.pi, 0.0),
+    np.nextafter(0.0, -1.0), -np.nextafter(2 * math.pi, 0.0) + 1e-16,
+]
+
+
+def test_angular_bins_equal_np_mod_bins():
+    rng = np.random.default_rng(13)
+    # multiples of a bin width, where rounding picks the bin; the kernel's
+    # angles (an atan2 minus a bearing) lie in [-2 pi, 2 pi]
+    grid = np.arange(-400, 401) * (2 * math.pi / 400)
+    grid = grid[np.abs(grid) <= 2 * math.pi]
+    ang = np.concatenate([WRAP_EDGES, rng.uniform(-2 * math.pi, 2 * math.pi, 2000), grid])
+    for alpha in (1, 7, 64, 256, 400):
+        want = np.minimum((np.mod(ang, 2 * math.pi) / (2 * math.pi) * alpha).astype(int), alpha - 1)
+        got = _angular_bins(ang.copy(), alpha)
+        assert np.array_equal(got, want), alpha
+    # a tiny negative angle wraps to exactly 2 pi, as np.mod has it: the last bin
+    assert np.mod(-1e-300, 2 * math.pi) == 2 * math.pi
+    assert _angular_bins(np.array([-1e-300, 2 * math.pi, -0.0]), 64).tolist() == [63, 0, 0]

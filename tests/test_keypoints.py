@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from radarodo import (
     random_world,
     render_scan,
 )
+from radarodo import keypoints
 from radarodo.keypoints import (
     gradient_magnitude,
     mark_regions,
@@ -292,16 +294,46 @@ def test_all_constant_scan_yields_nothing():
     assert len(extract_keypoints(scan_of(np.full((6, 10), 2.0)), l_max=5)) == 0
 
 
-def test_run_whose_best_score_is_nan_is_not_emitted():
-    # a cell near the float maximum overflows the gradient, so its diagonal
-    # neighbours score NaN; the marked run on azimuth 1 holds one of them
+def test_run_whose_best_score_is_nan_is_not_emitted(monkeypatch):
+    # a finite scan scores finite (see the test below), so the NaN is put
+    # into the score directly, at the best cell of the marked run on azimuth 1
     power = np.zeros((6, 16))
     power[2, 4] = 1.3e308
     power[1, 6:8] = (3e306, 1e307)
-    with np.errstate(over="ignore", invalid="ignore"):
-        kset = extract_keypoints(scan_of(power), l_max=10)
+
+    def nan_at_run_best(scan):
+        h, s_prime = scoring_image(scan)
+        h[1, 7] = np.nan
+        return h, s_prime
+
+    monkeypatch.setattr(keypoints, "scoring_image", nan_at_run_best)
+    kset = extract_keypoints(scan_of(power), l_max=10)
     assert pairs_of(kset) == [(2, 4)]
     assert np.all(kset.strengths > 0)
+
+
+@pytest.mark.parametrize(
+    "cells, emitted",
+    [
+        ({(2, 5): 1.3e308, (3, 5): 1.2e308}, [(2, 5), (3, 5)]),
+        ({(2, 4): 1.3e308, (1, 6): 3e306, (1, 7): 1e307}, [(1, 7), (2, 4)]),
+    ],
+)
+def test_scan_near_the_float_maximum_scores_finite(cells, emitted):
+    # unscaled, the Prewitt sums and the power's mean overflow here
+    power = np.zeros((6, 16))
+    for cell, value in cells.items():
+        power[cell] = value
+    scan = scan_of(power)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, s_prime = scoring_image(scan)
+        g = gradient_magnitude(scan)
+        kset = extract_keypoints(scan, l_max=10)
+    assert np.all(np.isfinite(h)) and np.all(np.isfinite(s_prime))
+    assert g.max() == 1.0 and g.min() >= 0.0
+    assert pairs_of(kset) == emitted
+    assert np.all(np.isfinite(kset.strengths)) and np.all(kset.strengths > 0)
 
 
 def test_keypoint_xy_lies_on_bin_centers():

@@ -8,7 +8,11 @@ from radarodo import (
     DegenerateProblemError,
     NoCompatibilityError,
     Pose2,
+    SensorMeta,
     apply_pose,
+    extract_keypoints,
+    random_world,
+    render_scan,
 )
 from radarodo.descriptors import UnaryMatches, propose_unary_matches
 from radarodo.matching import (
@@ -20,7 +24,7 @@ from radarodo.matching import (
     principal_eigenvector,
 )
 
-from conftest import random_pose
+from conftest import NOISY_ARTIFACTS, random_pose
 
 SIGMA = 0.5
 
@@ -192,6 +196,61 @@ def test_eigengap_ignores_the_order_of_the_rows(busy_problem):
 def selection_score(c, sel):
     m = sel.indicator
     return float(m @ c @ m / m.sum())
+
+
+def dense_compatibility(um, pts1, pts2, sigma):
+    """C from both whole (u, u) distance matrices, with the kernel, the
+    3 sigma cut and the conflict mask over the whole matrix: the reference
+    the upper-triangle blocks must match bit for bit."""
+    p1 = np.asarray(getattr(pts1, "xy", pts1), dtype=float)[um.l1_indices]
+    p2 = np.asarray(getattr(pts2, "xy", pts2), dtype=float)[um.l2_indices]
+    d1 = np.hypot(p1[:, 0:1] - p1[None, :, 0], p1[:, 1:2] - p1[None, :, 1])
+    d2 = np.hypot(p2[:, 0:1] - p2[None, :, 0], p2[:, 1:2] - p2[None, :, 1])
+    delta = np.abs(d1 - d2)
+    c = np.exp(-np.square(delta) / (2.0 * sigma**2))
+    c[delta > 3.0 * sigma] = 0.0
+    i1, i2 = um.l1_indices, um.l2_indices
+    c[(i1[:, None] == i1[None, :]) | (i2[:, None] == i2[None, :])] = 0.0
+    return c
+
+
+@pytest.fixture(scope="module")
+def noisy_pair():
+    """Keypoints of two noisy 400x500 scans 0.75 m apart, as in seq_noisy."""
+    meta = SensorMeta(num_azimuths=400, num_range_bins=500, range_resolution=0.2, scan_period=0.25)
+    world = random_world(120, 80.0, seed=0, min_range=6.0, min_separation=3.0)
+    return tuple(
+        extract_keypoints(render_scan(world, pose, meta, NOISY_ARTIFACTS, seed=200 + k), 600)
+        for k, pose in enumerate((Pose2(), Pose2(0.75, 0.0, 0.0)))
+    )
+
+
+def test_compatibility_equals_the_dense_formula_on_real_pairs(noisy_pair, busy_keypoints):
+    for l1, l2 in (noisy_pair, busy_keypoints):
+        meta = l1.meta
+        um = propose_unary_matches(l1, l2, meta.num_azimuths, meta.num_range_bins, meta.max_range)
+        c = pairwise_compatibility(um, l1, l2, meta.range_resolution)
+        assert np.array_equal(c, dense_compatibility(um, l1, l2, meta.range_resolution))
+        assert np.array_equal(c, c.T)
+        assert um.u % 64 != 0  # the last row block is a partial one
+        assert np.count_nonzero(c) > um.u
+
+
+@pytest.mark.parametrize("u", [2, 63, 64, 65, 130])
+def test_compatibility_equals_the_dense_formula_on_candidate_lists(u):
+    rng = np.random.default_rng(u)
+    # few keypoints per side, so L1 and L2 indices repeat
+    pts1 = rng.uniform(-10.0, 10.0, size=(23, 2))
+    pts2 = apply_pose(Pose2(1.0, -0.5, 0.2), pts1) + rng.normal(0.0, 0.3, (23, 2))
+    for sigma in (SIGMA, 0.25, 1.0):
+        # about half the candidates are true matches, so C mixes kernel
+        # values with cut and conflict zeros
+        l1 = rng.integers(0, 23, u)
+        l2 = np.where(rng.random(u) < 0.5, l1, rng.integers(0, 23, u))
+        um = UnaryMatches(l1, l2, np.zeros(u))
+        c = pairwise_compatibility(um, pts1, pts2, sigma)
+        assert np.array_equal(c, dense_compatibility(um, pts1, pts2, sigma))
+        assert np.array_equal(c, c.T)
 
 
 def test_compatibility_matrix_shape_and_symmetry():
