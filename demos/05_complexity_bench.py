@@ -3,9 +3,9 @@
 Data association builds a u x u compatibility matrix over the unary
 candidates, so its cost should grow clearly faster than linearly in the
 region budget that feeds it. Keypoint extraction is a fixed number of
-array passes over the polar grid, a greedy marking loop that stops at
-the region budget, and one pass over the marked cells, so its cost
-should track the cell count roughly linearly. Both sweeps time the best
+array passes over the polar grid, greedy marking that orders only the
+top-scoring cells the region budget can reach, and one pass over the
+marked cells, so its cost should track the cell count roughly linearly. Both sweeps time the best
 of three runs per point and summarize with a log-log slope.
 
 Run time is a couple of minutes on a laptop; the association sweep at

@@ -105,13 +105,24 @@ def _angular_bins(ang: np.ndarray, alpha: int) -> np.ndarray:
     return np.minimum(ang.astype(int), alpha - 1)
 
 
-def _describe_rows(xy, rows, dist, alpha, rho, max_range) -> np.ndarray:
+def _range_weights(xy, max_range) -> np.ndarray:
+    """Each keypoint's weight as a neighbor: its range over ``max_range``."""
+    return np.hypot(xy[:, 0], xy[:, 1]) / max_range
+
+
+def _bearings(xy) -> np.ndarray:
+    """Each keypoint's bearing from the sensor, by ``math.atan2``."""
+    return np.array([math.atan2(y, x) for x, y in xy.tolist()])
+
+
+def _describe_rows(xy, rows, dist, weight, bearing, alpha, rho, max_range) -> np.ndarray:
     """Descriptor vectors of keypoints ``rows`` of the cloud ``xy``, one row
-    each, given their distances ``dist`` to every keypoint; a keypoint with
-    no neighbors gets zeros."""
+    each, given their distances ``dist`` to every keypoint, every
+    keypoint's range ``weight`` and the ``bearing`` of each of ``rows``; a
+    keypoint with no neighbors gets zeros."""
     b = rows.size
     # a keypoint is not its own neighbor: zero weight adds exactly nothing
-    weights = np.broadcast_to(np.hypot(xy[:, 0], xy[:, 1]) / max_range, (b, xy.shape[0])).copy()
+    weights = np.broadcast_to(weight, (b, xy.shape[0])).copy()
     weights[np.arange(b), rows] = 0.0
     weights = weights.ravel()
     rel_x = xy[None, :, 0] - xy[rows, 0][:, None]
@@ -119,7 +130,6 @@ def _describe_rows(xy, rows, dist, alpha, rho, max_range) -> np.ndarray:
     # histogram bin k of block row r sits at r * bins + k of one bincount
     offset = np.arange(b)[:, None]
 
-    bearing = np.array([math.atan2(xy[i, 1], xy[i, 0]) for i in rows])
     ang = np.arctan2(rel_y, rel_x, out=rel_x)
     ang -= bearing[:, None]
     a_bins = _angular_bins(ang, alpha)
@@ -144,7 +154,9 @@ def compute_descriptor(i: int, kset, alpha: int, rho: int, max_range: float) -> 
     if not (0 <= i < xy.shape[0]):
         raise ValueError(f"keypoint index {i} out of range")
     dist = np.hypot(xy[:, 0] - xy[i, 0], xy[:, 1] - xy[i, 1])[None, :]
-    row = _describe_rows(xy, np.array([i]), dist, alpha, rho, max_range)[0]
+    weight = _range_weights(xy, max_range)
+    bearing = _bearings(xy[i : i + 1])
+    row = _describe_rows(xy, np.array([i]), dist, weight, bearing, alpha, rho, max_range)[0]
     return Descriptor(angular=row[:alpha], radial=row[alpha:])
 
 
@@ -163,12 +175,16 @@ def descriptor_matrix(kset, alpha: int, rho: int, max_range: float) -> np.ndarra
     n = xy.shape[0]
     out = np.empty((n, alpha + rho))
     dist = np.empty((n, n))
+    weight = _range_weights(xy, max_range)
+    bearing = _bearings(xy)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         # columns below lo were mirrored in by the blocks above
         dist[lo:hi, lo:] = _upper_distances(xy, lo, hi)
         dist[hi:, lo:hi] = dist[lo:hi, hi:].T
-        out[lo:hi] = _describe_rows(xy, np.arange(lo, hi), dist[lo:hi], alpha, rho, max_range)
+        out[lo:hi] = _describe_rows(
+            xy, np.arange(lo, hi), dist[lo:hi], weight, bearing[lo:hi], alpha, rho, max_range
+        )
     if cache is not None:
         out.flags.writeable = False
         cache[key] = out

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from radarodo import (
     ArtifactModel,
@@ -146,6 +149,17 @@ def test_mark_regions_respects_budget():
         assert count <= l_max
 
 
+def test_span_meeting_an_earlier_span_across_a_visited_below_mean_cell():
+    # a positive score on a below-mean cell (hand-made: scoring_image never
+    # gives one) is a span of its own between the two spans it bounds; the
+    # right-hand span shares that cell with the left-hand one visited before
+    h = np.array([[0.0, 3.0, 1.0, 2.0, 0.0]])
+    s_prime = np.array([[1.0, 1.0, -1.0, 1.0, 1.0]])
+    marked, count = mark_regions(h, s_prime, 5)
+    assert marked.all()
+    assert count == 1
+
+
 def test_mark_regions_rejects_bad_budget():
     with pytest.raises(ValueError):
         mark_regions(np.zeros((2, 2)), np.zeros((2, 2)), 0)
@@ -259,6 +273,37 @@ def test_random_integer_grids_match_reference():
         l_max = int(rng.integers(1, 12))
         for budget in (l_max, m * n):
             assert_matches_reference(scan_of(power), budget, f"trial {trial}, l_max {budget}")
+
+
+@pytest.mark.parametrize("l_max", [2, 3])
+def test_marking_widens_a_batch_that_runs_out_of_regions(l_max):
+    # the 36-cell run on azimuth 0 fills the first batch of top-scoring
+    # cells, so the two weaker peaks are only reached by widening it
+    power = np.zeros((8, 40))
+    power[0, 2:38] = 9.0
+    power[4, 10] = power[6, 30] = 3.0
+    assert_matches_reference(scan_of(power), l_max, f"l_max {l_max}")
+
+
+@pytest.mark.parametrize("l_max", range(1, 8))
+def test_marking_keeps_every_tie_at_the_batch_cut(l_max):
+    # 72 equal peaks, more than one batch holds: ties at the cut must be
+    # visited in (azimuth, range) order, not as a partition leaves them
+    power = np.zeros((8, 40))
+    power[:, 3:37:4] = 5.0
+    assert_matches_reference(scan_of(power), l_max, f"l_max {l_max}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    power=arrays(
+        float, st.tuples(st.integers(2, 10), st.integers(2, 24)), elements=st.integers(0, 5)
+    ),
+    data=st.data(),
+)
+def test_any_integer_grid_and_budget_match_reference(power, data):
+    l_max = data.draw(st.integers(1, power.size), label="l_max")
+    assert_matches_reference(scan_of(power), l_max, f"l_max {l_max}")
 
 
 def test_rendered_scans_match_reference():
