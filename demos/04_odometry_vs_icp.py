@@ -3,7 +3,8 @@
 ICP pairs each point with its current nearest neighbor, so with an identity
 initial guess and a displacement beyond the pairing radius it locks onto
 the wrong correspondences. The spectral matcher scores all candidate pairs
-jointly and does not care how large the motion is.
+jointly and does not care how large the motion is. Both methods start
+from the same keypoints, extracted once per scan.
 """
 
 import math
@@ -17,7 +18,7 @@ from radarodo import (
     extract_keypoints,
     icp_match,
     inverse,
-    match_scan_pair,
+    match_keypoint_sets,
     random_world,
     render_scan,
 )
@@ -45,7 +46,7 @@ err2 = math.hypot(est2.x - truth.x, est2.y - truth.y)
 print(f"icp from (4.5, 0, 0): estimate ({est2.x:+.2f}, {est2.y:+.2f}) m, "
       f"error {err2:.3f} m after {diag2.iterations} iterations")
 
-pose, stats = match_scan_pair(scan_a, scan_b, PipelineConfig(l_max=200, alpha=64, rho=64))
+pose, stats = match_keypoint_sets(kp_a, kp_b, PipelineConfig(l_max=200, alpha=64, rho=64))
 err3 = math.hypot(pose.x - truth.x, pose.y - truth.y)
 print(f"graph matching:       estimate ({pose.x:+.2f}, {pose.y:+.2f}) m, "
       f"error {err3:.3f} m with {stats['n_selected']} matches, no initial guess")

@@ -9,13 +9,7 @@ round out the toolkit.
 """
 
 from .bench import BenchPoint, loglog_slope, slope_of, sweep_association, sweep_extraction
-from .descriptors import (
-    Descriptor,
-    UnaryMatches,
-    compute_descriptor,
-    descriptor_matrix,
-    propose_unary_matches,
-)
+from .descriptors import UnaryMatches, descriptor_matrix, propose_unary_matches
 from .errors import (
     DegenerateGeometryError,
     DegenerateProblemError,
@@ -54,7 +48,6 @@ from .odometry import (
     PipelineConfig,
     evaluate,
     match_keypoint_sets,
-    match_scan_pair,
     run_odometry,
 )
 from .scan import (

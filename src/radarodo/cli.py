@@ -286,7 +286,6 @@ def cmd_odometry(args) -> int:
     cfg = resolve_config(args)
     dataset = Path(args.dataset)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     scan_paths = _scan_paths(dataset)
     scans = [load_scan(p) for p in scan_paths]
 
@@ -316,13 +315,14 @@ def cmd_odometry(args) -> int:
 
     truth_path = Path(args.truth) if args.truth else dataset / "truth.csv"
     true_poses = None
-    if truth_path.exists():
-        true_ts, true_poses = read_pose_csv(truth_path)
+    if args.truth or truth_path.exists():
         try:
-            truth = TrajectorySpec(true_poses, true_ts)
+            true_ts, poses = read_pose_csv(truth_path)
+            truth = TrajectorySpec(poses, true_ts)
+            true_poses = truth.poses  # plotted even when it does not line up
             metrics = evaluate([p.pose for p in result.pairs], result.timestamps, truth)
             entries.update(error_entries(metrics))
-        except ValueError as err:
+        except (OSError, ValueError) as err:
             print(f"warning: truth not scored: {err}", file=sys.stderr)
 
     pair_times = [sum(p.timings.values()) for p in result.pairs]
@@ -330,6 +330,7 @@ def cmd_odometry(args) -> int:
     entries["timing_pair_p90_s"] = float(np.percentile(pair_times, 90))
     entries["timing_total_s"] = stats["timings"]["total"]
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     traj_path = out_dir / "trajectory.csv"
     write_pose_csv(traj_path, result.timestamps, result.trajectory)
     metrics_path = out_dir / "metrics.txt"

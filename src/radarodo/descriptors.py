@@ -48,16 +48,6 @@ _TWO_PI = 2.0 * math.pi
 _BLOCK = 64
 
 
-@dataclass(frozen=True)
-class Descriptor:
-    angular: np.ndarray
-    radial: np.ndarray
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.angular, self.radial])
-
-
 @dataclass(frozen=True, eq=False)
 class UnaryMatches:
     """Best descriptor match in L2 for each L1 keypoint."""
@@ -105,16 +95,6 @@ def _angular_bins(ang: np.ndarray, alpha: int) -> np.ndarray:
     return np.minimum(ang.astype(int), alpha - 1)
 
 
-def _range_weights(xy, max_range) -> np.ndarray:
-    """Each keypoint's weight as a neighbor: its range over ``max_range``."""
-    return np.hypot(xy[:, 0], xy[:, 1]) / max_range
-
-
-def _bearings(xy) -> np.ndarray:
-    """Each keypoint's bearing from the sensor, by ``math.atan2``."""
-    return np.array([math.atan2(y, x) for x, y in xy.tolist()])
-
-
 def _describe_rows(xy, rows, dist, weight, bearing, alpha, rho, max_range) -> np.ndarray:
     """Descriptor vectors of keypoints ``rows`` of the cloud ``xy``, one row
     each, given their distances ``dist`` to every keypoint, every
@@ -147,19 +127,6 @@ def _describe_rows(xy, rows, dist, weight, bearing, alpha, rho, max_range) -> np
     return out
 
 
-def compute_descriptor(i: int, kset, alpha: int, rho: int, max_range: float) -> Descriptor:
-    """Descriptor of keypoint ``i``; a keypoint with no neighbors gets zeros."""
-    _check_params(alpha, rho, max_range)
-    xy = _points(kset)
-    if not (0 <= i < xy.shape[0]):
-        raise ValueError(f"keypoint index {i} out of range")
-    dist = np.hypot(xy[:, 0] - xy[i, 0], xy[:, 1] - xy[i, 1])[None, :]
-    weight = _range_weights(xy, max_range)
-    bearing = _bearings(xy[i : i + 1])
-    row = _describe_rows(xy, np.array([i]), dist, weight, bearing, alpha, rho, max_range)[0]
-    return Descriptor(angular=row[:alpha], radial=row[alpha:])
-
-
 def descriptor_matrix(kset, alpha: int, rho: int, max_range: float) -> np.ndarray:
     """Stacked descriptor vectors, one row per keypoint. Shape (N, alpha+rho).
 
@@ -175,8 +142,9 @@ def descriptor_matrix(kset, alpha: int, rho: int, max_range: float) -> np.ndarra
     n = xy.shape[0]
     out = np.empty((n, alpha + rho))
     dist = np.empty((n, n))
-    weight = _range_weights(xy, max_range)
-    bearing = _bearings(xy)
+    # each keypoint's weight as a neighbor is its range over max_range
+    weight = np.hypot(xy[:, 0], xy[:, 1]) / max_range
+    bearing = np.array([math.atan2(y, x) for x, y in xy.tolist()])
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         # columns below lo were mirrored in by the blocks above

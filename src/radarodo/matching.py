@@ -169,25 +169,27 @@ def eigengap_measure(c: np.ndarray, selected_rows) -> float:
 def greedy_select(c: np.ndarray, solution: SpectralSolution, u_matches: UnaryMatches) -> MatchSelection:
     """Commit candidates in decreasing squared-eigenvector order.
 
-    Each tentative commit is kept only if the mutual compatibility index did
-    not drop; the first candidate is always kept. Committing a candidate
-    removes every candidate sharing one of its keypoints from further
-    consideration, so the selection always uses each keypoint at most once.
-    The index's projection C (indicator * v) is kept up to date by adding
-    one row per commit (C is exactly symmetric, and a row is contiguous).
+    Candidates are visited once each, in that order with ties to the lower
+    index. One sharing a keypoint with an earlier commit is skipped, so the
+    selection uses each keypoint at most once. Each tentative commit is kept
+    only if the mutual compatibility index did not drop; the first
+    candidate is always kept. The index's projection C (indicator * v) is
+    kept up to date by adding one row per commit (C is exactly symmetric,
+    and a row is contiguous).
     """
     v = solution.eigenvector
     u = u_matches.u
     if c.shape != (u, u):
         raise ValueError("compatibility matrix does not match candidate count")
-    weight = v**2
-    open_mask = np.ones(u, dtype=bool)
+    l1, l2 = u_matches.l1_indices.tolist(), u_matches.l2_indices.tolist()
+    used1, used2 = set(), set()
     indicator = np.zeros(u)
     projected = np.zeros(u)
     rows = []
     current = None
-    while open_mask.any():
-        g = int(np.argmax(np.where(open_mask, weight, -np.inf)))
+    for g in np.argsort(-(v**2), kind="stable").tolist():
+        if l1[g] in used1 or l2[g] in used2:
+            continue
         indicator[g] = 1.0
         projected += c[g] * v[g]
         score = _cosine(projected, indicator)
@@ -196,13 +198,10 @@ def greedy_select(c: np.ndarray, solution: SpectralSolution, u_matches: UnaryMat
             break
         current = score
         rows.append(g)
-        open_mask &= u_matches.l1_indices != u_matches.l1_indices[g]
-        open_mask &= u_matches.l2_indices != u_matches.l2_indices[g]
-    selected = tuple(
-        (int(u_matches.l1_indices[g]), int(u_matches.l2_indices[g])) for g in rows
-    )
+        used1.add(l1[g])
+        used2.add(l2[g])
     return MatchSelection(
-        selected=selected,
+        selected=tuple((l1[g], l2[g]) for g in rows),
         indicator=indicator,
         mutual_compatibility=float(current),
         eigengap=eigengap_measure(c, rows),

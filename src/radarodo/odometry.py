@@ -26,7 +26,6 @@ from .descriptors import propose_unary_matches
 from .errors import MatchFailureError, RadarOdoError, stage
 from .keypoints import KeypointSet, extract_keypoints
 from .matching import greedy_select, pairwise_compatibility, principal_eigenvector
-from .scan import PolarScan
 from .se2 import Pose2, apply_pose, compose, estimate_se2, inverse, relative_pose, wrap_angle
 from .simulate import TrajectorySpec
 
@@ -34,7 +33,8 @@ from .simulate import TrajectorySpec
 @dataclass(frozen=True)
 class PipelineConfig:
     """Tunables for pair matching. ``alpha``/``rho`` default to the scan's
-    azimuth/range bin counts and ``sigma_c`` to the range resolution."""
+    azimuth/range bin counts and ``sigma_c`` to the range resolution; set,
+    they must be ints >= 1 and a finite positive width, else ValueError."""
 
     l_max: int = 1000
     alpha: int | None = None
@@ -44,6 +44,13 @@ class PipelineConfig:
     def __post_init__(self):
         if self.l_max < 1:
             raise ValueError("l_max must be >= 1")
+        for name in ("alpha", "rho"):
+            n = getattr(self, name)
+            if n is not None and (isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1):
+                raise ValueError(f"{name} must be None or an int >= 1")
+        # written so that NaN fails too
+        if self.sigma_c is not None and not (0 < self.sigma_c < math.inf):
+            raise ValueError("sigma_c must be None or finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,26 +133,6 @@ def match_keypoint_sets(
         stats["residual_rms"] = float(np.sqrt((resid**2).sum(axis=1).mean()))
         # fitted maps l1 coords into l2's frame; express b in a's frame
         pose = fitted if swapped else inverse(fitted)
-    return pose, stats
-
-
-def match_scan_pair(
-    scan_a: PolarScan,
-    scan_b: PolarScan,
-    cfg: PipelineConfig | None = None,
-):
-    """Extract and match one scan pair; returns (pose of b in a, stats dict)."""
-    cfg = cfg if cfg is not None else PipelineConfig()
-    extracted = {}
-    with stage("extract", extracted):
-        kp_a = extract_keypoints(scan_a, cfg.l_max)
-        kp_b = extract_keypoints(scan_b, cfg.l_max)
-    try:
-        pose, stats = match_keypoint_sets(kp_a, kp_b, cfg)
-    except RadarOdoError as err:
-        err.diagnostics["timings"].update(extracted["timings"])
-        raise
-    stats["timings"].update(extracted["timings"])
     return pose, stats
 
 

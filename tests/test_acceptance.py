@@ -25,7 +25,7 @@ from radarodo import (
     extract_keypoints,
     icp_match,
     inverse,
-    match_scan_pair,
+    match_keypoint_sets,
     random_world,
     relative_pose,
     render_scan,
@@ -316,7 +316,7 @@ def test_11_icp_needs_a_prior_but_graph_matching_does_not():
         icp_err = math.hypot(inverse(fitted).x - truth.x, inverse(fitted).y - truth.y)
     except IcpDivergedError:
         icp_err = math.inf
-    pose, _ = match_scan_pair(scan_a, scan_b, CFG)
+    pose, _ = match_keypoint_sets(kp_a, kp_b, CFG)
     graph_err = math.hypot(pose.x - truth.x, pose.y - truth.y)
     assert icp_err > 1.0
     assert graph_err < 2 * META.range_resolution

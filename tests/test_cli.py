@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radarodo import PipelineConfig, PolarScan, SensorMeta, load_scan, run_odometry, save_scan
+from radarodo import (
+    PipelineConfig, PolarScan, SensorMeta, extract_keypoints, load_scan, run_odometry, save_scan,
+)
 from radarodo.cli import main, read_config_file, read_pose_csv
 from radarodo.errors import ScanFormatError
 
@@ -169,6 +171,19 @@ def test_extract_writes_keypoints_csv(tmp_path):
     assert len(lines) > 10
 
 
+def test_l_max_flag_overrides_the_config_file(tmp_path):
+    cfg, out = simulate(tmp_path)
+    scan = out / "scan_00000.rscan"
+    kp_csv = tmp_path / "kp" / "kp.csv"
+    rc = main(["extract", "--config", str(cfg), "--scan", str(scan), "--out", str(kp_csv),
+               "--l-max", "5"])
+    assert rc == 0
+    assert json.loads((kp_csv.parent / "manifest.json").read_text())["config"]["l_max"] == 5
+    rows = kp_csv.read_text().splitlines()[1:]
+    assert len(rows) == len(extract_keypoints(load_scan(scan), 5)) < len(
+        extract_keypoints(load_scan(scan), 200))
+
+
 def test_odometry_then_eval_round_trip(tmp_path):
     cfg, data = simulate(tmp_path)
     odo = tmp_path / "odo"
@@ -224,6 +239,19 @@ def test_odometry_plot_writes_svg(tmp_path):
     svg = (out / "trajectory.svg").read_text()
     assert svg.startswith("<svg") or "<svg" in svg
     assert "polyline" in svg
+
+
+def test_eval_plot_writes_truth_and_estimate(tmp_path):
+    cfg, data = simulate(tmp_path)
+    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    out = tmp_path / "ev" / "eval.txt"
+    rc = main(["eval", "--trajectory", str(tmp_path / "o" / "trajectory.csv"),
+               "--truth", str(data / "truth.csv"), "--out", str(out), "--plot"])
+    assert rc == 0
+    svg = (tmp_path / "ev" / "eval.svg").read_text()
+    assert svg.startswith("<svg") and svg.count("<polyline") == 2
+    assert ">truth</text>" in svg and ">estimate</text>" in svg
 
 
 @pytest.mark.parametrize("method", ["ro", "icp"])
@@ -292,6 +320,7 @@ def test_odometry_rejects_unordered_or_single_scans(tmp_path, method):
         rc = main(["odometry", "--dataset", str(data), "--out", str(tmp_path / f"o_{name}"),
                    "--method", method])
         assert rc == 2
+        assert not (tmp_path / f"o_{name}").exists()
 
 
 def test_odometry_on_empty_dataset_is_io_error(tmp_path):
@@ -299,6 +328,14 @@ def test_odometry_on_empty_dataset_is_io_error(tmp_path):
     empty.mkdir()
     rc = main(["odometry", "--dataset", str(empty), "--out", str(tmp_path / "o")])
     assert rc == 3
+
+
+def test_bench_rejects_a_malformed_sweep_token(tmp_path, capsys):
+    rc = main(["bench", "--out", str(tmp_path / "b"), "--sweep", "20,40,80",
+               "--grid-sweep", "32x64,48,64x128", "--repeats", "1"])
+    assert rc == 2
+    assert "bad sweep specification" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
 
 
 def test_bench_requires_three_sweep_points(tmp_path):
@@ -370,6 +407,17 @@ def test_nan_icp_setting_is_a_config_error(tmp_path, line):
     rc = main(["odometry", "--config", str(bad), "--dataset", str(data),
                "--out", str(tmp_path / "icp"), "--method", "icp"])
     assert rc == 2
+    assert not (tmp_path / "icp").exists()
+
+
+@pytest.mark.parametrize("line", ["alpha = -3", "sigma_c = -1.0"])
+def test_negative_pipeline_setting_is_a_config_error(tmp_path, line, capsys):
+    cfg, data = simulate(tmp_path)
+    bad = write_cfg(tmp_path, SMALL_SIM + line + "\n", name="neg.ini")
+    rc = main(["odometry", "--config", str(bad), "--dataset", str(data), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert line.split(" = ")[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_misaligned_truth_is_reported_not_scored(tmp_path, capsys):
@@ -385,6 +433,36 @@ def test_misaligned_truth_is_reported_not_scored(tmp_path, capsys):
     metrics = read_metrics(out / "metrics.txt")
     assert metrics["n_pairs"] == "3" and "translation_median_m" not in metrics
     assert (out / "trajectory.csv").exists() and (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("truth", ["missing", "bad_header", "header_only"])
+def test_unreadable_truth_is_reported_not_scored(tmp_path, truth, capsys):
+    cfg, data = simulate(tmp_path)
+    path = tmp_path / f"{truth}.csv"
+    if truth != "missing":
+        path.write_text("bad,header\n" if truth == "bad_header" else "timestamp,x,y,theta\n")
+    out = tmp_path / "ro"
+    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out),
+               "--truth", str(path), "--plot"])
+    assert rc == 0
+    warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
+    assert len(warnings) == 1 and warnings[0].startswith("warning: truth not scored: ")
+    assert str(path) in warnings[0] or truth == "header_only"
+    metrics = read_metrics(out / "metrics.txt")
+    assert metrics["n_pairs"] == "3" and "translation_median_m" not in metrics
+    for name in ("trajectory.csv", "trajectory.svg", "manifest.json"):
+        assert (out / name).exists()
+    assert (out / "trajectory.svg").read_text().count("<polyline") == 1
+
+
+def test_absent_default_truth_is_skipped_silently(tmp_path, capsys):
+    cfg, data = simulate(tmp_path)
+    (data / "truth.csv").unlink()
+    out = tmp_path / "ro"
+    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out)])
+    assert rc == 0
+    assert "warning" not in capsys.readouterr().err
+    assert "translation_median_m" not in read_metrics(out / "metrics.txt")
 
 
 def test_malformed_pose_row_names_file_and_line(tmp_path):

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from radarodo import KeypointSet, NoCandidatesError, Pose2, SensorMeta, apply_pose
-from radarodo.descriptors import (
-    _angular_bins,
-    compute_descriptor,
-    descriptor_matrix,
-    propose_unary_matches,
-)
+from radarodo.descriptors import _angular_bins, descriptor_matrix, propose_unary_matches
 
 from conftest import random_cloud
 
@@ -105,14 +100,6 @@ def test_descriptor_matrix_is_bit_identical_to_per_keypoint_reference(
         assert np.array_equal(descriptor_matrix(kset.xy, *args), mat)
 
 
-def test_compute_descriptor_is_exactly_its_matrix_row(noisy_keypoints):
-    args = meta_args(noisy_keypoints)
-    mat = descriptor_matrix(noisy_keypoints.xy, *args)
-    for i in range(0, len(noisy_keypoints), 7):
-        d = compute_descriptor(i, noisy_keypoints, *args)
-        assert np.array_equal(d.vector, mat[i])
-
-
 def test_keypoint_set_is_described_once_per_parameter_set(noisy_keypoints):
     kset = dataclasses.replace(noisy_keypoints)
     assert kset.descriptor_cache == {}
@@ -149,10 +136,10 @@ def test_descriptor_matches_loop_reference():
     for _ in range(10):
         xy = random_cloud(rng, int(rng.integers(3, 25)))
         i = int(rng.integers(0, len(xy)))
-        d = compute_descriptor(i, xy, 8, 6, MAX_RANGE)
+        d = descriptor_matrix(xy, 8, 6, MAX_RANGE)[i]
         ref_a, ref_r = reference_descriptor(xy, i, 8, 6, MAX_RANGE)
-        assert np.allclose(d.angular, ref_a, atol=1e-9)
-        assert np.allclose(d.radial, ref_r, atol=1e-12)
+        assert np.allclose(d[:8], ref_a, atol=1e-9)
+        assert np.allclose(d[8:], ref_r, atol=1e-12)
 
 
 def test_descriptor_entries_bounded():
@@ -187,29 +174,25 @@ def test_translation_changes_descriptors():
 
 
 def test_lone_keypoint_gets_zero_descriptor():
-    d = compute_descriptor(0, np.array([[3.0, 4.0]]), 8, 6, MAX_RANGE)
-    assert np.array_equal(d.angular, np.zeros(8))
-    assert np.array_equal(d.radial, np.zeros(6))
-    assert np.array_equal(d.vector, np.zeros(14))
+    d = descriptor_matrix(np.array([[3.0, 4.0]]), 8, 6, MAX_RANGE)
+    assert np.array_equal(d, np.zeros((1, 14)))
 
 
 def test_radial_overflow_clips_to_last_bin():
     xy = np.array([[1.0, 0.0], [1.0 + 10 * MAX_RANGE, 0.0]])
-    d = compute_descriptor(0, xy, 4, 5, MAX_RANGE)
-    assert d.radial[4] > 0
-    assert np.all(d.radial[:4] == 0)
+    radial = descriptor_matrix(xy, 4, 5, MAX_RANGE)[0, 4:]
+    assert radial[4] > 0
+    assert np.all(radial[:4] == 0)
 
 
 def test_descriptor_validation():
     xy = np.zeros((3, 2))
     with pytest.raises(ValueError):
-        compute_descriptor(0, xy, 0, 4, MAX_RANGE)
+        descriptor_matrix(xy, 0, 4, MAX_RANGE)
     with pytest.raises(ValueError):
-        compute_descriptor(0, xy, 4, 0, MAX_RANGE)
+        descriptor_matrix(xy, 4, 0, MAX_RANGE)
     with pytest.raises(ValueError):
-        compute_descriptor(0, xy, 4, 4, 0.0)
-    with pytest.raises(ValueError):
-        compute_descriptor(5, xy, 4, 4, MAX_RANGE)
+        descriptor_matrix(xy, 4, 4, 0.0)
 
 
 def test_unary_identity_sets_match_one_to_one():

@@ -144,6 +144,11 @@ def greedy_instances(busy_problem):
                                 jitter=float(rng.uniform(0.0, 0.3)), conflicts=int(rng.integers(0, 3)))
         if c.any():
             yield c, principal_eigenvector(c), um
+    # four equal eigenvector weights, each candidate sharing a keypoint with
+    # two others: the lower-index tie goes first, picking (0, 0) and (1, 1)
+    c = np.array([[0.0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    um = UnaryMatches(np.array([0, 0, 1, 1]), np.array([0, 1, 1, 0]), np.zeros(4))
+    yield c, principal_eigenvector(c), um
     yield busy_problem
 
 

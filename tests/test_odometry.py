@@ -18,7 +18,6 @@ from radarodo import (
     icp_match,
     icp_matcher,
     inverse,
-    match_scan_pair,
     random_world,
     relative_pose,
     render_scan,
@@ -26,7 +25,6 @@ from radarodo import (
     run_odometry,
 )
 from radarodo import odometry
-from radarodo.errors import NoCandidatesError
 from radarodo.odometry import match_keypoint_sets
 from radarodo.se2 import wrap_angle
 
@@ -46,32 +44,27 @@ def render_pair(world, pose_a, pose_b, seed=0):
 
 
 def test_pipeline_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(l_max=0)
+    for kwargs in ({"l_max": 0}, {"alpha": 0}, {"rho": -2}, {"alpha": 2.5}, {"rho": True},
+                   {"sigma_c": -1.0}, {"sigma_c": 0.0}, {"sigma_c": math.nan},
+                   {"sigma_c": math.inf}):
+        with pytest.raises(ValueError):
+            PipelineConfig(**kwargs)
+    PipelineConfig(alpha=1, rho=np.int64(3), sigma_c=np.float64(0.1))
 
 
-def test_match_scan_pair_recovers_motion():
+def test_a_scan_pair_recovers_motion():
     world = close_world(0)
     pose_a = Pose2(0.0, 0.0, 0.0)
     pose_b = Pose2(0.7, 0.1, 0.02)
-    scan_a, scan_b = render_pair(world, pose_a, pose_b)
-    pose, stats = match_scan_pair(scan_a, scan_b, CFG)
+    pair = run_odometry(render_pair(world, pose_a, pose_b), CFG).pairs[0]
     truth = relative_pose(pose_a, pose_b)
+    pose = pair.pose
     assert math.hypot(pose.x - truth.x, pose.y - truth.y) < 0.25
     assert abs(wrap_angle(pose.theta - truth.theta)) < math.radians(0.5)
-    assert stats["n_selected"] >= 3
-    assert 0.0 <= stats["mutual_compatibility"] <= 1.0
-    assert 0.0 <= stats["eigengap"] <= 1.0
-    assert set(stats["timings"]) >= {"describe", "match", "estimate", "extract"}
-
-
-def test_match_scan_pair_error_carries_the_extract_time():
-    # a blank scan_b has no keypoints, so describing finds no candidate
-    scan_a = render_scan(close_world(0), Pose2(), META, QUIET, seed=0)
-    scan_b = render_scan([], Pose2(), META, QUIET, seed=1, timestamp=META.scan_period)
-    with pytest.raises(NoCandidatesError) as exc:
-        match_scan_pair(scan_a, scan_b, CFG)
-    assert set(exc.value.diagnostics["timings"]) == {"describe", "extract"}
+    assert pair.n_selected >= 3
+    assert 0.0 <= pair.mutual_compatibility <= 1.0
+    assert 0.0 <= pair.eigengap <= 1.0
+    assert set(pair.timings) == {"describe", "match", "estimate", "extract"}
 
 
 def test_match_is_symmetric_under_swap():
@@ -91,13 +84,10 @@ def test_match_is_symmetric_under_swap():
 
 def test_unrelated_scans_raise_or_report_failure():
     scan_a = render_scan(close_world(2), Pose2(), META, QUIET, seed=0)
-    scan_b = render_scan(close_world(3), Pose2(), META, QUIET, seed=1)
-    try:
-        _, stats = match_scan_pair(scan_a, scan_b, CFG)
-    except RadarOdoError:
-        return
+    scan_b = render_scan(close_world(3), Pose2(), META, QUIET, seed=1, timestamp=META.scan_period)
+    pair = run_odometry([scan_a, scan_b], CFG).pairs[0]
     # a spurious solution may still fit, but it cannot look confident
-    assert stats["mutual_compatibility"] < 0.999 or stats["residual_rms"] > 0.05
+    assert pair.failed or pair.mutual_compatibility < 0.999 or pair.residual_rms > 0.05
 
 
 def test_run_odometry_accumulates_trajectory():
