@@ -7,8 +7,10 @@ resolved configuration, inputs, outputs, and stage wall times next to
 their outputs.
 
 ``odometry`` runs both methods (``ro`` and ``icp``) through
-``odometry.run_odometry`` and scores them, like ``eval``, with
-``odometry.evaluate``.
+``odometry.run_odometry``; the spectral method takes one parameter, the
+region budget ``l_max``. ``odometry`` and ``eval`` score a trajectory the
+same way (``trajectory_errors``), so ``eval`` on the ``trajectory.csv`` that
+``odometry`` wrote reproduces its error lines exactly.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 I/O error
 (including a malformed scan file), 4 no scan pair could be matched
@@ -30,7 +32,7 @@ from .bench import slope_of, sweep_association, sweep_extraction
 from .errors import RadarOdoError, ScanFormatError, stage
 from .icp import IcpConfig, icp_matcher
 from .keypoints import extract_keypoints, write_keypoints_csv
-from .odometry import EvalMetrics, PipelineConfig, evaluate, run_odometry
+from .odometry import PipelineConfig, evaluate, run_odometry
 from .scan import SensorMeta, load_scan, save_scan
 from .se2 import Pose2, relative_pose
 from .simulate import ArtifactModel, TrajectorySpec, make_trajectory, random_world, render_sequence
@@ -62,9 +64,6 @@ CONFIG_SCHEMA = {
     "beam_width_azimuths": (float, 2.0),
     "range_spread_bins": (float, 1.0),
     "l_max": (int, 1000),
-    "alpha": (int, 0),  # 0 means "use the scan's azimuth count"
-    "rho": (int, 0),
-    "sigma_c": (float, 0.0),  # 0 means "use the range resolution"
     "nn_radius": (float, 2.0),
     "icp_tol": (float, 1e-5),
     "icp_max_iterations": (int, 50),
@@ -72,7 +71,7 @@ CONFIG_SCHEMA = {
 
 
 def read_config_file(path) -> dict:
-    values = {}
+    values, set_on = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
@@ -95,36 +94,30 @@ def read_config_file(path) -> dict:
             raise ValueError(f"{path}:{lineno}: bad value for {key}: {err}") from err
         if typ is float and not math.isfinite(values[key]):
             raise ValueError(f"{path}:{lineno}: bad value for {key}: {raw} is not finite")
+        if key in set_on:
+            raise ValueError(f"{path}:{lineno}: {key} already set on line {set_on[key]}")
+        set_on[key] = lineno
     return values
 
 
-def resolve_config(args) -> dict:
+def resolve_config(config_path, l_max=None) -> dict:
     cfg = {k: default for k, (_, default) in CONFIG_SCHEMA.items()}
-    if getattr(args, "config", None):
-        cfg.update(read_config_file(args.config))
-    if getattr(args, "l_max", None) is not None:
-        cfg["l_max"] = args.l_max
+    if config_path:
+        cfg.update(read_config_file(config_path))
+    if l_max is not None:
+        cfg["l_max"] = l_max
     return cfg
 
 
-def pipeline_config(cfg: dict) -> PipelineConfig:
-    return PipelineConfig(
-        l_max=cfg["l_max"],
-        alpha=cfg["alpha"] or None,
-        rho=cfg["rho"] or None,
-        sigma_c=cfg["sigma_c"] or None,
-    )
-
-
-def write_manifest(out_dir: Path, command: str, cfg: dict, seed, inputs, outputs, timings):
+def write_manifest(out_dir: Path, command: str, cfg: dict, inputs, outputs, timings, **extra):
     manifest = {
         "command": command,
         "version": __version__,
-        "seed": seed,
         "config": cfg,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "timings_s": timings,
+        **extra,
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -179,8 +172,12 @@ def write_metrics_file(path, entries: dict):
             f.write(f"{key} = {value}\n")
 
 
-def error_entries(metrics: EvalMetrics) -> dict:
-    """The ``*_m`` / ``*_deg`` metrics-file entries of an evaluation."""
+def trajectory_errors(timestamps, poses, truth: TrajectorySpec) -> dict:
+    """The ``*_m`` / ``*_deg`` metrics-file entries of a trajectory: the
+    relative poses of consecutive poses, scored by ``evaluate``."""
+    metrics = evaluate(
+        [relative_pose(a, b) for a, b in zip(poses, poses[1:])], timestamps, truth
+    )
     return {
         "translation_median_m": metrics.translation_median,
         "translation_std_m": metrics.translation_std,
@@ -226,7 +223,7 @@ def _scan_paths(dataset: Path):
 
 
 def cmd_simulate(args) -> int:
-    cfg = resolve_config(args)
+    cfg = resolve_config(args.config)
     out_dir = Path(args.out)
     stats = {}
     with stage("total", stats):
@@ -261,29 +258,27 @@ def cmd_simulate(args) -> int:
         truth_path = out_dir / "truth.csv"
         write_pose_csv(truth_path, traj.timestamps, traj.poses)
         outputs.append(truth_path)
-    write_manifest(out_dir, "simulate", cfg, args.seed, [], outputs, stats["timings"])
+    write_manifest(out_dir, "simulate", cfg, [], outputs, stats["timings"], seed=args.seed)
     print(f"wrote {len(scans)} scans + truth.csv to {out_dir}")
     return 0
 
 
 def cmd_extract(args) -> int:
-    cfg = resolve_config(args)
+    cfg = resolve_config(args.config, args.l_max)
     scan = load_scan(args.scan)
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     stats = {}
     with stage("extract", stats):
         kset = extract_keypoints(scan, cfg["l_max"])
+    out_path = Path(args.out)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_keypoints_csv(out_path, kset)
-    write_manifest(
-        out_path.parent, "extract", cfg, args.seed, [args.scan], [out_path], stats["timings"]
-    )
+    write_manifest(out_path.parent, "extract", cfg, [args.scan], [out_path], stats["timings"])
     print(f"{len(kset)} keypoints -> {out_path}")
     return 0
 
 
 def cmd_odometry(args) -> int:
-    cfg = resolve_config(args)
+    cfg = resolve_config(args.config, args.l_max)
     dataset = Path(args.dataset)
     out_dir = Path(args.out)
     scan_paths = _scan_paths(dataset)
@@ -300,7 +295,7 @@ def cmd_odometry(args) -> int:
                     max_iterations=cfg["icp_max_iterations"],
                 )
             )
-        result = run_odometry(scans, pipeline_config(cfg), matcher)
+        result = run_odometry(scans, PipelineConfig(l_max=cfg["l_max"]), matcher)
     entries = {
         "method": args.method,
         "n_pairs": len(result.pairs),
@@ -320,8 +315,7 @@ def cmd_odometry(args) -> int:
             true_ts, poses = read_pose_csv(truth_path)
             truth = TrajectorySpec(poses, true_ts)
             true_poses = truth.poses  # plotted even when it does not line up
-            metrics = evaluate([p.pose for p in result.pairs], result.timestamps, truth)
-            entries.update(error_entries(metrics))
+            entries.update(trajectory_errors(result.timestamps, result.trajectory, truth))
         except (OSError, ValueError) as err:
             print(f"warning: truth not scored: {err}", file=sys.stderr)
 
@@ -343,9 +337,7 @@ def cmd_odometry(args) -> int:
             tracks.insert(0, ("truth", np.array([[p.x, p.y] for p in true_poses])))
         write_trajectory_svg(svg_path, tracks)
         outputs.append(svg_path)
-    write_manifest(
-        out_dir, "odometry", cfg, args.seed, [str(p) for p in scan_paths], outputs, stats["timings"]
-    )
+    write_manifest(out_dir, "odometry", cfg, scan_paths, outputs, stats["timings"])
     print(f"{args.method}: {len(result.pairs)} pairs, {result.failure_count} failures -> {out_dir}")
     if result.failure_count == len(result.pairs):
         print("error: no scan pair could be matched", file=sys.stderr)
@@ -354,16 +346,17 @@ def cmd_odometry(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    out_path = Path(args.out)
+    svg_path = out_path.with_suffix(".svg")
+    if args.plot and svg_path == out_path:
+        raise ValueError(f"--plot writes <out>.svg, which would overwrite --out {out_path}")
     est_ts, est_poses = read_pose_csv(args.trajectory)
     true_ts, true_poses = read_pose_csv(args.truth)
-    est_rel = [relative_pose(a, b) for a, b in zip(est_poses, est_poses[1:])]
-    metrics = evaluate(est_rel, est_ts, TrajectorySpec(true_poses, true_ts))
-    entries = {"n_pairs": metrics.n_pairs, **error_entries(metrics)}
-    out_path = Path(args.out)
+    errors = trajectory_errors(est_ts, est_poses, TrajectorySpec(true_poses, true_ts))
+    entries = {"n_pairs": len(est_poses) - 1, **errors}
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_metrics_file(out_path, entries)
     if args.plot:
-        svg_path = out_path.with_suffix(".svg")
         write_trajectory_svg(
             svg_path,
             [
@@ -389,12 +382,11 @@ def cmd_bench(args) -> int:
         raise ValueError(f"bad sweep specification: {err}") from err
     if len(l_max_values) < 3 or len(grid_shapes) < 3:
         raise ValueError("each sweep needs at least 3 points")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     assoc = sweep_association(l_max_values, seed=args.seed, repeats=args.repeats)
     extract = sweep_extraction(grid_shapes, seed=args.seed, repeats=args.repeats)
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "bench.csv"
     with open(table_path, "w", encoding="ascii") as f:
         f.write("stage,parameter,seconds,detail\n")
@@ -422,24 +414,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def pipeline_flags(p):
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--l-max", dest="l_max", type=int, default=None, help="region budget")
 
     p = sub.add_parser("simulate", help="render a synthetic scan sequence + truth")
-    common(p)
+    p.add_argument("--config", help="flat key = value config file")
+    p.add_argument("--seed", type=int, default=0, help="world, trajectory and noise seed")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("extract", help="extract keypoints from one scan file")
-    common(p)
+    pipeline_flags(p)
     p.add_argument("--scan", required=True, help="input .rscan file")
     p.add_argument("--out", required=True, help="output keypoints CSV")
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("odometry", help="run scan-to-scan odometry over a dataset")
-    common(p)
+    pipeline_flags(p)
     p.add_argument("--dataset", required=True, help="directory of scan_*.rscan files")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--method", choices=("ro", "icp"), default="ro")

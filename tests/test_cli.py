@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from radarodo import (
     PipelineConfig, PolarScan, SensorMeta, extract_keypoints, load_scan, run_odometry, save_scan,
 )
-from radarodo.cli import main, read_config_file, read_pose_csv
+from radarodo.cli import CONFIG_SCHEMA, main, read_config_file, read_pose_csv
 from radarodo.errors import ScanFormatError
 
 SMALL_SIM = """
@@ -28,8 +28,6 @@ world_extent = 28.0
 min_range = 6.0
 min_separation = 3.0
 l_max = 200
-alpha = 64
-rho = 64
 """
 
 
@@ -82,6 +80,28 @@ def test_config_rejects_bad_value(tmp_path, capsys):
         assert not (tmp_path / "x").exists()
 
 
+def test_repeated_config_key_names_the_file_and_both_lines(tmp_path, capsys):
+    path = write_cfg(tmp_path, "l_max = 5\nsteps = 3\n\nl_max = 7\n")
+    with pytest.raises(ValueError, match=f"^{path}:4: l_max already set on line 1$"):
+        read_config_file(path)
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"{path}:4: l_max already set on line 1" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_readme_config_table_lists_the_schema():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            table[cells[0]] = cells[1]
+    assert list(table) == list(CONFIG_SCHEMA)
+    for key, (typ, default) in CONFIG_SCHEMA.items():
+        assert typ(table[key]) == default, key
+
+
 def test_negative_landmark_count_is_a_config_error(tmp_path, capsys):
     path = write_cfg(tmp_path, SMALL_SIM + "n_landmarks = -1\n")
     rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
@@ -117,6 +137,16 @@ def test_non_utf8_config_names_the_file(tmp_path, capsys):
     rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
     assert rc == 2
     assert str(path) in capsys.readouterr().err
+
+
+def test_extract_that_fails_leaves_no_output_directory(tmp_path, capsys):
+    path = tmp_path / "scan.rscan"
+    small_scan_file(path)
+    rc = main(["extract", "--scan", str(path), "--l-max", "0",
+               "--out", str(tmp_path / "e1" / "sub" / "kp.csv")])
+    assert rc == 2
+    assert "l_max" in capsys.readouterr().err
+    assert not (tmp_path / "e1").exists()
 
 
 def test_missing_scan_file_is_io_error(tmp_path):
@@ -254,6 +284,35 @@ def test_eval_plot_writes_truth_and_estimate(tmp_path):
     assert ">truth</text>" in svg and ">estimate</text>" in svg
 
 
+def test_eval_plot_that_would_overwrite_its_metrics_is_a_usage_error(tmp_path, capsys):
+    cfg, data = simulate(tmp_path)
+    rc = main(["eval", "--trajectory", str(data / "truth.csv"), "--truth", str(data / "truth.csv"),
+               "--out", str(tmp_path / "ev" / "res.svg"), "--plot"])
+    assert rc == 2
+    assert "overwrite" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_odometry_error_lines_equal_eval_of_its_trajectory(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL_SIM.replace("kind = straight", "kind = arc\nyaw_rate = 0.4"))
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--seed", "7", "--out", str(data)]) == 0
+    error_lines = lambda path: [
+        line for line in path.read_text().splitlines()
+        if line.split(" = ")[0].endswith(("_m", "_deg"))
+    ]
+    for method in ("ro", "icp"):
+        out = tmp_path / method
+        rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out),
+                   "--method", method])
+        assert rc == 0
+        rc = main(["eval", "--trajectory", str(out / "trajectory.csv"),
+                   "--truth", str(data / "truth.csv"), "--out", str(out / "eval.txt")])
+        assert rc == 0
+        lines = error_lines(out / "metrics.txt")
+        assert len(lines) == 4 and lines == error_lines(out / "eval.txt"), method
+
+
 @pytest.mark.parametrize("method", ["ro", "icp"])
 def test_eval_agrees_with_odometry_metrics(tmp_path, method):
     cfg, data = simulate(tmp_path, seed=3)
@@ -306,7 +365,7 @@ def test_confidences_average_over_matched_pairs_only(tmp_path):
     assert metrics["failures"] == "2"
 
     scans = [load_scan(p) for p in sorted(data.glob("scan_*.rscan"))]
-    result = run_odometry(scans, PipelineConfig(l_max=200, alpha=64, rho=64))
+    result = run_odometry(scans, PipelineConfig(l_max=200))
     matched = [p for p in result.pairs if not p.failed]
     assert len(matched) == 1
     assert float(metrics["mean_mutual_compatibility"]) == matched[0].mutual_compatibility > 0
@@ -350,15 +409,16 @@ def test_bench_requires_a_positive_repeat_count(tmp_path, repeats, capsys):
                "--grid-sweep", "32x64,48x96,64x128", "--repeats", repeats])
     assert rc == 2
     assert "repeats must be at least 1" in capsys.readouterr().err
-    assert not (out / "bench.csv").exists()
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("sweep", ["10,12,14", "5,10,15"])
+@pytest.mark.parametrize("sweep", ["10,12,14", "5,10,15", "2,3,4"])
 def test_bench_with_an_unmatchable_budget_is_a_usage_error(tmp_path, sweep, capsys):
     rc = main(["bench", "--out", str(tmp_path / "b"), "--sweep", sweep,
                "--grid-sweep", "32x64,48x96,64x128", "--repeats", "1"])
     assert rc == 2
     assert f"region budget {sweep.split(',')[0]} " in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
 
 
 def test_bench_writes_summary(tmp_path):
@@ -390,8 +450,14 @@ def test_bench_writes_summary(tmp_path):
     + [
         ["bench", "--out", "b", "--sweep", "1", *extra]
         for extra in (["--config", "/nonexistent"], ["--l-max", "3"])
+    ]
+    + [
+        ["simulate", "--out", "d", "--l-max", "5"],
+        ["extract", "--scan", "s.rscan", "--out", "k.csv", "--seed", "9"],
+        ["odometry", "--dataset", "d", "--out", "o", "--seed", "9"],
     ],
-    ids=["eval-config", "eval-l-max", "eval-seed", "bench-config", "bench-l-max"],
+    ids=["eval-config", "eval-l-max", "eval-seed", "bench-config", "bench-l-max",
+         "simulate-l-max", "extract-seed", "odometry-seed"],
 )
 def test_commands_reject_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -410,10 +476,10 @@ def test_nan_icp_setting_is_a_config_error(tmp_path, line):
     assert not (tmp_path / "icp").exists()
 
 
-@pytest.mark.parametrize("line", ["alpha = -3", "sigma_c = -1.0"])
+@pytest.mark.parametrize("line", ["l_max = 0", "l_max = -3"])
 def test_negative_pipeline_setting_is_a_config_error(tmp_path, line, capsys):
     cfg, data = simulate(tmp_path)
-    bad = write_cfg(tmp_path, SMALL_SIM + line + "\n", name="neg.ini")
+    bad = write_cfg(tmp_path, SMALL_SIM.replace("l_max = 200", line), name="neg.ini")
     rc = main(["odometry", "--config", str(bad), "--dataset", str(data), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert line.split(" = ")[0] in capsys.readouterr().err
