@@ -23,7 +23,7 @@ motion = Pose2(1.2, -0.4, 0.15)
 good2 = apply_pose(motion, pts1[:k])
 clutter = np.array([[500.0, 250.0], [600.0, -250.0], [700.0, 250.0]])
 pts2 = np.vstack([good2, clutter])
-matches = UnaryMatches(np.arange(9), np.arange(9), np.zeros(9))
+matches = UnaryMatches(np.arange(9), np.arange(9))
 
 c = pairwise_compatibility(matches, pts1, pts2, sigma=0.5)
 print("compatibility matrix (1 = the two matches agree on the motion):")

@@ -8,7 +8,7 @@ ICP baseline, a sequence-level odometry runner, and an evaluation harness
 round out the toolkit.
 """
 
-from .bench import BenchPoint, loglog_slope, slope_of, sweep_association, sweep_extraction
+from .bench import BenchPoint, slope_of, sweep_association, sweep_extraction
 from .descriptors import UnaryMatches, descriptor_matrix, propose_unary_matches
 from .errors import (
     DegenerateGeometryError,
@@ -23,7 +23,6 @@ from .errors import (
 )
 from .icp import IcpConfig, IcpDiagnostics, icp_match, icp_matcher
 from .keypoints import (
-    Keypoint,
     KeypointSet,
     extract_keypoints,
     gradient_magnitude,
@@ -55,10 +54,8 @@ from .scan import (
     SensorMeta,
     azimuth_angle,
     bin_center_range,
-    bin_to_point,
     bins_to_points,
     load_scan,
-    point_range,
     save_scan,
 )
 from .se2 import Pose2, apply_pose, compose, estimate_se2, inverse, relative_pose, wrap_angle

@@ -30,15 +30,6 @@ class BenchPoint:
     detail: dict
 
 
-def loglog_slope(xs, ys) -> float:
-    """Slope of the least-squares line through (log x, log y)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.size < 2:
-        raise ValueError("need at least 2 sweep points")
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
-
-
 def _busy_scene(meta: SensorMeta, seed: int):
     """A clutter-rich scan pair so the keypoint count tracks the region budget."""
     world = random_world(
@@ -128,4 +119,8 @@ def sweep_extraction(grid_shapes, seed: int = 0, repeats: int = 3):
 
 
 def slope_of(points) -> float:
-    return loglog_slope([p.parameter for p in points], [p.seconds for p in points])
+    """Slope of the least-squares line through (log parameter, log seconds)."""
+    if len(points) < 2:
+        raise ValueError("need at least 2 sweep points")
+    xs = np.log([p.parameter for p in points])
+    return float(np.polyfit(xs, np.log([p.seconds for p in points]), 1)[0])

@@ -54,7 +54,6 @@ class UnaryMatches:
 
     l1_indices: np.ndarray
     l2_indices: np.ndarray
-    distances: np.ndarray
 
     @property
     def u(self) -> int:
@@ -178,12 +177,12 @@ def propose_unary_matches(l1, l2, alpha: int, rho: int, max_range: float) -> Una
     norm1 = (d1 * d1).sum(axis=1)
     norm2 = (d2 * d2).sum(axis=1)
     best = np.empty(n1, dtype=np.intp)
-    distances = np.empty(n1)
     for lo in range(0, n1, _BLOCK):
         hi = min(lo + _BLOCK, n1)
         sq = norm1[lo:hi, None] + norm2[None, :]
         np.subtract(sq, cross[lo:hi], out=sq)
+        # rounding leaves some squares just below 0: clamped, they tie at 0
+        # and argmin takes the lowest index among them
         np.maximum(sq, 0.0, out=sq)
         best[lo:hi] = np.argmin(sq, axis=1)
-        distances[lo:hi] = np.sqrt(sq[np.arange(hi - lo), best[lo:hi]])
-    return UnaryMatches(l1_indices=np.arange(n1), l2_indices=best, distances=distances)
+    return UnaryMatches(l1_indices=np.arange(n1), l2_indices=best)

@@ -19,19 +19,10 @@ neighbors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .scan import PolarScan, SensorMeta, bins_to_points
-
-
-class Keypoint(NamedTuple):
-    azimuth_index: int
-    range_bin: int
-    x: float
-    y: float
-    strength: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,19 +52,6 @@ class KeypointSet:
 
     def __len__(self):
         return self.azimuths.shape[0]
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-    def __getitem__(self, i) -> Keypoint:
-        return Keypoint(
-            int(self.azimuths[i]),
-            int(self.range_bins[i]),
-            float(self.xy[i, 0]),
-            float(self.xy[i, 1]),
-            float(self.strengths[i]),
-        )
 
 
 def _peak_exponent(power: np.ndarray) -> int:
@@ -140,6 +118,11 @@ def scoring_image(scan: PolarScan):
     return h, s_prime
 
 
+def _is_count(n) -> bool:
+    """Whether ``n`` is an int (numpy's included, a bool not) of at least 1."""
+    return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 1
+
+
 # cells ordered per batch, in multiples of the region budget: a greedy pass
 # over real scans visits 1.35-1.81 l_max cells before the budget runs out
 _BATCH_PER_REGION = 4
@@ -201,9 +184,11 @@ def mark_regions(h: np.ndarray, s_prime: np.ndarray, l_max: int):
     bounding below-mean cells. The cut falls at the ``l_max``-th new
     region; if the batch runs out first and positive cells remain, it is
     widened fourfold.
+
+    ``l_max`` must be an int >= 1 (a bool is not one), else ValueError.
     """
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
+    if not _is_count(l_max):
+        raise ValueError("l_max must be an int >= 1")
     pos = np.flatnonzero(h > 0.0)
     score = h.ravel()[pos]
     size = _BATCH_PER_REGION * l_max
@@ -274,5 +259,7 @@ def write_keypoints_csv(path, kset: KeypointSet) -> None:
     """Write keypoints as CSV rows of (azimuth_index, range_bin, x, y, strength)."""
     with open(path, "w", encoding="ascii") as f:
         f.write("azimuth_index,range_bin,x,y,strength\n")
-        for kp in kset:
-            f.write(f"{kp.azimuth_index},{kp.range_bin},{kp.x!r},{kp.y!r},{kp.strength!r}\n")
+        rows = zip(kset.azimuths.tolist(), kset.range_bins.tolist(), kset.xy.tolist(),
+                   kset.strengths.tolist())
+        for a, r, (x, y), s in rows:
+            f.write(f"{a},{r},{x!r},{y!r},{s!r}\n")

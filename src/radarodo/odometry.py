@@ -24,7 +24,7 @@ import numpy as np
 
 from .descriptors import propose_unary_matches
 from .errors import MatchFailureError, RadarOdoError, stage
-from .keypoints import KeypointSet, extract_keypoints
+from .keypoints import KeypointSet, _is_count, extract_keypoints
 from .matching import greedy_select, pairwise_compatibility, principal_eigenvector
 from .se2 import Pose2, apply_pose, compose, estimate_se2, inverse, relative_pose, wrap_angle
 from .simulate import TrajectorySpec
@@ -32,9 +32,10 @@ from .simulate import TrajectorySpec
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Tunables for pair matching. ``alpha``/``rho`` default to the scan's
-    azimuth/range bin counts and ``sigma_c`` to the range resolution; set,
-    they must be ints >= 1 and a finite positive width, else ValueError."""
+    """Tunables for pair matching. ``l_max`` must be an int >= 1 (a bool is
+    not one). ``alpha``/``rho`` default to the scan's azimuth/range bin
+    counts and ``sigma_c`` to the range resolution; set, they must be ints
+    >= 1 and a finite positive width. A bad value raises ValueError."""
 
     l_max: int = 1000
     alpha: int | None = None
@@ -42,11 +43,11 @@ class PipelineConfig:
     sigma_c: float | None = None
 
     def __post_init__(self):
-        if self.l_max < 1:
-            raise ValueError("l_max must be >= 1")
+        if not _is_count(self.l_max):
+            raise ValueError("l_max must be an int >= 1")
         for name in ("alpha", "rho"):
             n = getattr(self, name)
-            if n is not None and (isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1):
+            if n is not None and not _is_count(n):
                 raise ValueError(f"{name} must be None or an int >= 1")
         # written so that NaN fails too
         if self.sigma_c is not None and not (0 < self.sigma_c < math.inf):

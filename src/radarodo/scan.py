@@ -72,26 +72,12 @@ def bin_center_range(r, meta: SensorMeta):
     return (np.asarray(r) + 0.5) * meta.range_resolution
 
 
-def bin_to_point(a: int, r: int, meta: SensorMeta) -> np.ndarray:
-    """Cartesian (x, y) of the center of cell (a, r), sensor at the origin."""
-    if not (0 <= a < meta.num_azimuths):
-        raise ValueError(f"azimuth index {a} out of range [0, {meta.num_azimuths})")
-    if not (0 <= r < meta.num_range_bins):
-        raise ValueError(f"range bin {r} out of range [0, {meta.num_range_bins})")
-    return bins_to_points(np.array([a]), np.array([r]), meta)[0]
-
-
 def bins_to_points(a, r, meta: SensorMeta) -> np.ndarray:
-    """Vectorized ``bin_to_point`` without index validation. Returns (N, 2)."""
+    """Cartesian (x, y) of the centers of cells (a, r), sensor at the origin,
+    without index validation. Returns (N, 2)."""
     ang = azimuth_angle(a, meta)
     rng = bin_center_range(r, meta)
     return np.stack([rng * np.cos(ang), rng * np.sin(ang)], axis=-1)
-
-
-def point_range(p) -> float:
-    """Euclidean distance of a point from the sensor origin."""
-    p = np.asarray(p, dtype=float)
-    return float(np.hypot(p[..., 0], p[..., 1]))
 
 
 def save_scan(path, scan: PolarScan) -> None:

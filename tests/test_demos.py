@@ -1,6 +1,7 @@
 """Every demo, and the README's quick start, runs to completion (exit 0)
-against this checkout's package."""
+against this checkout's package, and the README names only what exists."""
 
+import builtins
 import math
 import os
 import re
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import radarodo
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = [
@@ -50,3 +53,12 @@ def test_readme_quick_start_runs_and_recovers_the_motion(tmp_path):
     assert math.hypot(x - 2.0, y - 0.5) < 0.25
     assert abs(theta - 0.05) < 0.01
     assert 0.5 < float(confidence_line) <= 1.0
+
+
+def test_readme_names_only_what_the_package_has():
+    # every backticked call `name(` and capitalised `Name`, so that a
+    # deletion cannot leave the README naming what is gone
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = set(re.findall(r"`([A-Za-z_]\w*)\(", text)) | set(re.findall(r"`([A-Z]\w*)`", text))
+    assert {"run_odometry", "PipelineConfig", "ValueError"} <= names
+    assert sorted(n for n in names if not hasattr(radarodo, n) and not hasattr(builtins, n)) == []

@@ -106,7 +106,7 @@ def reference_extract(power, l_max):
 
 
 def pairs_of(kset):
-    return [(kp.azimuth_index, kp.range_bin) for kp in kset]
+    return list(zip(kset.azimuths.tolist(), kset.range_bins.tolist()))
 
 
 def test_gradient_of_constant_scan_is_zero():
@@ -161,8 +161,16 @@ def test_span_meeting_an_earlier_span_across_a_visited_below_mean_cell():
 
 
 def test_mark_regions_rejects_bad_budget():
-    with pytest.raises(ValueError):
-        mark_regions(np.zeros((2, 2)), np.zeros((2, 2)), 0)
+    # a NaN budget would mark every region, a float one fails inside numpy
+    # and a bool would count as an int
+    scan = scan_of(FIXTURE_A)
+    h, s_prime = scoring_image(scan)
+    for l_max in (0, -3, 2.5, math.nan, True):
+        with pytest.raises(ValueError, match="l_max"):
+            mark_regions(h, s_prime, l_max)
+        with pytest.raises(ValueError, match="l_max"):
+            extract_keypoints(scan, l_max)
+    assert mark_regions(h, s_prime, np.int64(2))[1] == 2
 
 
 # Fixture A: 3x3 blob in a 5x20 grid. Only the center column survives the
@@ -384,9 +392,8 @@ def test_scan_near_the_float_maximum_scores_finite(cells, emitted):
 def test_keypoint_xy_lies_on_bin_centers():
     scan = scan_of(FIXTURE_A)
     kset = extract_keypoints(scan, l_max=3)
-    for kp in kset:
-        rng_m = math.hypot(kp.x, kp.y)
-        assert rng_m == pytest.approx((kp.range_bin + 0.5) * 0.5, abs=1e-12)
+    rng_m = np.hypot(kset.xy[:, 0], kset.xy[:, 1])
+    assert np.allclose(rng_m, (kset.range_bins + 0.5) * 0.5, rtol=0, atol=1e-12)
 
 
 def test_keypoint_set_ordering_and_indexing():
@@ -394,16 +401,19 @@ def test_keypoint_set_ordering_and_indexing():
     assert len(kset) == 3
     pairs = pairs_of(kset)
     assert pairs == sorted(pairs)
-    assert kset[1].azimuth_index == 2
 
 
-def test_write_keypoints_csv(tmp_path):
-    kset = extract_keypoints(scan_of(FIXTURE_A), l_max=3)
-    path = tmp_path / "kp.csv"
-    write_keypoints_csv(path, kset)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "azimuth_index,range_bin,x,y,strength"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert first[0] == "1" and first[1] == "10"
-    assert float(first[2]) == kset[0].x
+def test_write_keypoints_csv(tmp_path, noisy_keypoints):
+    # every row of a hand-traced set and of a real noisy 400x500 scan reads
+    # back to the set's own values exactly
+    for kset in (extract_keypoints(scan_of(FIXTURE_A), l_max=3), noisy_keypoints):
+        path = tmp_path / "kp.csv"
+        write_keypoints_csv(path, kset)
+        header, *rows = path.read_text().splitlines()
+        assert header == "azimuth_index,range_bin,x,y,strength"
+        fields = [row.split(",") for row in rows]
+        assert len(fields) == len(kset) and all(len(f) == 5 for f in fields)
+        assert [int(f[0]) for f in fields] == kset.azimuths.tolist()
+        assert [int(f[1]) for f in fields] == kset.range_bins.tolist()
+        assert [[float(f[2]), float(f[3])] for f in fields] == kset.xy.tolist()
+        assert [float(f[4]) for f in fields] == kset.strengths.tolist()

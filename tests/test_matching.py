@@ -51,7 +51,7 @@ def clique_instance(rng, k, extra=0, jitter=0.0, conflicts=0, sigma=SIGMA):
     for t in range(conflicts):
         l1.append(t % k)
         l2.append(k + (t % extra) if extra else (t + 1) % k)
-    um = UnaryMatches(np.asarray(l1), np.asarray(l2), np.zeros(len(l1)))
+    um = UnaryMatches(np.asarray(l1), np.asarray(l2))
     return pairwise_compatibility(um, pts1, pts2, sigma), um
 
 
@@ -147,7 +147,7 @@ def greedy_instances(busy_problem):
     # four equal eigenvector weights, each candidate sharing a keypoint with
     # two others: the lower-index tie goes first, picking (0, 0) and (1, 1)
     c = np.array([[0.0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
-    um = UnaryMatches(np.array([0, 0, 1, 1]), np.array([0, 1, 1, 0]), np.zeros(4))
+    um = UnaryMatches(np.array([0, 0, 1, 1]), np.array([0, 1, 1, 0]))
     yield c, principal_eigenvector(c), um
     yield busy_problem
 
@@ -252,7 +252,7 @@ def test_compatibility_equals_the_dense_formula_on_candidate_lists(u):
         # values with cut and conflict zeros
         l1 = rng.integers(0, 23, u)
         l2 = np.where(rng.random(u) < 0.5, l1, rng.integers(0, 23, u))
-        um = UnaryMatches(l1, l2, np.zeros(u))
+        um = UnaryMatches(l1, l2)
         c = pairwise_compatibility(um, pts1, pts2, sigma)
         assert np.array_equal(c, dense_compatibility(um, pts1, pts2, sigma))
         assert np.array_equal(c, c.T)
@@ -271,7 +271,7 @@ def test_compatibility_matrix_shape_and_symmetry():
 def test_compatibility_cutoff_is_exact_zero():
     pts1 = np.array([[0.0, 0.0], [10.0, 0.0]])
     pts2 = np.array([[0.0, 0.0], [20.0, 0.0]])  # length mismatch 10 >> 3*sigma
-    um = UnaryMatches(np.arange(2), np.arange(2), np.zeros(2))
+    um = UnaryMatches(np.arange(2), np.arange(2))
     c = pairwise_compatibility(um, pts1, pts2, SIGMA)
     assert c[0, 1] == 0.0
 
@@ -279,7 +279,7 @@ def test_compatibility_cutoff_is_exact_zero():
 def test_compatibility_gaussian_value():
     pts1 = np.array([[0.0, 0.0], [10.0, 0.0]])
     pts2 = np.array([[0.0, 0.0], [10.3, 0.0]])
-    um = UnaryMatches(np.arange(2), np.arange(2), np.zeros(2))
+    um = UnaryMatches(np.arange(2), np.arange(2))
     c = pairwise_compatibility(um, pts1, pts2, SIGMA)
     assert c[0, 1] == pytest.approx(math.exp(-0.3**2 / (2 * SIGMA**2)), abs=1e-12)
 
@@ -287,7 +287,7 @@ def test_compatibility_gaussian_value():
 def test_compatibility_zeroes_shared_keypoints():
     pts1 = np.array([[0.0, 0.0], [10.0, 0.0]])
     pts2 = np.array([[0.0, 0.0], [10.0, 0.0]])
-    um = UnaryMatches(np.array([0, 0, 1]), np.array([0, 1, 1]), np.zeros(3))
+    um = UnaryMatches(np.array([0, 0, 1]), np.array([0, 1, 1]))
     c = pairwise_compatibility(um, pts1, pts2, SIGMA)
     assert c[0, 1] == 0.0  # shared L1 keypoint
     assert c[1, 2] == 0.0  # shared L2 keypoint
@@ -295,13 +295,13 @@ def test_compatibility_zeroes_shared_keypoints():
 
 
 def test_compatibility_needs_two_candidates():
-    um = UnaryMatches(np.array([0]), np.array([0]), np.zeros(1))
+    um = UnaryMatches(np.array([0]), np.array([0]))
     with pytest.raises(DegenerateProblemError):
         pairwise_compatibility(um, np.zeros((1, 2)), np.zeros((1, 2)), SIGMA)
 
 
 def test_compatibility_rejects_bad_sigma():
-    um = UnaryMatches(np.arange(2), np.arange(2), np.zeros(2))
+    um = UnaryMatches(np.arange(2), np.arange(2))
     with pytest.raises(ValueError):
         pairwise_compatibility(um, np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
 
@@ -424,7 +424,7 @@ def test_greedy_stops_before_poor_match():
             [0.01, 0.01, 0.0],
         ]
     )
-    um = UnaryMatches(np.arange(3), np.arange(3), np.zeros(3))
+    um = UnaryMatches(np.arange(3), np.arange(3))
     sel = greedy_select(c, principal_eigenvector(c), um)
     assert len(sel.selected) == 2
     assert sel.indicator[2] == 0.0

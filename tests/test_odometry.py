@@ -44,12 +44,13 @@ def render_pair(world, pose_a, pose_b, seed=0):
 
 
 def test_pipeline_config_validation():
-    for kwargs in ({"l_max": 0}, {"alpha": 0}, {"rho": -2}, {"alpha": 2.5}, {"rho": True},
+    for kwargs in ({"l_max": 0}, {"l_max": 2.5}, {"l_max": math.nan}, {"l_max": True},
+                   {"alpha": 0}, {"rho": -2}, {"alpha": 2.5}, {"rho": True},
                    {"sigma_c": -1.0}, {"sigma_c": 0.0}, {"sigma_c": math.nan},
                    {"sigma_c": math.inf}):
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
-    PipelineConfig(alpha=1, rho=np.int64(3), sigma_c=np.float64(0.1))
+    PipelineConfig(l_max=np.int64(5), alpha=1, rho=np.int64(3), sigma_c=np.float64(0.1))
 
 
 def test_a_scan_pair_recovers_motion():

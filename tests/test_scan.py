@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from radarodo import PolarScan, ScanFormatError, SensorMeta, load_scan, save_scan
-from radarodo.scan import (
-    azimuth_angle,
-    bin_center_range,
-    bin_to_point,
-    bins_to_points,
-    point_range,
-)
+from radarodo.scan import azimuth_angle, bin_center_range, bins_to_points
 
 
 def test_sensor_meta_validation():
@@ -47,28 +41,11 @@ def test_bin_center_range_is_half_offset():
 
 def test_bin_to_point_cardinal_directions():
     meta = SensorMeta(4, 10, 1.0, 0.25)
-    east = bin_to_point(0, 3, meta)
-    north = bin_to_point(1, 3, meta)
-    west = bin_to_point(2, 3, meta)
-    south = bin_to_point(3, 3, meta)
+    east, north, west, south = bins_to_points(np.arange(4), np.full(4, 3), meta)
     assert np.allclose(east, [3.5, 0.0], atol=1e-12)
     assert np.allclose(north, [0.0, 3.5], atol=1e-12)
     assert np.allclose(west, [-3.5, 0.0], atol=1e-12)
     assert np.allclose(south, [0.0, -3.5], atol=1e-12)
-
-
-def test_bins_to_points_matches_scalar():
-    meta = SensorMeta(16, 32, 0.7, 0.25)
-    rng = np.random.default_rng(3)
-    a = rng.integers(0, 16, size=50)
-    r = rng.integers(0, 32, size=50)
-    pts = bins_to_points(a, r, meta)
-    for k in range(50):
-        assert np.allclose(pts[k], bin_to_point(int(a[k]), int(r[k]), meta), atol=0)
-
-
-def test_point_range():
-    assert point_range([3.0, 4.0]) == 5.0
 
 
 def test_polar_scan_validation():

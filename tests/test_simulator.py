@@ -14,7 +14,7 @@ from radarodo import (
     render_scan,
     render_sequence,
 )
-from radarodo.scan import bin_to_point
+from radarodo.scan import bins_to_points
 
 QUIET = ArtifactModel(
     speckle_scale=0.0, background_noise=0.0, false_positive_rate=0.0, dropout_prob=0.0
@@ -62,7 +62,7 @@ def test_single_landmark_peaks_at_its_bin():
     # 10.25 m east sits at azimuth 0, bin center (20 + 0.5) * 0.5
     assert a == 0
     assert r == 20
-    back = bin_to_point(int(a), int(r), META)
+    back = bins_to_points(a, r, META)
     assert math.hypot(back[0] - 10.25, back[1]) < META.range_resolution
 
 
@@ -79,7 +79,7 @@ def test_pose_moves_the_world_into_sensor_frame():
     pose = Pose2(4.0, 5.0, 0.0)
     scan = render_scan(world, pose, META, QUIET, seed=0)
     a, r = np.unravel_index(np.argmax(scan.power), scan.power.shape)
-    back = bin_to_point(int(a), int(r), META)
+    back = bins_to_points(a, r, META)
     # relative position should be (6, 0)
     assert math.hypot(back[0] - 6.0, back[1] - 0.0) <= META.range_resolution
 
