@@ -19,7 +19,7 @@ histogram still sums its neighbors one by one in index order, so every
 entry is bit-identical to describing the keypoint on its own.
 
 Each description uses one temporary (N, N) distance matrix, freed on
-return. Distances are exactly symmetric (``hypot`` ignores sign), so only
+return. Distances are exactly symmetric ((-d)**2 = d**2 exactly), so only
 its upper triangle is computed, one block of rows at a time, and each
 block's off-diagonal part is mirrored into the rows below.
 :func:`radarodo.matching.pairwise_compatibility` builds its matrix the same
@@ -46,6 +46,10 @@ _TWO_PI = 2.0 * math.pi
 # keypoints per kernel call: the (block, n) temporaries stay near 0.5 MB
 # each at n = 1000 neighbors
 _BLOCK = 64
+# with every coordinate at most this in magnitude, a coordinate difference
+# is at most 2**511 and dx*dx + dy*dy at most 2**1023, so every distance of
+# _upper_distances is finite
+_MAX_COORD = 2.0**510
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +65,18 @@ class UnaryMatches:
 
 
 def _points(kset) -> np.ndarray:
-    xy = getattr(kset, "xy", kset)
-    return np.asarray(xy, dtype=float)
+    """The (N, 2) float points of a keypoint set or a raw cloud.
+
+    Raises ValueError unless every coordinate is finite and at most
+    ``_MAX_COORD`` in magnitude, where no squared distance can overflow.
+    """
+    xy = np.asarray(getattr(kset, "xy", kset), dtype=float)
+    # written so that NaN fails too
+    if not np.all(np.abs(xy) <= _MAX_COORD):
+        raise ValueError(
+            f"point coordinates must be finite and at most {_MAX_COORD:.3g} in magnitude"
+        )
+    return xy
 
 
 def _check_params(alpha, rho, max_range):
@@ -74,10 +88,14 @@ def _check_params(alpha, rho, max_range):
 
 def _upper_distances(p: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Distances from points ``lo:hi`` of ``p`` to points ``lo:`` of ``p``:
-    rows ``lo:hi`` of the pairwise distance matrix, columns ``lo:`` only."""
+    rows ``lo:hi`` of the pairwise distance matrix, columns ``lo:`` only,
+    each ``sqrt(dx*dx + dy*dy)`` worked in place."""
     dx = p[lo:hi, 0:1] - p[None, lo:, 0]
     dy = p[lo:hi, 1:2] - p[None, lo:, 1]
-    return np.hypot(dx, dy, out=dx)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def _angular_bins(ang: np.ndarray, alpha: int) -> np.ndarray:
@@ -114,7 +132,11 @@ def _describe_rows(xy, rows, dist, weight, bearing, alpha, rho, max_range) -> np
     a_bins = _angular_bins(ang, alpha)
     hist_a = np.bincount((offset * alpha + a_bins).ravel(), weights=weights, minlength=b * alpha)
 
-    r_bins = np.minimum((dist / (max_range / rho)).astype(int), rho - 1)
+    # clipped before the cast, so a distance of 2**63 bins or more still
+    # lands in the last bin
+    r_bins = dist / (max_range / rho)
+    np.minimum(r_bins, rho - 1, out=r_bins)
+    r_bins = r_bins.astype(int)
     hist_r = np.bincount((offset * rho + r_bins).ravel(), weights=weights, minlength=b * rho)
 
     out = np.empty((b, alpha + rho))
@@ -131,6 +153,8 @@ def descriptor_matrix(kset, alpha: int, rho: int, max_range: float) -> np.ndarra
 
     For a :class:`KeypointSet` the matrix is built on the first call with
     these parameters and returned, read-only, from the set's cache after.
+    A raw (N, 2) cloud raises ValueError if a coordinate is not finite or
+    exceeds 2**510 in magnitude, where a squared distance could overflow.
     """
     _check_params(alpha, rho, max_range)
     cache = kset.descriptor_cache if isinstance(kset, KeypointSet) else None

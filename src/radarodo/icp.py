@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptors import _points
 from .errors import IcpDivergedError, stage
+from .keypoints import _is_count
 from .se2 import Pose2, apply_pose, estimate_se2, inverse
 
 EPS = np.finfo(float).eps
@@ -43,8 +43,7 @@ class IcpConfig:
         r = float(self.nn_radius)
         if r < math.inf and r * r == math.inf:
             raise ValueError("a finite nn_radius must have a finite square")
-        m = self.max_iterations
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        if not _is_count(self.max_iterations):
             raise ValueError("max_iterations must be an int >= 1")
 
 
@@ -64,8 +63,7 @@ def icp_match(l1, l2, config: IcpConfig | None = None):
     and when either set is empty or a target point holds NaN.
     """
     cfg = config if config is not None else IcpConfig()
-    src = _points(l1)
-    dst = _points(l2)
+    src, dst = (np.asarray(getattr(p, "xy", p), dtype=float) for p in (l1, l2))
     if src.shape[0] == 0 or dst.shape[0] == 0:
         raise IcpDivergedError("cannot align empty keypoint sets")
     if np.isnan(dst).any():

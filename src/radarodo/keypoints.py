@@ -64,7 +64,20 @@ def _peak_exponent(power: np.ndarray) -> int:
 
 def _prewitt_magnitude(power: np.ndarray, e: int) -> np.ndarray:
     """Prewitt gradient magnitude of ``power`` times 2**-e, normalized to
-    peak 1."""
+    peak 1.
+
+    The magnitude is ``sqrt(ga*ga + gr*gr)`` of the two Prewitt sums. The
+    scaled cells are below 1, so the sums are below 3 and their squares
+    cannot overflow. They can underflow: where both sums are below 2**-511
+    their squares are subnormal or 0, where ``hypot`` kept the digits.
+    That moves no keypoint while the peak magnitude is at least 2**-456:
+    such a cell's G is then below 2**-54 either way, and 1 - G rounds to
+    exactly 1, so its score does not change. The scaled grid's largest
+    cell is at least 1/2, so a smaller peak needs large cells whose stencil
+    sums cancel exactly everywhere, beside tiny ones (say, rows of one
+    constant alternating with rows of values below 2**-500). Only on such
+    a grid can G itself lose digits.
+    """
     # the scaled grid padded by one cell, wrapped along azimuth and then
     # edge-repeated along range: what two np.pad calls give, in one array
     m, n = power.shape
@@ -86,7 +99,11 @@ def _prewitt_magnitude(power: np.ndarray, e: int) -> np.ndarray:
     t += p[2:]
     gr = t[:, 2:] - t[:, :-2]
     del t, p
-    np.hypot(g, gr, out=g)
+    g *= g
+    gr *= gr
+    g += gr
+    del gr
+    np.sqrt(g, out=g)
     peak = g.max()
     if peak > 0:
         g /= peak

@@ -46,13 +46,15 @@ def pairwise_compatibility(u_matches: UnaryMatches, l1, l2, sigma: float) -> np.
     two L1 keypoints differs from the distance between their proposed L2
     counterparts; discrepancies beyond 3 sigma are cut to exactly zero. The
     diagonal is zero, and so are entries of candidate pairs that share a
-    keypoint on either side (they can never be selected together).
+    keypoint on either side (they can never be selected together). A
+    coordinate that is not finite or exceeds 2**510 in magnitude raises
+    ValueError, as in :func:`radarodo.descriptors.descriptor_matrix`.
 
-    C is exactly symmetric: ``hypot`` ignores sign and every later step is
-    elementwise. So only its upper triangle is computed, a block of rows
-    ``[lo, hi)`` at a time over columns ``lo:u``, and each block's
-    off-diagonal part is mirrored into the rows below; C is the only (u, u)
-    array.
+    C is exactly symmetric: distances square their coordinate differences,
+    (-d)**2 = d**2 exactly, and every later step is elementwise. So only its
+    upper triangle is computed, a block of rows ``[lo, hi)`` at a time over
+    columns ``lo:u``, and each block's off-diagonal part is mirrored into
+    the rows below; C is the only (u, u) array.
     """
     if not (sigma > 0):
         raise ValueError("sigma must be positive")

@@ -56,7 +56,7 @@ def per_keypoint_matrix(xy, alpha, rho, max_range):
         w = np.hypot(xy[mask, 0], xy[mask, 1]) / max_range
         ang = np.arctan2(rel[:, 1], rel[:, 0]) - math.atan2(xy[i, 1], xy[i, 0])
         a_bins = np.minimum((np.mod(ang, 2 * math.pi) / (2 * math.pi) * alpha).astype(int), alpha - 1)
-        dist = np.hypot(rel[:, 0], rel[:, 1])
+        dist = np.sqrt(rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1])
         r_bins = np.minimum((dist / (max_range / rho)).astype(int), rho - 1)
         channels = (
             np.abs(np.fft.fft(np.bincount(a_bins, weights=w, minlength=alpha))),
@@ -182,6 +182,21 @@ def test_radial_overflow_clips_to_last_bin():
     radial = descriptor_matrix(xy, 4, 5, MAX_RANGE)[0, 4:]
     assert radial[4] > 0
     assert np.all(radial[:4] == 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.nextafter(2.0**510, math.inf)])
+def test_descriptor_rejects_clouds_whose_distances_could_overflow(bad):
+    for xy in ([[1.0, 2.0], [3.0, bad]], [[bad, 2.0], [3.0, 4.0]]):
+        with pytest.raises(ValueError, match="coordinates"):
+            descriptor_matrix(np.array(xy), 8, 6, MAX_RANGE)
+
+
+def test_descriptor_of_clouds_at_the_coordinate_bound_is_finite():
+    # the farthest pair the bound admits: 2**511 apart on each axis, so the
+    # squared distance is 2**1023, finite, and clips to the last radial bin
+    xy = np.array([[2.0**510, 2.0**510], [-(2.0**510), -(2.0**510)]])
+    d = descriptor_matrix(xy, 8, 6, MAX_RANGE)
+    assert np.array_equal(d[:, 8:], [[0.0] * 5 + [1.0]] * 2)
 
 
 def test_descriptor_validation():

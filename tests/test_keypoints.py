@@ -35,9 +35,8 @@ def scan_of(power):
     return PolarScan(meta_for(power), power)
 
 
-def reference_extract(power, l_max):
-    """Transliterated reference: explicit loops, no vectorized tricks."""
-    power = np.asarray(power, dtype=float)
+def reference_gradient(power):
+    """Prewitt magnitude by explicit loops and ``math.hypot``, unnormalized."""
     m, n = power.shape
     g = np.zeros((m, n))
     for a in range(m):
@@ -51,6 +50,14 @@ def reference_extract(power, l_max):
                 aa = (a + da) % m
                 gr += power[aa, min(r + 1, n - 1)] - power[aa, max(r - 1, 0)]
             g[a, r] = math.hypot(ga, gr)
+    return g
+
+
+def reference_extract(power, l_max):
+    """Transliterated reference: explicit loops, no vectorized tricks."""
+    power = np.asarray(power, dtype=float)
+    m, n = power.shape
+    g = reference_gradient(power)
     peak = g.max()
     if peak > 0:
         g = g / peak
@@ -321,6 +328,24 @@ def test_rendered_scans_match_reference():
         world = random_world(12, 0.8 * meta.max_range, seed=seed, min_range=3.0)
         scan = render_scan(world, Pose2(), meta, art, seed=seed)
         assert_matches_reference(scan, 40, f"seed {seed}")
+
+
+def test_gradients_whose_squares_underflow_move_no_keypoint():
+    # odd azimuths hold values near 1e-170, so the Prewitt sums across the
+    # even azimuths between them square to below the smallest subnormal;
+    # the even azimuths score positive and their runs pick their best cell
+    # among those, while the one bright cell keeps the peak gradient normal
+    # and lends support to its neighbors
+    rng = np.random.default_rng(5)
+    power = np.full((16, 24), 5.0)
+    power[1::2] = rng.uniform(1.0, 2.0, (8, 24)) * 1e-170
+    power[5, 12] = 9.0
+    scan = scan_of(power)
+    underflowed = (gradient_magnitude(scan) == 0.0) & (reference_gradient(power) > 0.0)
+    assert underflowed[0::2].sum() > 150
+    assert_matches_reference(scan, power.size, "full budget")
+    emitted = pairs_of(extract_keypoints(scan, l_max=power.size))
+    assert emitted and all(underflowed[cell] for cell in emitted)
 
 
 def test_offset_invariance():

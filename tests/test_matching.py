@@ -203,14 +203,20 @@ def selection_score(c, sel):
     return float(m @ c @ m / m.sum())
 
 
+def dense_distances(p):
+    """The whole (u, u) distance matrix of the points ``p``."""
+    dx = p[:, 0:1] - p[None, :, 0]
+    dy = p[:, 1:2] - p[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def dense_compatibility(um, pts1, pts2, sigma):
     """C from both whole (u, u) distance matrices, with the kernel, the
     3 sigma cut and the conflict mask over the whole matrix: the reference
     the upper-triangle blocks must match bit for bit."""
     p1 = np.asarray(getattr(pts1, "xy", pts1), dtype=float)[um.l1_indices]
     p2 = np.asarray(getattr(pts2, "xy", pts2), dtype=float)[um.l2_indices]
-    d1 = np.hypot(p1[:, 0:1] - p1[None, :, 0], p1[:, 1:2] - p1[None, :, 1])
-    d2 = np.hypot(p2[:, 0:1] - p2[None, :, 0], p2[:, 1:2] - p2[None, :, 1])
+    d1, d2 = dense_distances(p1), dense_distances(p2)
     delta = np.abs(d1 - d2)
     c = np.exp(-np.square(delta) / (2.0 * sigma**2))
     c[delta > 3.0 * sigma] = 0.0
@@ -298,6 +304,24 @@ def test_compatibility_needs_two_candidates():
     um = UnaryMatches(np.array([0]), np.array([0]))
     with pytest.raises(DegenerateProblemError):
         pairwise_compatibility(um, np.zeros((1, 2)), np.zeros((1, 2)), SIGMA)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.nextafter(2.0**510, math.inf)])
+def test_compatibility_rejects_clouds_whose_distances_could_overflow(bad):
+    um = UnaryMatches(np.arange(2), np.arange(2))
+    good = np.array([[0.0, 0.0], [10.0, 0.0]])
+    bad_pts = np.array([[0.0, 0.0], [0.0, bad]])
+    for pts1, pts2 in ((bad_pts, good), (good, bad_pts)):
+        with pytest.raises(ValueError, match="coordinates"):
+            pairwise_compatibility(um, pts1, pts2, SIGMA)
+
+
+def test_compatibility_at_the_coordinate_bound_is_finite():
+    # the farthest pair the bound admits, the same on both sides
+    pts = np.array([[2.0**510, 2.0**510], [-(2.0**510), -(2.0**510)]])
+    um = UnaryMatches(np.arange(2), np.arange(2))
+    c = pairwise_compatibility(um, pts, pts, SIGMA)
+    assert np.array_equal(c, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_compatibility_rejects_bad_sigma():
