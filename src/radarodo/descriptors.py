@@ -12,6 +12,14 @@ sampling thins with range, so distant neighbors count for more):
   last bin.
 
 Descriptor distance is plain Euclidean over the two channels concatenated.
+The histogram is real, so |X_k| = |X_(alpha-k)|: a row keeps coefficients
+0..alpha//2 only (``np.fft.rfft``) and weights 1..(alpha-1)//2, the ones
+with a mirror image, by sqrt 2. Squared, each weighted entry counts for
+itself and its mirror, so the Euclidean distance between two rows is that
+of the full alpha-coefficient spectra up to rounding, with alpha//2 - 1
+fewer columns. A row is alpha//2 + 1 + rho wide; its angular entries lie
+in [0, sqrt 2] and its radial ones in [0, 1]. The angular channel is
+divided by X_0, the histogram's total, which is its peak.
 
 One numpy kernel describes blocks of keypoints at a time: both channels of
 a whole block come from one ``bincount`` each and one batched FFT. Each
@@ -43,6 +51,7 @@ from .errors import NoCandidatesError
 from .keypoints import KeypointSet
 
 _TWO_PI = 2.0 * math.pi
+_SQRT2 = math.sqrt(2.0)
 # keypoints per kernel call: the (block, n) temporaries stay near 0.5 MB
 # each at n = 1000 neighbors
 _BLOCK = 64
@@ -139,17 +148,26 @@ def _describe_rows(xy, rows, dist, weight, bearing, alpha, rho, max_range) -> np
     r_bins = r_bins.astype(int)
     hist_r = np.bincount((offset * rho + r_bins).ravel(), weights=weights, minlength=b * rho)
 
-    out = np.empty((b, alpha + rho))
-    out[:, :alpha] = np.abs(np.fft.fft(hist_a.reshape(b, alpha), axis=1))
-    out[:, alpha:] = hist_r.reshape(b, rho)
-    for channel in (out[:, :alpha], out[:, alpha:]):
-        peak = channel.max(axis=1, keepdims=True)
+    half = alpha // 2 + 1
+    out = np.empty((b, half + rho))
+    spectrum, radial = out[:, :half], out[:, half:]
+    np.abs(np.fft.rfft(hist_a.reshape(b, alpha), axis=1), out=spectrum)
+    radial[:] = hist_r.reshape(b, rho)
+    # the spectrum of a non-negative histogram peaks at X_0, its total
+    peaks = (spectrum[:, :1].copy(), radial.max(axis=1, keepdims=True))
+    for channel, peak in zip((spectrum, radial), peaks):
         np.divide(channel, peak, out=channel, where=peak > 0)
+    # coefficients 1..(alpha-1)//2 stand for their mirror images too
+    spectrum[:, 1 : (alpha + 1) // 2] *= _SQRT2
     return out
 
 
 def descriptor_matrix(kset, alpha: int, rho: int, max_range: float) -> np.ndarray:
-    """Stacked descriptor vectors, one row per keypoint. Shape (N, alpha+rho).
+    """Stacked descriptor vectors, one row per keypoint.
+
+    Shape (N, alpha//2 + 1 + rho): the half angular spectrum, its mirrored
+    coefficients weighted by sqrt 2 so that row distances equal those of
+    the full spectrum, then the radial histogram (module docstring).
 
     For a :class:`KeypointSet` the matrix is built on the first call with
     these parameters and returned, read-only, from the set's cache after.
@@ -163,7 +181,7 @@ def descriptor_matrix(kset, alpha: int, rho: int, max_range: float) -> np.ndarra
         return cache[key]
     xy = _points(kset)
     n = xy.shape[0]
-    out = np.empty((n, alpha + rho))
+    out = np.empty((n, alpha // 2 + 1 + rho))
     dist = np.empty((n, n))
     # each keypoint's weight as a neighbor is its range over max_range
     weight = np.hypot(xy[:, 0], xy[:, 1]) / max_range

@@ -21,6 +21,21 @@ import numpy as np
 from .descriptors import _BLOCK, UnaryMatches, _points, _upper_distances
 from .errors import DegenerateProblemError, NoCompatibilityError
 
+# From this many selected candidates on, block Lanczos finds the eigengap's
+# two eigenvalues faster than eigvalsh of the block. On sub-blocks of busy
+# benchmark selections, one BLAS thread of a 2-core x86_64 VM, the two
+# took 2.7 and 2.5 ms at k = 220, 2.1 and 2.5 ms at k = 230, 3.3 and 9.0 ms
+# at k = 400, and 3.2 and 2.4 ms at k = 200.
+_LANCZOS_MIN_K = 220
+# steps of two Lanczos vectors each; the k = 357-502 benchmark selections
+# take 16-21
+_LANCZOS_STEPS = 40
+# Ritz residual bound, relative to |lambda1|, that certifies a Ritz value
+_LANCZOS_TOL = 1e-13
+# a new Lanczos vector shorter than this, relative to |lambda1|, means the
+# Krylov space is (nearly) invariant: fall back to the dense solver
+_LANCZOS_BREAKDOWN = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralSolution:
@@ -142,6 +157,65 @@ def global_score(indicator, c: np.ndarray) -> float:
     return float((m @ c @ m) / (m @ m))
 
 
+def _orthonormalise_pair(w: np.ndarray) -> np.ndarray:
+    """Orthonormalise the two rows of ``w`` in place by Gram-Schmidt, the
+    second row's projection taken twice; returns the 2 x 2 upper-triangular
+    R with ``w`` on entry equal to R^T times ``w`` on return."""
+    r00 = np.linalg.norm(w[0])
+    w[0] /= r00
+    r01 = w[0] @ w[1]
+    w[1] -= r01 * w[0]
+    again = w[0] @ w[1]
+    w[1] -= again * w[0]
+    r11 = np.linalg.norm(w[1])
+    w[1] /= r11
+    return np.array([[r00, r01 + again], [0.0, r11]])
+
+
+def _lanczos_top_two(block: np.ndarray):
+    """(lambda1, lambda2) of a symmetric block, as in :func:`eigengap_measure`,
+    by block Lanczos with two vectors per step, or None if not certified.
+
+    Every new pair of Lanczos vectors is orthogonalised twice against all
+    earlier ones. The start is a fixed-seed positive pair of size k, so the
+    answer depends on the block alone. A step is accepted once the largest
+    Ritz value, the second largest and the smallest all have residual norms
+    ||A y - theta y|| = ||R s_j[lo:hi]|| (R the new pair's triangular
+    factor, s_j[lo:hi] the Ritz vector's last two coordinates) at most
+    ``_LANCZOS_TOL`` |lambda1|; lambda2 is then the larger in magnitude of
+    the last two. Two vectors per step find a repeated or near-repeated
+    lambda1, which one Krylov vector cannot tell from a simple one. None
+    means the step cap was reached or the new pair had (nearly) no part
+    outside the Krylov space built so far.
+    """
+    k = block.shape[0]
+    q = np.empty((2 * _LANCZOS_STEPS + 2, k))  # Lanczos vectors, one per row
+    t = np.zeros((2 * _LANCZOS_STEPS + 2, 2 * _LANCZOS_STEPS))  # band, lower half read
+    q[:2] = np.random.default_rng(0).uniform(0.5, 1.5, (2, k))
+    _orthonormalise_pair(q[:2])
+    for step in range(_LANCZOS_STEPS):
+        lo, hi = 2 * step, 2 * step + 2
+        w = q[lo:hi] @ block  # (block @ q.T).T, as the block is symmetric
+        basis = q[:hi]
+        coef = basis @ w.T
+        w -= coef.T @ basis
+        again = basis @ w.T
+        w -= again.T @ basis
+        t[:hi, lo:hi] = coef + again
+        r = _orthonormalise_pair(w)
+        ritz, s = np.linalg.eigh(t[:hi, :hi], UPLO="L")
+        scale = abs(ritz[-1])
+        if not min(r[0, 0], r[1, 1]) > _LANCZOS_BREAKDOWN * scale:
+            return None
+        ends = [-1, -2, 0]
+        if hi > 2 and np.linalg.norm(r @ s[lo:hi, ends], axis=0).max() <= _LANCZOS_TOL * scale:
+            lam2 = ritz[-2] if abs(ritz[-2]) >= abs(ritz[0]) else ritz[0]
+            return ritz[-1], lam2
+        q[hi : hi + 2] = w
+        t[hi : hi + 2, lo:hi] = r
+    return None
+
+
 def eigengap_measure(c: np.ndarray, selected_rows) -> float:
     """Normalized gap between the two dominant eigenvalues of the
     selection-restricted matrix, clamped to [0, 1]: (lambda1 - lambda2) / u.
@@ -152,20 +226,36 @@ def eigengap_measure(c: np.ndarray, selected_rows) -> float:
     order whatever order they are given in. lambda1 is the block's largest
     eigenvalue (its Perron root, as ``c`` is non-negative); lambda2 is the
     eigenvalue of largest magnitude among the rest, which can be negative,
-    and 0 when there is no other. These are the values deflated power
-    iteration would converge to. A large gap means the selection stands out
+    and 0 when there is no other. A large gap means the selection stands out
     against every alternative grouping.
+
+    From k = ``_LANCZOS_MIN_K`` on, both come from block Lanczos
+    (:func:`_lanczos_top_two`): it stops once the Ritz residuals of lambda1
+    and of both ends of the rest are at most 1e-13 |lambda1|, so each Ritz
+    value is within that of an eigenvalue, and the gap within
+    2e-13 lambda1 / u of the dense one (below 2e-13 for a compatibility
+    matrix, whose entries are at most 1). Past its step cap, on an early
+    breakdown, and on smaller blocks, where it is faster,
+    ``np.linalg.eigvalsh`` of the block gives them.
+    Raises ValueError unless every row is an integer in [0, u).
     """
-    rows = np.unique(np.asarray(selected_rows, dtype=int))
+    rows = np.asarray(selected_rows)
     if rows.size < 1:
         raise ValueError("need at least one selected candidate")
-    block = c[np.ix_(rows, rows)]
+    u = c.shape[0]
+    if not np.issubdtype(rows.dtype, np.integer) or rows.min() < 0 or rows.max() >= u:
+        raise ValueError(f"selected rows must be integers in [0, {u})")
+    rows = np.unique(rows)
+    block = c.take(rows, axis=0).take(rows, axis=1)
     if not block.any():
         return 0.0
-    eigenvalues = np.linalg.eigvalsh(block)  # ascending
-    lam1, rest = eigenvalues[-1], eigenvalues[:-1]
-    lam2 = rest[np.argmax(np.abs(rest))] if rest.size else 0.0
-    return float(np.clip((lam1 - lam2) / c.shape[0], 0.0, 1.0))
+    top = _lanczos_top_two(block) if rows.size >= _LANCZOS_MIN_K else None
+    if top is None:
+        eigenvalues = np.linalg.eigvalsh(block)  # ascending
+        rest = eigenvalues[:-1]
+        top = eigenvalues[-1], rest[np.argmax(np.abs(rest))] if rest.size else 0.0
+    lam1, lam2 = top
+    return float(np.clip((lam1 - lam2) / u, 0.0, 1.0))
 
 
 def greedy_select(c: np.ndarray, solution: SpectralSolution, u_matches: UnaryMatches) -> MatchSelection:

@@ -11,6 +11,7 @@ from radarodo.descriptors import _angular_bins, descriptor_matrix, propose_unary
 from conftest import random_cloud
 
 MAX_RANGE = 50.0
+SQRT2 = math.sqrt(2.0)
 
 
 def reference_descriptor(xy, i, alpha, rho, max_range):
@@ -43,10 +44,21 @@ def reference_descriptor(xy, i, alpha, rho, max_range):
     return spectrum, rad
 
 
-def per_keypoint_matrix(xy, alpha, rho, max_range):
-    """The descriptor matrix built one keypoint at a time with numpy: the
-    reference the block kernel must match bit for bit."""
-    out = np.zeros((xy.shape[0], alpha + rho))
+def half_spectrum(spectrum, alpha):
+    """Full-spectrum magnitudes (peak 1) in the descriptor's layout:
+    coefficients 0..alpha//2, those with a mirror image weighted by sqrt 2."""
+    half = np.array(spectrum[: alpha // 2 + 1], dtype=float)
+    half[1 : (alpha + 1) // 2] *= SQRT2
+    return half
+
+
+def per_keypoint_matrix(xy, alpha, rho, max_range, full=True):
+    """The descriptor matrix built one keypoint at a time with numpy. With
+    ``full`` the angular channel is all alpha FFT magnitudes over their
+    maximum, the paper's layout; otherwise it is the kernel's half spectrum,
+    made the kernel's way: the reference it must match bit for bit."""
+    width = alpha if full else alpha // 2 + 1
+    out = np.zeros((xy.shape[0], width + rho))
     for i in range(xy.shape[0]):
         mask = np.ones(xy.shape[0], dtype=bool)
         mask[i] = False
@@ -58,13 +70,25 @@ def per_keypoint_matrix(xy, alpha, rho, max_range):
         a_bins = np.minimum((np.mod(ang, 2 * math.pi) / (2 * math.pi) * alpha).astype(int), alpha - 1)
         dist = np.sqrt(rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1])
         r_bins = np.minimum((dist / (max_range / rho)).astype(int), rho - 1)
-        channels = (
-            np.abs(np.fft.fft(np.bincount(a_bins, weights=w, minlength=alpha))),
-            np.bincount(r_bins, weights=w, minlength=rho),
-        )
-        for lo, v in zip((0, alpha), channels):
-            out[i, lo : lo + v.size] = v / v.max() if v.max() > 0 else v
+        hist_a = np.bincount(a_bins, weights=w, minlength=alpha)
+        hist_r = np.bincount(r_bins, weights=w, minlength=rho)
+        if full:
+            spectrum = np.abs(np.fft.fft(hist_a))
+            peak = spectrum.max()
+        else:
+            spectrum = np.abs(np.fft.rfft(hist_a))
+            peak = spectrum[0]
+        out[i, :width] = spectrum / peak if peak > 0 else spectrum
+        if not full:
+            out[i, 1 : (alpha + 1) // 2] *= SQRT2
+        out[i, width:] = hist_r / hist_r.max() if hist_r.max() > 0 else hist_r
     return out
+
+
+def row_distances(d, rows, others):
+    """Euclidean distances from each of ``rows`` of ``d`` to every row of
+    ``others``, one difference at a time."""
+    return np.array([np.sqrt(((others - d[i]) ** 2).sum(axis=1)) for i in rows])
 
 
 def dense_unary(d1, d2):
@@ -93,8 +117,8 @@ def test_descriptor_matrix_is_bit_identical_to_per_keypoint_reference(
     for kset in sets:
         args = meta_args(kset)
         mat = descriptor_matrix(dataclasses.replace(kset), *args)
-        assert mat.shape == (len(kset), args[0] + args[1])
-        assert np.array_equal(mat, per_keypoint_matrix(kset.xy, *args))
+        assert mat.shape == (len(kset), args[0] // 2 + 1 + args[1])
+        assert np.array_equal(mat, per_keypoint_matrix(kset.xy, *args, full=False))
         # the same kernel on a raw cloud, uncached
         assert np.array_equal(descriptor_matrix(kset.xy, *args), mat)
 
@@ -109,7 +133,7 @@ def test_keypoint_set_is_described_once_per_parameter_set(noisy_keypoints):
     with pytest.raises(ValueError):
         first[0, 0] = 2.0
     coarse = descriptor_matrix(kset, 16, 12, args[2])
-    assert coarse.shape == (len(kset), 28)
+    assert coarse.shape == (len(kset), 16 // 2 + 1 + 12)
     assert np.array_equal(coarse, descriptor_matrix(kset.xy, 16, 12, args[2]))
     assert descriptor_matrix(kset, *args) is first
     assert len(kset.descriptor_cache) == 2
@@ -132,24 +156,52 @@ def test_keypoint_set_arrays_are_read_only_copies():
 
 def test_descriptor_matches_loop_reference():
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        xy = random_cloud(rng, int(rng.integers(3, 25)))
-        i = int(rng.integers(0, len(xy)))
-        d = descriptor_matrix(xy, 8, 6, MAX_RANGE)[i]
-        ref_a, ref_r = reference_descriptor(xy, i, 8, 6, MAX_RANGE)
-        assert np.allclose(d[:8], ref_a, atol=1e-9)
-        assert np.allclose(d[8:], ref_r, atol=1e-12)
+    # an even alpha keeps its Nyquist coefficient unweighted, an odd one has none
+    for alpha in (8, 7):
+        half = alpha // 2 + 1
+        for _ in range(10):
+            xy = random_cloud(rng, int(rng.integers(3, 25)))
+            i = int(rng.integers(0, len(xy)))
+            d = descriptor_matrix(xy, alpha, 6, MAX_RANGE)[i]
+            ref_a, ref_r = reference_descriptor(xy, i, alpha, 6, MAX_RANGE)
+            assert np.allclose(d[:half], half_spectrum(ref_a, alpha), atol=1e-9)
+            assert np.allclose(d[half:], ref_r, atol=1e-12)
 
 
 def test_descriptor_entries_bounded():
     rng = np.random.default_rng(1)
     xy = random_cloud(rng, 30)
     mat = descriptor_matrix(xy, 16, 12, MAX_RANGE)
-    assert mat.shape == (30, 28)
+    assert mat.shape == (30, 16 // 2 + 1 + 12)
     assert mat.min() >= 0.0
-    assert mat.max() <= 1.0 + 1e-12
-    # the angular channel always peaks at its zero-frequency entry
-    assert np.allclose(mat[:, 0], 1.0)
+    # sqrt 2 bounds the weighted coefficients 1..7; X_0, the Nyquist
+    # coefficient and the radial channel stay within 1
+    assert mat[:, 1:8].max() <= SQRT2 + 1e-12
+    assert np.delete(mat, np.s_[1:8], axis=1).max() <= 1.0 + 1e-12
+    # the angular channel is divided by its zero-frequency entry, its peak
+    assert np.all(mat[:, 0] == 1.0)
+    assert np.all(mat[:, 9:].max(axis=1) == 1.0)
+
+
+def test_half_spectrum_rows_keep_full_spectrum_distances(noisy_keypoints, busy_keypoints):
+    rng = np.random.default_rng(14)
+    cases = [(noisy_keypoints, noisy_keypoints), (busy_keypoints[0], busy_keypoints[0]),
+             (busy_keypoints[0], busy_keypoints[1])]
+    for kset, other in cases:
+        args = meta_args(kset)
+        rows = rng.choice(len(kset), 24, replace=False)
+        half = row_distances(descriptor_matrix(kset.xy, *args), rows,
+                             descriptor_matrix(other.xy, *args))
+        full = row_distances(per_keypoint_matrix(kset.xy, *args), rows,
+                             per_keypoint_matrix(other.xy, *args))
+        assert half.shape == (24, len(other))
+        assert np.max(np.abs(half - full)) <= 1e-12
+    for alpha in (1, 2, 7, 16):
+        xy = random_cloud(rng, 40)
+        half = descriptor_matrix(xy, alpha, 6, MAX_RANGE)
+        full = per_keypoint_matrix(xy, alpha, 6, MAX_RANGE)
+        every = np.arange(40)
+        assert np.max(np.abs(row_distances(half, every, half) - row_distances(full, every, full))) <= 1e-12
 
 
 def test_rotation_about_sensor_is_a_noop():
@@ -174,12 +226,13 @@ def test_translation_changes_descriptors():
 
 def test_lone_keypoint_gets_zero_descriptor():
     d = descriptor_matrix(np.array([[3.0, 4.0]]), 8, 6, MAX_RANGE)
-    assert np.array_equal(d, np.zeros((1, 14)))
+    assert np.array_equal(d, np.zeros((1, 8 // 2 + 1 + 6)))
 
 
 def test_radial_overflow_clips_to_last_bin():
     xy = np.array([[1.0, 0.0], [1.0 + 10 * MAX_RANGE, 0.0]])
-    radial = descriptor_matrix(xy, 4, 5, MAX_RANGE)[0, 4:]
+    radial = descriptor_matrix(xy, 4, 5, MAX_RANGE)[0, 4 // 2 + 1 :]
+    assert radial.shape == (5,)
     assert radial[4] > 0
     assert np.all(radial[:4] == 0)
 
@@ -196,7 +249,7 @@ def test_descriptor_of_clouds_at_the_coordinate_bound_is_finite():
     # squared distance is 2**1023, finite, and clips to the last radial bin
     xy = np.array([[2.0**510, 2.0**510], [-(2.0**510), -(2.0**510)]])
     d = descriptor_matrix(xy, 8, 6, MAX_RANGE)
-    assert np.array_equal(d[:, 8:], [[0.0] * 5 + [1.0]] * 2)
+    assert np.array_equal(d[:, 8 // 2 + 1 :], [[0.0] * 5 + [1.0]] * 2)
 
 
 def test_descriptor_validation():
@@ -250,6 +303,17 @@ def test_unary_matches_equal_the_dense_search(noisy_keypoints, busy_keypoints):
         best = dense_unary(d1, descriptor_matrix(l2, *args))
         assert np.array_equal(got.l1_indices, np.arange(d1.shape[0]))
         assert got.l2_indices.dtype == best.dtype
+        assert np.array_equal(got.l2_indices, best)
+
+
+def test_unary_matches_equal_the_full_spectrum_dense_search(noisy_keypoints, busy_keypoints):
+    # the half spectrum changes the distances only by rounding, and on these
+    # scans not one nearest neighbour
+    noisy, (busy_a, busy_b) = noisy_keypoints, busy_keypoints
+    for l1, l2, args in ((noisy, busy_a, meta_args(noisy)), (busy_a, busy_b, meta_args(busy_a)),
+                         (busy_b, noisy, meta_args(busy_a))):
+        got = propose_unary_matches(l1, l2, *args)
+        best = dense_unary(per_keypoint_matrix(l1.xy, *args), per_keypoint_matrix(l2.xy, *args))
         assert np.array_equal(got.l2_indices, best)
 
 

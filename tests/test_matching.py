@@ -16,6 +16,8 @@ from radarodo import (
 )
 from radarodo.descriptors import UnaryMatches, propose_unary_matches
 from radarodo.matching import (
+    _LANCZOS_MIN_K,
+    _lanczos_top_two,
     eigengap_measure,
     global_score,
     greedy_select,
@@ -196,6 +198,84 @@ def test_eigengap_ignores_the_order_of_the_rows(busy_problem):
     rng = np.random.default_rng(11)
     for _ in range(3):
         assert eigengap_measure(c, rng.permutation(rows)) == gap
+
+
+@pytest.mark.parametrize("rows", [[-1], [0, 8], [1.0, 2.0], [0, 1.5], [True, False], []])
+def test_eigengap_rejects_rows_that_are_not_candidates(rows):
+    c, _ = clique_instance(np.random.default_rng(15), 5, extra=3)
+    with pytest.raises(ValueError):
+        eigengap_measure(c, rows)
+
+
+def dense_top_two(block):
+    """lambda1 and the largest-magnitude rest eigenvalue, from eigvalsh."""
+    lam = np.linalg.eigvalsh(block)
+    rest = lam[:-1]
+    return lam[-1], rest[np.argmax(np.abs(rest))]
+
+
+def embedded(block, rng, extra=20):
+    """A (k + extra) x (k + extra) matrix holding ``block`` on random rows,
+    with those rows."""
+    k = block.shape[0]
+    rows = np.sort(rng.choice(k + extra, k, replace=False))
+    c = np.zeros((k + extra, k + extra))
+    c[np.ix_(rows, rows)] = block
+    return c, rows
+
+
+def lanczos_blocks(busy_problem):
+    """Named blocks above the Lanczos crossover on which Lanczos certifies."""
+    rng = np.random.default_rng(16)
+    # compatibility blocks of random point sets, jittered and with scatter
+    for t in range(4):
+        c, um = clique_instance(rng, int(rng.integers(230, 300)), extra=int(rng.integers(0, 30)),
+                                jitter=float(rng.uniform(0.05, 0.4)))
+        yield f"random {t}", c
+    # two groups of near-equal, then equal, support: lambda2 = lambda1 - eps
+    group, _ = clique_instance(rng, 130, jitter=0.2)
+    for eps in (1e-4, 1e-8, 1e-12, 0.0):
+        block = np.zeros((260, 260))
+        block[:130, :130] = group
+        block[130:, 130:] = group * (1.0 - eps)
+        perm = rng.permutation(260)
+        yield f"near-equal {eps}", block[np.ix_(perm, perm)]
+    # equal halves linked across strongly and inside weakly: lambda2 is
+    # negative and outweighs every positive eigenvalue after lambda1
+    halves = [clique_instance(rng, 130, jitter=0.2)[0] for _ in range(3)]
+    block = np.block([[0.3 * halves[0], halves[1]], [halves[1].T, 0.1 * halves[2]]])
+    lam = np.linalg.eigvalsh(block)
+    assert lam[0] < 0 and -lam[0] > lam[-2]
+    yield "bipartite", block
+    c, sol, um = busy_problem
+    rows = np.flatnonzero(greedy_select(c, sol, um).indicator)
+    yield "busy", c[np.ix_(rows, rows)]
+
+
+def test_lanczos_eigengap_agrees_with_eigvalsh(busy_problem):
+    rng = np.random.default_rng(17)
+    for name, block in lanczos_blocks(busy_problem):
+        assert block.shape[0] >= _LANCZOS_MIN_K, name
+        top = _lanczos_top_two(block)
+        assert top is not None, name
+        want = dense_top_two(block)
+        assert np.max(np.abs(np.subtract(top, want))) <= 1e-12 * want[0], name
+        c, rows = embedded(block, rng)
+        gap = float(np.clip((want[0] - want[1]) / c.shape[0], 0.0, 1.0))
+        assert abs(eigengap_measure(c, rows) - gap) <= 1e-12, name
+
+
+def test_eigengap_falls_back_to_eigvalsh_when_lanczos_cannot_certify():
+    rng = np.random.default_rng(18)
+    k = _LANCZOS_MIN_K + 30
+    clique = np.ones((k, k)) - np.eye(k)  # two distinct eigenvalues: breakdown on step 1
+    noise = rng.uniform(0.0, 1.0, (k, k))  # a wide bulk: not certified within the step cap
+    for block in (clique, np.triu(noise, 1) + np.triu(noise, 1).T):
+        assert _lanczos_top_two(block) is None
+        c, rows = embedded(block, rng)
+        lam1, lam2 = dense_top_two(block)
+        assert eigengap_measure(c, rows) == float(np.clip((lam1 - lam2) / c.shape[0], 0.0, 1.0))
+    assert eigengap_measure(*embedded(clique, rng)) == pytest.approx(k / (k + 20), abs=1e-12)
 
 
 def selection_score(c, sel):
