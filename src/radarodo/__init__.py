@@ -41,7 +41,6 @@ from .matching import (
     principal_eigenvector,
 )
 from .odometry import (
-    EvalMetrics,
     OdometryResult,
     PairResult,
     PipelineConfig,

@@ -8,9 +8,9 @@ their outputs.
 
 ``odometry`` runs both methods (``ro`` and ``icp``) through
 ``odometry.run_odometry``; the spectral method takes one parameter, the
-region budget ``l_max``. ``odometry`` and ``eval`` score a trajectory the
-same way (``trajectory_errors``), so ``eval`` on the ``trajectory.csv`` that
-``odometry`` wrote reproduces its error lines exactly.
+region budget ``l_max``. ``odometry`` and ``eval`` both write what
+``odometry.evaluate`` returns for the trajectory, so ``eval`` on the
+``trajectory.csv`` that ``odometry`` wrote reproduces its error lines exactly.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 I/O error
 (including a malformed scan file), 4 no scan pair could be matched
@@ -34,7 +34,7 @@ from .icp import IcpConfig, icp_matcher
 from .keypoints import extract_keypoints, write_keypoints_csv
 from .odometry import PipelineConfig, evaluate, run_odometry
 from .scan import SensorMeta, load_scan, save_scan
-from .se2 import Pose2, relative_pose
+from .se2 import Pose2
 from .simulate import ArtifactModel, TrajectorySpec, make_trajectory, random_world, render_sequence
 
 EXIT_CONFIG = 2
@@ -172,35 +172,25 @@ def write_metrics_file(path, entries: dict):
             f.write(f"{key} = {value}\n")
 
 
-def trajectory_errors(timestamps, poses, truth: TrajectorySpec) -> dict:
-    """The ``*_m`` / ``*_deg`` metrics-file entries of a trajectory: the
-    relative poses of consecutive poses, scored by ``evaluate``."""
-    metrics = evaluate(
-        [relative_pose(a, b) for a, b in zip(poses, poses[1:])], timestamps, truth
-    )
-    return {
-        "translation_median_m": metrics.translation_median,
-        "translation_std_m": metrics.translation_std,
-        "rotation_median_deg": math.degrees(metrics.rotation_median),
-        "rotation_std_deg": math.degrees(metrics.rotation_std),
-    }
-
-
 def write_trajectory_svg(path, named_tracks):
-    """Minimal SVG polyline overlay of 2D tracks, equal-aspect, y up."""
-    pts = np.concatenate([xy for _, xy in named_tracks], axis=0)
+    """Minimal SVG polyline overlay of ``(name, poses)`` tracks, equal-aspect,
+    y up."""
+    tracks = [(name, np.array([[p.x, p.y] for p in poses])) for name, poses in named_tracks]
+    pts = np.concatenate([xy for _, xy in tracks], axis=0)
     lo = pts.min(axis=0) - 1.0
     hi = pts.max(axis=0) + 1.0
     span = float(max(hi[0] - lo[0], hi[1] - lo[1]))
     size = 640.0
-    scale = size / span
+    # the 1 m margins can round away on coordinates of magnitude >= 2**53,
+    # so tracks that sit on one such point span nothing
+    scale = size / span if span > 0 else 1.0
     colors = ["#888888", "#c0392b", "#2c6fbb", "#27ae60"]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" height="{size:.0f}" '
         f'viewBox="0 0 {size:.0f} {size:.0f}">',
         f'<rect width="{size:.0f}" height="{size:.0f}" fill="white"/>',
     ]
-    for i, (name, xy) in enumerate(named_tracks):
+    for i, (name, xy) in enumerate(tracks):
         coords = " ".join(
             f"{(x - lo[0]) * scale:.2f},{(hi[1] - y) * scale:.2f}" for x, y in xy
         )
@@ -315,7 +305,7 @@ def cmd_odometry(args) -> int:
             true_ts, poses = read_pose_csv(truth_path)
             truth = TrajectorySpec(poses, true_ts)
             true_poses = truth.poses  # plotted even when it does not line up
-            entries.update(trajectory_errors(result.timestamps, result.trajectory, truth))
+            entries.update(evaluate(result.trajectory, result.timestamps, truth))
         except (OSError, ValueError) as err:
             print(f"warning: truth not scored: {err}", file=sys.stderr)
 
@@ -332,9 +322,9 @@ def cmd_odometry(args) -> int:
     outputs = [traj_path, metrics_path]
     if args.plot:
         svg_path = out_dir / "trajectory.svg"
-        tracks = [("estimate", np.array([[p.x, p.y] for p in result.trajectory]))]
+        tracks = [("estimate", result.trajectory)]
         if true_poses is not None:
-            tracks.insert(0, ("truth", np.array([[p.x, p.y] for p in true_poses])))
+            tracks.insert(0, ("truth", true_poses))
         write_trajectory_svg(svg_path, tracks)
         outputs.append(svg_path)
     write_manifest(out_dir, "odometry", cfg, scan_paths, outputs, stats["timings"])
@@ -352,18 +342,11 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--plot writes <out>.svg, which would overwrite --out {out_path}")
     est_ts, est_poses = read_pose_csv(args.trajectory)
     true_ts, true_poses = read_pose_csv(args.truth)
-    errors = trajectory_errors(est_ts, est_poses, TrajectorySpec(true_poses, true_ts))
-    entries = {"n_pairs": len(est_poses) - 1, **errors}
+    entries = evaluate(est_poses, est_ts, TrajectorySpec(true_poses, true_ts))
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_metrics_file(out_path, entries)
     if args.plot:
-        write_trajectory_svg(
-            svg_path,
-            [
-                ("truth", np.array([[p.x, p.y] for p in true_poses])),
-                ("estimate", np.array([[p.x, p.y] for p in est_poses])),
-            ],
-        )
+        write_trajectory_svg(svg_path, [("truth", true_poses), ("estimate", est_poses)])
     for key, value in entries.items():
         print(f"{key} = {value}")
     return 0

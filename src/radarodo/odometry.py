@@ -11,8 +11,9 @@ inverted if the sets were swapped to arrange that.
 matcher ``(kp_a, kp_b) -> (pose, stats)`` (``match_keypoint_sets`` with the
 config by default, or ``icp.icp_matcher`` for the ICP baseline), so both
 methods share its input checks, timings, failure reasons and
-constant-velocity fallback. ``evaluate`` scores the per-pair poses against
-ground truth.
+constant-velocity fallback. ``evaluate`` scores a trajectory (one pose per
+scan, as ``OdometryResult.trajectory`` and ``trajectory.csv`` hold it)
+against ground truth; the CLI writes what it returns.
 """
 
 from __future__ import annotations
@@ -80,15 +81,6 @@ class OdometryResult:
     @property
     def failure_count(self) -> int:
         return sum(1 for p in self.pairs if p.failed)
-
-
-@dataclass(frozen=True)
-class EvalMetrics:
-    n_pairs: int
-    translation_median: float
-    translation_std: float
-    rotation_median: float
-    rotation_std: float
 
 
 def match_keypoint_sets(
@@ -206,32 +198,37 @@ def run_odometry(scans, cfg: PipelineConfig | None = None, matcher=None) -> Odom
     return OdometryResult(pairs=tuple(pairs), trajectory=tuple(trajectory), timestamps=ts)
 
 
-def evaluate(rel_poses, timestamps, truth: TrajectorySpec) -> EvalMetrics:
-    """Per-pair pose errors against ground truth, reduced to medians and stds.
+def evaluate(poses, timestamps, truth: TrajectorySpec) -> dict:
+    """Score a trajectory against ground truth, pair by pair.
 
-    ``rel_poses[k]`` is scan k+1's frame in scan k's (``[p.pose for p in
-    result.pairs]`` for an :class:`OdometryResult`). ``timestamps`` holds one
-    entry per scan and must line up with ``truth`` to 1e-9 s; otherwise, or
-    with fewer than two scans, this raises ValueError.
+    ``poses`` holds one world-frame pose per scan (``result.trajectory`` for
+    an :class:`OdometryResult`, or the poses of a ``trajectory.csv``); each
+    pair is the relative pose of two consecutive poses, compared with the
+    truth's. Returns the metrics-file entries ``n_pairs``,
+    ``translation_median_m``, ``translation_std_m``, ``rotation_median_deg``
+    and ``rotation_std_deg``. ``timestamps`` holds one entry per pose and
+    must line up with ``truth`` to 1e-9 s; otherwise, or with fewer than two
+    poses, this raises ValueError.
     """
-    rel_poses = list(rel_poses)
-    if not rel_poses:
+    poses = list(poses)
+    if len(poses) < 2:
         raise ValueError("need at least 2 poses to evaluate")
-    if len(timestamps) != len(rel_poses) + 1 or len(truth) != len(timestamps):
+    if len(timestamps) != len(poses) or len(truth) != len(timestamps):
         raise ValueError("truth length does not match scan count")
     if not np.allclose(truth.timestamps, timestamps, rtol=0, atol=1e-9):
         raise ValueError("truth timestamps do not match scan timestamps")
     t_err, r_err = [], []
-    for k, pose in enumerate(rel_poses):
+    for k in range(len(poses) - 1):
+        pose = relative_pose(poses[k], poses[k + 1])
         true_rel = relative_pose(truth.poses[k], truth.poses[k + 1])
         t_err.append(math.hypot(pose.x - true_rel.x, pose.y - true_rel.y))
         r_err.append(abs(wrap_angle(pose.theta - true_rel.theta)))
     t_err = np.asarray(t_err)
     r_err = np.asarray(r_err)
-    return EvalMetrics(
-        n_pairs=len(rel_poses),
-        translation_median=float(np.median(t_err)),
-        translation_std=float(t_err.std()),
-        rotation_median=float(np.median(r_err)),
-        rotation_std=float(r_err.std()),
-    )
+    return {
+        "n_pairs": len(poses) - 1,
+        "translation_median_m": float(np.median(t_err)),
+        "translation_std_m": float(t_err.std()),
+        "rotation_median_deg": math.degrees(np.median(r_err)),
+        "rotation_std_deg": math.degrees(r_err.std()),
+    }

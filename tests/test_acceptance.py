@@ -396,16 +396,16 @@ def test_13_every_entry_point_is_deterministic(tmp_path):
             "--scan", str(data / "scan_00000.rscan"), "--out", str(root / "kp.csv"),
         ])
         _run([
-            "odometry", "--config", str(cfg),
+            "odometry", "--config", str(cfg), "--plot",
             "--dataset", str(data), "--out", str(root / "ro"),
         ])
         _run([
-            "odometry", "--config", str(cfg), "--method", "icp",
+            "odometry", "--config", str(cfg), "--method", "icp", "--plot",
             "--dataset", str(data), "--out", str(root / "icp"),
         ])
         _run([
             "eval", "--trajectory", str(root / "ro" / "trajectory.csv"),
-            "--truth", str(data / "truth.csv"), "--out", str(root / "eval.txt"),
+            "--truth", str(data / "truth.csv"), "--out", str(root / "eval.txt"), "--plot",
         ])
         _run([
             "bench", "--out", str(root / "bench"), "--repeats", "1",
@@ -420,15 +420,17 @@ def test_13_every_entry_point_is_deterministic(tmp_path):
     assert _same_bytes(x / "kp.csv", y / "kp.csv")
     for method in ("ro", "icp"):
         assert _same_bytes(x / method / "trajectory.csv", y / method / "trajectory.csv")
+        assert _same_bytes(x / method / "trajectory.svg", y / method / "trajectory.svg")
         assert _metrics_match(x / method / "metrics.txt", y / method / "metrics.txt")
         assert _manifests_match(x / method, y / method)
     assert _same_bytes(x / "eval.txt", y / "eval.txt")
+    assert _same_bytes(x / "eval.svg", y / "eval.svg")
     strip_seconds = lambda p: [
         ",".join(v for i, v in enumerate(line.split(",")) if i != 2)
         for line in (p / "bench" / "bench.csv").read_text().splitlines()
     ]
     assert strip_seconds(x) == strip_seconds(y)
     print(
-        "PASS 13: simulate/extract/odometry(ro,icp)/eval byte-identical across "
-        "two runs; bench identical outside wall-clock columns"
+        "PASS 13: simulate/extract/odometry(ro,icp)/eval and their plots byte-identical "
+        "across two runs; bench identical outside wall-clock columns"
     )

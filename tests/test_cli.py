@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radarodo import (
-    PipelineConfig, PolarScan, SensorMeta, extract_keypoints, load_scan, run_odometry, save_scan,
+    IcpConfig, PipelineConfig, PolarScan, SensorMeta, TrajectorySpec, evaluate, extract_keypoints,
+    icp_matcher, load_scan, run_odometry, save_scan,
 )
 from radarodo.cli import CONFIG_SCHEMA, main, read_config_file, read_pose_csv
 from radarodo.errors import ScanFormatError
@@ -294,6 +295,8 @@ def test_eval_plot_that_would_overwrite_its_metrics_is_a_usage_error(tmp_path, c
 
 
 def test_odometry_error_lines_equal_eval_of_its_trajectory(tmp_path):
+    # and both equal, by repr, what the library's evaluate returns for the
+    # same run: SMALL_SIM's l_max and the CLI's ICP defaults
     cfg = write_cfg(tmp_path, SMALL_SIM.replace("kind = straight", "kind = arc\nyaw_rate = 0.4"))
     data = tmp_path / "data"
     assert main(["simulate", "--config", str(cfg), "--seed", "7", "--out", str(data)]) == 0
@@ -301,7 +304,10 @@ def test_odometry_error_lines_equal_eval_of_its_trajectory(tmp_path):
         line for line in path.read_text().splitlines()
         if line.split(" = ")[0].endswith(("_m", "_deg"))
     ]
-    for method in ("ro", "icp"):
+    scans = [load_scan(p) for p in sorted(data.glob("scan_*.rscan"))]
+    true_ts, true_poses = read_pose_csv(data / "truth.csv")
+    truth = TrajectorySpec(true_poses, true_ts)
+    for method, matcher in (("ro", None), ("icp", icp_matcher(IcpConfig()))):
         out = tmp_path / method
         rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out),
                    "--method", method])
@@ -311,6 +317,9 @@ def test_odometry_error_lines_equal_eval_of_its_trajectory(tmp_path):
         assert rc == 0
         lines = error_lines(out / "metrics.txt")
         assert len(lines) == 4 and lines == error_lines(out / "eval.txt"), method
+        result = run_odometry(scans, PipelineConfig(l_max=200), matcher)
+        entries = evaluate(result.trajectory, result.timestamps, truth)
+        assert lines == [f"{k} = {v!r}" for k, v in entries.items() if k != "n_pairs"], method
 
 
 @pytest.mark.parametrize("method", ["ro", "icp"])
@@ -328,6 +337,20 @@ def test_eval_agrees_with_odometry_metrics(tmp_path, method):
     assert ev["n_pairs"] == own["n_pairs"] == "3"
     for key in ("translation_median_m", "translation_std_m", "rotation_median_deg", "rotation_std_deg"):
         assert abs(float(ev[key]) - float(own[key])) <= 1e-9
+
+
+def test_eval_plot_of_tracks_on_one_far_point_exits_0(tmp_path):
+    # 1e20 +- 1 rounds back to 1e20, so the plot's 1 m margins span nothing
+    rows = "timestamp,x,y,theta\n0.0,1e20,1e20,0.0\n0.25,1e20,1e20,0.0\n"
+    for name in ("trajectory.csv", "truth.csv"):
+        (tmp_path / name).write_text(rows)
+    out = tmp_path / "ev" / "eval.txt"
+    rc = main(["eval", "--trajectory", str(tmp_path / "trajectory.csv"),
+               "--truth", str(tmp_path / "truth.csv"), "--out", str(out), "--plot"])
+    assert rc == 0
+    assert read_metrics(out)["translation_median_m"] == "0.0"
+    svg = (tmp_path / "ev" / "eval.svg").read_text()
+    assert svg.count('<polyline points="0.00,0.00 0.00,0.00"') == 2
 
 
 def write_blank_dataset(root, stamps):

@@ -2,6 +2,7 @@
 against this checkout's package, and the README names only what exists."""
 
 import builtins
+import inspect
 import math
 import os
 import re
@@ -62,3 +63,14 @@ def test_readme_names_only_what_the_package_has():
     names = set(re.findall(r"`([A-Za-z_]\w*)\(", text)) | set(re.findall(r"`([A-Z]\w*)`", text))
     assert {"run_odometry", "PipelineConfig", "ValueError"} <= names
     assert sorted(n for n in names if not hasattr(radarodo, n) and not hasattr(builtins, n)) == []
+    # a backticked call of bare names, `f(a, b)`, lists f's leading
+    # parameters by name, so a renamed or reordered parameter shows
+    calls = re.findall(r"`([A-Za-z_]\w*)\(((?:[A-Za-z_]\w*(?:, )?)*)\)`", text)
+    assert {"run_odometry", "evaluate", "descriptor_matrix"} <= {name for name, _ in calls}
+    stale = []
+    for name, args in calls:
+        args = args.split(", ") if args else []
+        params = list(inspect.signature(getattr(radarodo, name)).parameters)
+        if args != params[: len(args)]:
+            stale.append((name, args, params))
+    assert stale == []

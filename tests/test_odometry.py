@@ -161,15 +161,19 @@ def test_evaluate_computes_pairwise_error_stats():
     )
     scans = render_sequence(world, traj, META, QUIET, seed=40)
     result = run_odometry(scans, CFG)
-    metrics = evaluate([p.pose for p in result.pairs], result.timestamps, traj)
-    assert metrics.n_pairs == 3
-    assert metrics.translation_median < 0.25
-    assert metrics.rotation_median < math.radians(0.5)
+    metrics = evaluate(result.trajectory, result.timestamps, traj)
+    assert list(metrics) == [
+        "n_pairs", "translation_median_m", "translation_std_m",
+        "rotation_median_deg", "rotation_std_deg",
+    ]
+    assert metrics["n_pairs"] == 3
+    assert metrics["translation_median_m"] < 0.25
+    assert metrics["rotation_median_deg"] < 0.5
     errs = []
     for k, pair in enumerate(result.pairs):
         truth = relative_pose(traj.poses[k], traj.poses[k + 1])
         errs.append(math.hypot(pair.pose.x - truth.x, pair.pose.y - truth.y))
-    assert metrics.translation_median == pytest.approx(float(np.median(errs)), abs=1e-12)
+    assert metrics["translation_median_m"] == pytest.approx(float(np.median(errs)), abs=1e-12)
 
 
 def test_evaluate_rejects_mismatched_truth():
@@ -180,15 +184,15 @@ def test_evaluate_rejects_mismatched_truth():
     )
     scans = render_sequence(world, traj, META, QUIET, seed=50)
     result = run_odometry(scans, CFG)
-    rel = [p.pose for p in result.pairs]
     short = TrajectorySpec(poses=traj.poses[:2], timestamps=traj.timestamps[:2])
-    with pytest.raises(ValueError):
-        evaluate(rel, result.timestamps, short)
+    with pytest.raises(ValueError, match="length"):
+        evaluate(result.trajectory, result.timestamps, short)
     late = TrajectorySpec(poses=traj.poses, timestamps=(0.0, 0.25, 0.6))
-    with pytest.raises(ValueError):
-        evaluate(rel, result.timestamps, late)
-    with pytest.raises(ValueError):
-        evaluate([], result.timestamps[:1], TrajectorySpec(traj.poses[:1], traj.timestamps[:1]))
+    with pytest.raises(ValueError, match="timestamps"):
+        evaluate(result.trajectory, result.timestamps, late)
+    one = TrajectorySpec(traj.poses[:1], traj.timestamps[:1])
+    with pytest.raises(ValueError, match="at least 2"):
+        evaluate(result.trajectory[:1], result.timestamps[:1], one)
 
 
 def test_icp_matcher_chains_like_a_reference_loop():
