@@ -48,7 +48,6 @@ CONFIG_SCHEMA = {
     "steps": (int, 20),
     "speed": (float, 2.0),
     "yaw_rate": (float, 0.0),
-    "dt": (float, 0.25),
     "num_azimuths": (int, 100),
     "num_range_bins": (int, 200),
     "range_resolution": (float, 0.5),
@@ -177,6 +176,11 @@ def write_trajectory_svg(path, named_tracks):
     y up."""
     tracks = [(name, np.array([[p.x, p.y] for p in poses])) for name, poses in named_tracks]
     pts = np.concatenate([xy for _, xy in tracks], axis=0)
+    # a span past the float range would draw NaN; halving every coordinate
+    # is exact, so such tracks are drawn from their halves
+    if np.any(pts.max(axis=0) / 2 - pts.min(axis=0) / 2 > np.finfo(float).max / 2):
+        tracks = [(name, xy / 2) for name, xy in tracks]
+        pts = pts / 2
     lo = pts.min(axis=0) - 1.0
     hi = pts.max(axis=0) + 1.0
     span = float(max(hi[0] - lo[0], hi[1] - lo[1]))
@@ -227,8 +231,10 @@ def cmd_simulate(args) -> int:
             min_range=cfg["min_range"],
             min_separation=cfg["min_separation"],
         )
+        # one scan per rotation: the poses are spaced by the sensor's period
         traj = make_trajectory(
-            cfg["kind"], cfg["steps"], cfg["speed"], cfg["yaw_rate"], cfg["dt"], seed=args.seed
+            cfg["kind"], cfg["steps"], cfg["speed"], cfg["yaw_rate"], meta.scan_period,
+            seed=args.seed,
         )
         art = ArtifactModel(
             speckle_scale=cfg["speckle_scale"],

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoCandidatesError
-from .keypoints import KeypointSet
+from .keypoints import KeypointSet, _is_count
 
 _TWO_PI = 2.0 * math.pi
 _SQRT2 = math.sqrt(2.0)
@@ -89,10 +89,11 @@ def _points(kset) -> np.ndarray:
 
 
 def _check_params(alpha, rho, max_range):
-    if alpha < 1 or rho < 1:
-        raise ValueError("alpha and rho must be >= 1")
-    if not (max_range > 0):
-        raise ValueError("max_range must be positive")
+    # PipelineConfig's rules; written so that NaN fails too
+    if not (_is_count(alpha) and _is_count(rho)):
+        raise ValueError("alpha and rho must be ints >= 1")
+    if not (0 < max_range < math.inf):
+        raise ValueError("max_range must be finite and > 0")
 
 
 def _upper_distances(p: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -171,8 +172,10 @@ def descriptor_matrix(kset, alpha: int, rho: int, max_range: float) -> np.ndarra
 
     For a :class:`KeypointSet` the matrix is built on the first call with
     these parameters and returned, read-only, from the set's cache after.
-    A raw (N, 2) cloud raises ValueError if a coordinate is not finite or
-    exceeds 2**510 in magnitude, where a squared distance could overflow.
+    ``alpha`` and ``rho`` must be ints >= 1 (a bool is not one) and
+    ``max_range`` finite and > 0, else ValueError. A raw (N, 2) cloud raises
+    ValueError if a coordinate is not finite or exceeds 2**510 in magnitude,
+    where a squared distance could overflow.
     """
     _check_params(alpha, rho, max_range)
     cache = kset.descriptor_cache if isinstance(kset, KeypointSet) else None

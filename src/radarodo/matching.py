@@ -63,7 +63,9 @@ def pairwise_compatibility(u_matches: UnaryMatches, l1, l2, sigma: float) -> np.
     diagonal is zero, and so are entries of candidate pairs that share a
     keypoint on either side (they can never be selected together). A
     coordinate that is not finite or exceeds 2**510 in magnitude raises
-    ValueError, as in :func:`radarodo.descriptors.descriptor_matrix`.
+    ValueError, as in :func:`radarodo.descriptors.descriptor_matrix`, and so
+    does a ``sigma`` that is not finite and > 0 (an infinite one would make
+    every pair fully compatible).
 
     C is exactly symmetric: distances square their coordinate differences,
     (-d)**2 = d**2 exactly, and every later step is elementwise. So only its
@@ -71,8 +73,8 @@ def pairwise_compatibility(u_matches: UnaryMatches, l1, l2, sigma: float) -> np.
     columns ``lo:u``, and each block's off-diagonal part is mirrored into
     the rows below; C is the only (u, u) array.
     """
-    if not (sigma > 0):
-        raise ValueError("sigma must be positive")
+    if not (0 < sigma < math.inf):
+        raise ValueError("sigma must be finite and > 0")
     u = u_matches.u
     if u < 2:
         raise DegenerateProblemError(f"need at least 2 candidates, got {u}")

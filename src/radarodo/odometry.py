@@ -19,7 +19,7 @@ against ground truth; the CLI writes what it returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,8 +59,6 @@ class PipelineConfig:
 class PairResult:
     """Relative pose and diagnostics for one consecutive scan pair."""
 
-    t_a: float
-    t_b: float
     pose: Pose2
     u: int = 0
     n_selected: int = 0
@@ -129,30 +127,6 @@ def match_keypoint_sets(
     return pose, stats
 
 
-def _pair_result(scan_a, scan_b, kp_a, kp_b, matcher, extract_time):
-    try:
-        pose, stats = matcher(kp_a, kp_b)
-        reason = ""
-    except RadarOdoError as err:
-        pose, stats = Pose2(), err.diagnostics or {}
-        reason = f"{type(err).__name__}: {err}"
-    timings = stats.setdefault("timings", {})
-    timings["extract"] = extract_time
-    return PairResult(
-        t_a=scan_a.timestamp,
-        t_b=scan_b.timestamp,
-        pose=pose,
-        u=stats.get("u", 0),
-        n_selected=stats.get("n_selected", 0),
-        mutual_compatibility=stats.get("mutual_compatibility", 0.0),
-        eigengap=stats.get("eigengap", 0.0),
-        residual_rms=stats.get("residual_rms", 0.0),
-        timings=timings,
-        failed=bool(reason),
-        failure_reason=reason,
-    )
-
-
 def run_odometry(scans, cfg: PipelineConfig | None = None, matcher=None) -> OdometryResult:
     """Estimate relative poses over a scan sequence and integrate them.
 
@@ -179,17 +153,31 @@ def run_odometry(scans, cfg: PipelineConfig | None = None, matcher=None) -> Odom
     with stage("extract", extracted):
         kp_a = extract_keypoints(scans[0], cfg.l_max)
     pairs = []
-    fallback = Pose2()
-    for k in range(len(scans) - 1):
+    pose = Pose2()  # the last good pose, carried over by a failed pair
+    for scan_b in scans[1:]:
         with stage("extract", extracted):
-            kp_b = extract_keypoints(scans[k + 1], cfg.l_max)
-        extract_time = extracted["timings"].pop("extract")
-        p = _pair_result(scans[k], scans[k + 1], kp_a, kp_b, matcher, extract_time)
-        if p.failed:
-            p = replace(p, pose=fallback)
-        else:
-            fallback = p.pose
-        pairs.append(p)
+            kp_b = extract_keypoints(scan_b, cfg.l_max)
+        try:
+            pose, stats = matcher(kp_a, kp_b)
+            reason = ""
+        except RadarOdoError as err:
+            stats = err.diagnostics or {}
+            reason = f"{type(err).__name__}: {err}"
+        timings = stats.setdefault("timings", {})
+        timings["extract"] = extracted["timings"].pop("extract")
+        pairs.append(
+            PairResult(
+                pose=pose,
+                u=stats.get("u", 0),
+                n_selected=stats.get("n_selected", 0),
+                mutual_compatibility=stats.get("mutual_compatibility", 0.0),
+                eigengap=stats.get("eigengap", 0.0),
+                residual_rms=stats.get("residual_rms", 0.0),
+                timings=timings,
+                failed=bool(reason),
+                failure_reason=reason,
+            )
+        )
         kp_a = kp_b
 
     trajectory = [Pose2()]

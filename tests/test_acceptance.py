@@ -344,7 +344,6 @@ DET_CONFIG = """
 kind = straight
 steps = 4
 speed = 3.0
-dt = 0.25
 num_azimuths = 256
 num_range_bins = 120
 range_resolution = 0.5

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ SMALL_SIM = """
 kind = straight
 steps = 4
 speed = 3.0
-dt = 0.25
 num_azimuths = 256
 num_range_bins = 120
 range_resolution = 0.5
@@ -62,10 +62,14 @@ def test_config_file_parsing(tmp_path):
     assert values == {"steps": 7, "speed": 1.5}
 
 
-def test_config_rejects_unknown_key(tmp_path):
-    path = write_cfg(tmp_path, "warp_drive = 9\n")
-    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
-    assert rc == 2
+def test_config_rejects_unknown_key(tmp_path, capsys):
+    # dt is gone: simulated scans are one scan_period apart
+    for key in ("warp_drive", "dt"):
+        path = write_cfg(tmp_path, f"{key} = 0.25\n")
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 2, key
+        assert f"{path}:1: unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 def test_config_rejects_bad_value(tmp_path, capsys):
@@ -190,6 +194,18 @@ def test_simulate_writes_dataset(tmp_path):
     assert poses[-1].x == pytest.approx(3 * 3.0 * 0.25)
 
 
+def test_simulated_scans_are_one_scan_period_apart(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL_SIM + "scan_period = 0.1\n")
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    true_ts, _ = read_pose_csv(data / "truth.csv")
+    scans = [load_scan(p) for p in sorted(data.glob("scan_*.rscan"))]
+    assert len(scans) == len(true_ts) == 4
+    for k, (scan, t) in enumerate(zip(scans, true_ts)):
+        assert scan.timestamp == t == k * 0.1
+        assert scan.meta.scan_period == 0.1
+
+
 def test_extract_writes_keypoints_csv(tmp_path):
     cfg, out = simulate(tmp_path)
     kp_csv = tmp_path / "kp.csv"
@@ -296,7 +312,7 @@ def test_eval_plot_that_would_overwrite_its_metrics_is_a_usage_error(tmp_path, c
 
 def test_odometry_error_lines_equal_eval_of_its_trajectory(tmp_path):
     # and both equal, by repr, what the library's evaluate returns for the
-    # same run: SMALL_SIM's l_max and the CLI's ICP defaults
+    # same run: SMALL_SIM's l_max and the CLI's ICP defaults; so does n_pairs
     cfg = write_cfg(tmp_path, SMALL_SIM.replace("kind = straight", "kind = arc\nyaw_rate = 0.4"))
     data = tmp_path / "data"
     assert main(["simulate", "--config", str(cfg), "--seed", "7", "--out", str(data)]) == 0
@@ -320,37 +336,31 @@ def test_odometry_error_lines_equal_eval_of_its_trajectory(tmp_path):
         result = run_odometry(scans, PipelineConfig(l_max=200), matcher)
         entries = evaluate(result.trajectory, result.timestamps, truth)
         assert lines == [f"{k} = {v!r}" for k, v in entries.items() if k != "n_pairs"], method
-
-
-@pytest.mark.parametrize("method", ["ro", "icp"])
-def test_eval_agrees_with_odometry_metrics(tmp_path, method):
-    cfg, data = simulate(tmp_path, seed=3)
-    out = tmp_path / method
-    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out),
-               "--method", method])
-    assert rc == 0
-    rc = main(["eval", "--trajectory", str(out / "trajectory.csv"),
-               "--truth", str(data / "truth.csv"), "--out", str(tmp_path / "eval.txt")])
-    assert rc == 0
-    own = read_metrics(out / "metrics.txt")
-    ev = read_metrics(tmp_path / "eval.txt")
-    assert ev["n_pairs"] == own["n_pairs"] == "3"
-    for key in ("translation_median_m", "translation_std_m", "rotation_median_deg", "rotation_std_deg"):
-        assert abs(float(ev[key]) - float(own[key])) <= 1e-9
+        n_pairs = {read_metrics(out / name)["n_pairs"] for name in ("metrics.txt", "eval.txt")}
+        assert n_pairs == {str(entries["n_pairs"])} == {"3"}, method
 
 
 def test_eval_plot_of_tracks_on_one_far_point_exits_0(tmp_path):
-    # 1e20 +- 1 rounds back to 1e20, so the plot's 1 m margins span nothing
-    rows = "timestamp,x,y,theta\n0.0,1e20,1e20,0.0\n0.25,1e20,1e20,0.0\n"
-    for name in ("trajectory.csv", "truth.csv"):
-        (tmp_path / name).write_text(rows)
-    out = tmp_path / "ev" / "eval.txt"
-    rc = main(["eval", "--trajectory", str(tmp_path / "trajectory.csv"),
-               "--truth", str(tmp_path / "truth.csv"), "--out", str(out), "--plot"])
-    assert rc == 0
-    assert read_metrics(out)["translation_median_m"] == "0.0"
-    svg = (tmp_path / "ev" / "eval.svg").read_text()
-    assert svg.count('<polyline points="0.00,0.00 0.00,0.00"') == 2
+    cases = [
+        # 1e20 +- 1 rounds back to 1e20, so the plot's 1 m margins span nothing
+        ("1e20,1e20", "1e20,1e20", ["0.00,0.00 0.00,0.00"] * 2),
+        # the span between the tracks overflows a float
+        ("-1.7e308,0.0", "1.7e308,0.0", ["0.00,0.00 0.00,0.00", "640.00,0.00 640.00,0.00"]),
+    ]
+    for k, (truth_xy, est_xy, polylines) in enumerate(cases):
+        # each track stands still for two rows
+        for name, xy in (("truth.csv", truth_xy), ("trajectory.csv", est_xy)):
+            (tmp_path / name).write_text(f"timestamp,x,y,theta\n0.0,{xy},0.0\n0.25,{xy},0.0\n")
+        out = tmp_path / f"ev{k}" / "eval.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["eval", "--trajectory", str(tmp_path / "trajectory.csv"),
+                       "--truth", str(tmp_path / "truth.csv"), "--out", str(out), "--plot"])
+        assert rc == 0, est_xy
+        assert read_metrics(out)["translation_median_m"] == "0.0"
+        svg = out.with_suffix(".svg").read_text()
+        assert "nan" not in svg
+        assert [line.split('"')[1] for line in svg.splitlines() if "<polyline" in line] == polylines
 
 
 def write_blank_dataset(root, stamps):

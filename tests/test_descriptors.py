@@ -260,6 +260,12 @@ def test_descriptor_validation():
         descriptor_matrix(xy, 4, 0, MAX_RANGE)
     with pytest.raises(ValueError):
         descriptor_matrix(xy, 4, 4, 0.0)
+    # PipelineConfig's rules: counts are ints (a bool is not one), the range
+    # is finite
+    for args in ((2.5, 4, 10.0), (4, 2.5, 10.0), (True, 4, 10.0), (4, True, 10.0),
+                 (4, 4, math.inf), (4, 4, math.nan), (4, 4, -1.0)):
+        with pytest.raises(ValueError):
+            descriptor_matrix(xy, *args)
 
 
 def test_unary_identity_sets_match_one_to_one():

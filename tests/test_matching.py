@@ -406,8 +406,9 @@ def test_compatibility_at_the_coordinate_bound_is_finite():
 
 def test_compatibility_rejects_bad_sigma():
     um = UnaryMatches(np.arange(2), np.arange(2))
-    with pytest.raises(ValueError):
-        pairwise_compatibility(um, np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
+    for sigma in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            pairwise_compatibility(um, np.zeros((2, 2)), np.zeros((2, 2)), sigma)
 
 
 def test_principal_eigenvector_two_by_two():

@@ -136,8 +136,7 @@ def test_failed_pair_uses_constant_velocity_fallback():
     assert result.pairs[1].failed is True
     assert result.pairs[1].failure_reason != ""
     # the substituted motion repeats the last good estimate
-    p0, p1 = result.pairs[0].pose, result.pairs[1].pose
-    assert math.hypot(p0.x - p1.x, p0.y - p1.y) < 1e-9
+    assert result.pairs[1].pose == result.pairs[0].pose
 
 
 def test_positional_dt_is_ignored():
@@ -238,6 +237,7 @@ def test_a_pair_failing_mid_match_reports_the_stages_it_passed():
     result = run_odometry(scans, CFG)
     assert [p.failed for p in result.pairs] == [False, True, True]
     for p in result.pairs[1:]:
+        assert p.pose == result.pairs[0].pose
         assert p.failure_reason.startswith("NoCandidatesError")
         assert set(p.timings) == {"describe", "extract"}
         assert p.u == 0 and p.n_selected == 0
@@ -263,6 +263,8 @@ def test_a_match_failure_keeps_its_candidate_and_selection_counts(monkeypatch):
     result = run_odometry(scans, CFG)
     assert result.failure_count == 2
     for good, failed in zip(matched.pairs, result.pairs):
+        # no pair before it succeeded, so each carries the identity
+        assert failed.pose == Pose2()
         assert failed.failure_reason == "MatchFailureError: fewer than 2 matches selected"
         assert failed.u == good.u > 0
         assert failed.n_selected == 1
