@@ -8,7 +8,7 @@ top-scoring cells the region budget can reach, and one pass over the
 marked cells, so its cost should track the cell count roughly linearly. Both sweeps time the best
 of three runs per point and summarize with a log-log slope.
 
-Run time is a couple of minutes on a laptop; the association sweep at
+Run time is about a second on a 2-core machine; the association sweep at
 l_max=960 dominates.
 """
 

@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 configuration or usage error, 3 I/O error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -42,7 +43,8 @@ EXIT_IO = 3
 EXIT_MATCH = 4
 
 
-# every config key with its type and default; flags override file values
+# every config key with its type and default; flags override file values.
+# A default the library's records own is read from them.
 CONFIG_SCHEMA = {
     "kind": (str, "straight"),
     "steps": (int, 20),
@@ -56,16 +58,11 @@ CONFIG_SCHEMA = {
     "world_extent": (float, 60.0),
     "min_range": (float, 4.0),
     "min_separation": (float, 0.0),
-    "speckle_scale": (float, 0.0),
-    "background_noise": (float, 0.0),
-    "false_positive_rate": (float, 0.0),
-    "dropout_prob": (float, 0.0),
-    "beam_width_azimuths": (float, 2.0),
-    "range_spread_bins": (float, 1.0),
-    "l_max": (int, 1000),
-    "nn_radius": (float, 2.0),
-    "icp_tol": (float, 1e-5),
-    "icp_max_iterations": (int, 50),
+    **{f.name: (type(f.default), f.default) for f in dataclasses.fields(ArtifactModel)},
+    "l_max": (int, PipelineConfig.l_max),
+    "nn_radius": (float, IcpConfig.nn_radius),
+    "icp_tol": (float, IcpConfig.convergence_tol),
+    "icp_max_iterations": (int, IcpConfig.max_iterations),
 }
 
 
@@ -216,14 +213,17 @@ def _scan_paths(dataset: Path):
     return paths
 
 
+def _from_config(record, cfg):
+    """Build the dataclass ``record`` from the config keys named like its fields."""
+    return record(**{f.name: cfg[f.name] for f in dataclasses.fields(record)})
+
+
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args.config)
     out_dir = Path(args.out)
     stats = {}
     with stage("total", stats):
-        meta = SensorMeta(
-            cfg["num_azimuths"], cfg["num_range_bins"], cfg["range_resolution"], cfg["scan_period"]
-        )
+        meta = _from_config(SensorMeta, cfg)
         world = random_world(
             cfg["n_landmarks"],
             cfg["world_extent"],
@@ -236,14 +236,7 @@ def cmd_simulate(args) -> int:
             cfg["kind"], cfg["steps"], cfg["speed"], cfg["yaw_rate"], meta.scan_period,
             seed=args.seed,
         )
-        art = ArtifactModel(
-            speckle_scale=cfg["speckle_scale"],
-            background_noise=cfg["background_noise"],
-            false_positive_rate=cfg["false_positive_rate"],
-            dropout_prob=cfg["dropout_prob"],
-            beam_width_azimuths=cfg["beam_width_azimuths"],
-            range_spread_bins=cfg["range_spread_bins"],
-        )
+        art = _from_config(ArtifactModel, cfg)
         scans = render_sequence(world, traj, meta, art, seed=args.seed)
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = []
@@ -365,8 +358,12 @@ def cmd_bench(args) -> int:
         for token in args.grid_sweep.split(","):
             token = token.strip()
             if token:
-                m, n = token.split("x")
-                grid_shapes.append((int(m), int(n)))
+                m, n = (int(v) for v in token.split("x"))
+                if min(m, n) < 2:
+                    raise ValueError(
+                        f"grid shape {token} needs at least 2 azimuths and 2 range bins"
+                    )
+                grid_shapes.append((m, n))
     except ValueError as err:
         raise ValueError(f"bad sweep specification: {err}") from err
     if len(l_max_values) < 3 or len(grid_shapes) < 3:

@@ -235,7 +235,7 @@ def mark_regions(h: np.ndarray, s_prime: np.ndarray, l_max: int):
     return marked, region_count
 
 
-def extract_keypoints(scan: PolarScan, l_max: int = 1000) -> KeypointSet:
+def extract_keypoints(scan: PolarScan, l_max: int) -> KeypointSet:
     """Extract at most one keypoint per marked run per azimuth.
 
     Emission is one pass over the marked cells in (azimuth, range) order,

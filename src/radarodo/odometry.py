@@ -132,8 +132,10 @@ def run_odometry(scans, cfg: PipelineConfig | None = None, matcher=None) -> Odom
 
     ``matcher(kp_a, kp_b)`` returns (pose of b in a, stats dict) and raises
     :class:`RadarOdoError` when the pair cannot be matched; ``None`` means
-    :func:`match_keypoint_sets` with ``cfg``. Keypoints are extracted with
-    ``cfg.l_max`` either way. A failed pair keeps the previous relative pose
+    :func:`match_keypoint_sets` with ``cfg``. The stats, or the error's
+    diagnostics, hold :class:`PairResult` fields (any other key raises
+    TypeError); a field they leave out keeps its default. Keypoints are
+    extracted with ``cfg.l_max`` either way. A failed pair keeps the previous relative pose
     (constant velocity carry-over, identity for a first-pair failure) and is
     flagged; it reports the stats and timings its error carries.
     """
@@ -163,21 +165,8 @@ def run_odometry(scans, cfg: PipelineConfig | None = None, matcher=None) -> Odom
         except RadarOdoError as err:
             stats = err.diagnostics or {}
             reason = f"{type(err).__name__}: {err}"
-        timings = stats.setdefault("timings", {})
-        timings["extract"] = extracted["timings"].pop("extract")
-        pairs.append(
-            PairResult(
-                pose=pose,
-                u=stats.get("u", 0),
-                n_selected=stats.get("n_selected", 0),
-                mutual_compatibility=stats.get("mutual_compatibility", 0.0),
-                eigengap=stats.get("eigengap", 0.0),
-                residual_rms=stats.get("residual_rms", 0.0),
-                timings=timings,
-                failed=bool(reason),
-                failure_reason=reason,
-            )
-        )
+        stats.setdefault("timings", {})["extract"] = extracted["timings"].pop("extract")
+        pairs.append(PairResult(pose=pose, failed=bool(reason), failure_reason=reason, **stats))
         kp_a = kp_b
 
     trajectory = [Pose2()]

@@ -31,6 +31,13 @@ class SensorMeta:
             raise ValueError("need at least 2 azimuths and 2 range bins")
         if not (0.0 < self.range_resolution < math.inf) or not (0.0 < self.scan_period < math.inf):
             raise ValueError("range_resolution and scan_period must be positive and finite")
+        # a bin count too large for a float overflows the product too
+        try:
+            finite = math.isfinite(self.max_range)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("the max range num_range_bins * range_resolution must be finite")
 
     @property
     def max_range(self) -> float:

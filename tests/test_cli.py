@@ -154,6 +154,15 @@ def test_extract_that_fails_leaves_no_output_directory(tmp_path, capsys):
     assert not (tmp_path / "e1").exists()
 
 
+def test_simulate_whose_max_range_overflows_is_a_config_error(tmp_path, capsys):
+    text = SMALL_SIM.replace("range_resolution = 0.5", "range_resolution = 1e308")
+    path = write_cfg(tmp_path, text)
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "max range" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_scan_file_is_io_error(tmp_path):
     rc = main(["extract", "--scan", str(tmp_path / "nope.rscan"), "--out", str(tmp_path / "kp.csv")])
     assert rc == 3
@@ -165,15 +174,19 @@ def test_missing_scan_file_is_io_error(tmp_path):
         b"#notascan\n1 2 x y z\n",
         b"#polarscan1\n8 16 0x1.0p-1 \xff\xfe 0x0.0p+0\n" + bytes(8 * 16 * 8),
         b"#polarscan1\n8 16 0x1.0p-1 0x1.0p-2 0x0.0p+0\n" + bytes(8 * 16 * 8 - 8),
+        # a max range of 16 * 2**1020, past the float range
+        b"#polarscan1\n8 16 0x1.0p+1020 0x1.0p-2 0x0.0p+0\n" + np.ones(8 * 16, "<f8").tobytes(),
     ],
-    ids=["bad_magic", "non_ascii_header", "truncated_payload"],
+    ids=["bad_magic", "non_ascii_header", "truncated_payload", "max_range_overflows"],
 )
 def test_malformed_scan_file_is_io_error(tmp_path, content, capsys):
     data = tmp_path / "data"
     data.mkdir()
     scan = data / "scan_00000.rscan"
     scan.write_bytes(content)
-    rc = main(["extract", "--scan", str(scan), "--out", str(tmp_path / "kp.csv")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["extract", "--scan", str(scan), "--out", str(tmp_path / "kp.csv")])
     assert rc == 3
     assert str(scan) in capsys.readouterr().err
     rc = main(["odometry", "--dataset", str(data), "--out", str(tmp_path / "o")])
@@ -427,6 +440,20 @@ def test_bench_rejects_a_malformed_sweep_token(tmp_path, capsys):
                "--grid-sweep", "32x64,48,64x128", "--repeats", "1"])
     assert rc == 2
     assert "bad sweep specification" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("shape", ["32x0", "1x64"])
+def test_bench_rejects_a_grid_side_below_2_before_timing(tmp_path, shape, capsys, monkeypatch):
+    def untimed(*args, **kwargs):
+        raise AssertionError("a sweep ran before the grid shapes were checked")
+
+    monkeypatch.setattr("radarodo.cli.sweep_association", untimed)
+    monkeypatch.setattr("radarodo.cli.sweep_extraction", untimed)
+    rc = main(["bench", "--out", str(tmp_path / "b"), "--sweep", "20,40,80",
+               "--grid-sweep", f"48x96,{shape},64x128", "--repeats", "1"])
+    assert rc == 2
+    assert f"grid shape {shape} " in capsys.readouterr().err
     assert not (tmp_path / "b").exists()
 
 

@@ -423,30 +423,6 @@ def test_principal_eigenvector_rejects_zero_matrix():
         principal_eigenvector(np.zeros((3, 3)))
 
 
-def test_power_iteration_agrees_with_dense_solver():
-    rng = np.random.default_rng(1)
-    for _ in range(30):
-        u = int(rng.integers(2, 50))
-        a = rng.random((u, u))
-        c = (a + a.T) / 2.0
-        np.fill_diagonal(c, 0.0)
-        sol = principal_eigenvector(c)
-        top = float(np.linalg.eigvalsh(c)[-1])
-        assert sol.eigenvalue == pytest.approx(top, rel=1e-6)
-
-
-def test_eigenvector_recovers_clique_indicator():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        k = int(rng.integers(3, 9))
-        extra = int(rng.integers(1, 5))
-        c, um = clique_instance(rng, k, extra=extra)
-        sol = principal_eigenvector(c)
-        want = np.zeros(um.u)
-        want[:k] = 1.0 / math.sqrt(k)
-        assert np.max(np.abs(sol.eigenvector - want)) < 1e-6
-
-
 def test_mutual_compatibility_bounds_and_zero_cases():
     c = np.array([[0.0, 1.0], [1.0, 0.0]])
     v = np.array([1.0, 1.0]) / math.sqrt(2)

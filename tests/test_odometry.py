@@ -223,6 +223,24 @@ def test_icp_matcher_chains_like_a_reference_loop():
     assert set(failed.timings) == {"icp", "extract"}
     assert good.n_selected >= 3 and good.residual_rms >= 0.0
     assert set(good.timings) == {"icp", "extract"}
+    # ICP reports no candidates or confidences, so those keep their defaults
+    for p in result.pairs:
+        assert p.u == 0
+        assert p.eigengap == p.mutual_compatibility == 0.0
+
+
+def test_a_matcher_stat_that_is_not_a_pair_field_is_a_type_error():
+    world = close_world(12)
+    scans = [
+        render_scan(world, Pose2(0.6 * k, 0.0, 0.0), META, QUIET, seed=80 + k, timestamp=0.25 * k)
+        for k in range(2)
+    ]
+
+    def matcher(kp_a, kp_b):
+        return Pose2(), {"n_selected": 2, "inliers": 2}
+
+    with pytest.raises(TypeError, match="inliers"):
+        run_odometry(scans, CFG, matcher=matcher)
 
 
 def test_a_pair_failing_mid_match_reports_the_stages_it_passed():

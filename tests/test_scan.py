@@ -18,6 +18,11 @@ def test_sensor_meta_validation():
         SensorMeta(10, 10, 0.5, 0.0)
     with pytest.raises(ValueError):
         SensorMeta(10, 10, math.inf, 0.25)
+    # a lattice whose max range overflows is not a sensor
+    with pytest.raises(ValueError, match="max range"):
+        SensorMeta(8, 10, 1e308, 0.25)
+    with pytest.raises(ValueError, match="max range"):
+        SensorMeta(8, 10**400, 0.5, 0.25)
 
 
 def test_max_range():
