@@ -25,7 +25,6 @@ from .icp import IcpConfig, IcpDiagnostics, icp_match, icp_matcher
 from .keypoints import (
     KeypointSet,
     extract_keypoints,
-    gradient_magnitude,
     mark_regions,
     scoring_image,
     write_keypoints_csv,
@@ -36,7 +35,6 @@ from .matching import (
     eigengap_measure,
     global_score,
     greedy_select,
-    mutual_compatibility_index,
     pairwise_compatibility,
     principal_eigenvector,
 )
@@ -51,8 +49,6 @@ from .odometry import (
 from .scan import (
     PolarScan,
     SensorMeta,
-    azimuth_angle,
-    bin_center_range,
     bins_to_points,
     load_scan,
     save_scan,

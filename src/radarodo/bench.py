@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .errors import RadarOdoError
-from .keypoints import extract_keypoints
+from .keypoints import _is_count, extract_keypoints
 from .odometry import PipelineConfig, match_keypoint_sets
 from .scan import SensorMeta
 from .se2 import Pose2
@@ -43,13 +43,31 @@ def _busy_scene(meta: SensorMeta, seed: int):
     return scan_a, scan_b
 
 
+def _check_sweep(points, repeats, grid: bool) -> None:
+    """Reject a sweep before anything is rendered, with a ValueError naming
+    the bad shape or value. A sweep needs ``repeats`` an int >= 1, at least
+    3 points, grid shapes whose sides are ints >= 2 (a bool is not one),
+    and, for its slope, at least 2 distinct region budgets or cell counts."""
+    if not _is_count(repeats):
+        raise ValueError(f"repeats must be at least 1, got {repeats!r}")
+    what = "grid shapes" if grid else "region budgets"
+    if len(points) < 3:
+        raise ValueError(f"need at least 3 {what}, got {len(points)}")
+    params = points
+    if grid:
+        for m, n in points:
+            if not (_is_count(m) and _is_count(n) and min(m, n) >= 2):
+                raise ValueError(f"grid shape {m}x{n} needs integer sides of at least 2")
+        params, what = [m * n for m, n in points], "cell counts m*n"
+    if len(set(params)) < 2:
+        raise ValueError(f"need at least 2 distinct {what} for a slope, got {params}")
+
+
 def _best_of_each(fns, repeats: int):
     """Best wall time of each call over ``repeats`` rounds, and each call's
     result. Every call runs once untimed first; then each round times every
     call once, so a slow spell on the host spreads over all sweep points
     instead of landing on one."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be at least 1, got {repeats}")
     outs = [fn() for fn in fns]
     best = [np.inf] * len(fns)
     for _ in range(repeats):
@@ -72,8 +90,7 @@ def _match_budget(l_max, kp_a, kp_b, cfg):
 def sweep_association(l_max_values, seed: int = 0, repeats: int = 3):
     """Time ``match_keypoint_sets`` per region budget on a 256x256 busy scene.
     A budget whose scene cannot be matched raises ValueError naming it."""
-    if len(l_max_values) < 3:
-        raise ValueError("need at least 3 sweep points")
+    _check_sweep(l_max_values, repeats, grid=False)
     scan_a, scan_b = _busy_scene(SensorMeta(256, 256, 0.5, 0.25), seed)
     cfg = PipelineConfig(alpha=64, rho=64)
     runs = [
@@ -99,8 +116,7 @@ def sweep_association(l_max_values, seed: int = 0, repeats: int = 3):
 
 def sweep_extraction(grid_shapes, seed: int = 0, repeats: int = 3):
     """Time ``extract_keypoints(scan, 200)`` per (azimuths, range bins) grid shape."""
-    if len(grid_shapes) < 3:
-        raise ValueError("need at least 3 sweep points")
+    _check_sweep(grid_shapes, repeats, grid=True)
     world = random_world(120, 50.0, seed=seed, min_range=4.0)
     art = ArtifactModel(speckle_scale=0.3, background_noise=0.02)
     scans = [
@@ -119,8 +135,9 @@ def sweep_extraction(grid_shapes, seed: int = 0, repeats: int = 3):
 
 
 def slope_of(points) -> float:
-    """Slope of the least-squares line through (log parameter, log seconds)."""
-    if len(points) < 2:
-        raise ValueError("need at least 2 sweep points")
+    """Slope of the least-squares line through (log parameter, log seconds).
+    Fewer than 2 distinct parameters have no slope: ValueError."""
+    if len({p.parameter for p in points}) < 2:
+        raise ValueError("need at least 2 distinct sweep parameters")
     xs = np.log([p.parameter for p in points])
     return float(np.polyfit(xs, np.log([p.seconds for p in points]), 1)[0])

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import slope_of, sweep_association, sweep_extraction
+from .bench import _check_sweep, slope_of, sweep_association, sweep_extraction
 from .errors import RadarOdoError, ScanFormatError, stage
 from .icp import IcpConfig, icp_matcher
 from .keypoints import extract_keypoints, write_keypoints_csv
@@ -356,18 +356,13 @@ def cmd_bench(args) -> int:
         l_max_values = [int(v) for v in args.sweep.split(",") if v.strip()]
         grid_shapes = []
         for token in args.grid_sweep.split(","):
-            token = token.strip()
-            if token:
+            if token.strip():
                 m, n = (int(v) for v in token.split("x"))
-                if min(m, n) < 2:
-                    raise ValueError(
-                        f"grid shape {token} needs at least 2 azimuths and 2 range bins"
-                    )
                 grid_shapes.append((m, n))
     except ValueError as err:
         raise ValueError(f"bad sweep specification: {err}") from err
-    if len(l_max_values) < 3 or len(grid_shapes) < 3:
-        raise ValueError("each sweep needs at least 3 points")
+    _check_sweep(l_max_values, args.repeats, grid=False)
+    _check_sweep(grid_shapes, args.repeats, grid=True)
     assoc = sweep_association(l_max_values, seed=args.seed, repeats=args.repeats)
     extract = sweep_extraction(grid_shapes, seed=args.seed, repeats=args.repeats)
 

@@ -110,22 +110,14 @@ def _prewitt_magnitude(power: np.ndarray, e: int) -> np.ndarray:
     return g
 
 
-def gradient_magnitude(scan: PolarScan) -> np.ndarray:
-    """Prewitt gradient magnitude of the power grid, normalized to peak 1.
-
-    The azimuth axis wraps (the scan is one full rotation); the range axis
-    replicates its edge bins. An all-constant scan maps to all zeros. The
-    power is scaled by a power of two first, so any finite scan gives a
-    finite gradient.
-    """
-    return _prewitt_magnitude(scan.power, _peak_exponent(scan.power))
-
-
 def scoring_image(scan: PolarScan):
     """Return (H, S') where S' is mean-subtracted power and H = (1 - G) * S'.
 
-    The mean, like G, is taken of the power scaled by a power of two and
-    scaled back, so both stay finite for any finite scan.
+    G is the Prewitt gradient magnitude of the power grid, normalized to
+    peak 1. Its azimuth axis wraps (the scan is one full rotation) and its
+    range axis replicates the edge bins, so a constant scan gives G = 0.
+    G and the mean are both taken of the power scaled by a power of two
+    (the mean then scaled back), so they stay finite for any finite scan.
     """
     e = _peak_exponent(scan.power)
     s_prime = scan.power - np.ldexp(np.ldexp(scan.power, -e).mean(), e)

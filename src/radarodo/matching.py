@@ -142,15 +142,6 @@ def _cosine(w: np.ndarray, m: np.ndarray) -> float:
     return float(np.clip((w @ m) / (nw * np.linalg.norm(m)), 0.0, 1.0))
 
 
-def mutual_compatibility_index(c: np.ndarray, v_star: np.ndarray, indicator) -> float:
-    """Cosine between C (indicator * v_star) and the indicator; 0 if the
-    projected vector vanishes."""
-    m = np.asarray(indicator, dtype=float)
-    if not m.any():
-        raise ValueError("indicator selects no candidates")
-    return _cosine(c @ (m * v_star), m)
-
-
 def global_score(indicator, c: np.ndarray) -> float:
     """Rayleigh quotient of the indicator: total pairwise consistency per match."""
     m = np.asarray(indicator, dtype=float)
@@ -267,9 +258,11 @@ def greedy_select(c: np.ndarray, solution: SpectralSolution, u_matches: UnaryMat
     index. One sharing a keypoint with an earlier commit is skipped, so the
     selection uses each keypoint at most once. Each tentative commit is kept
     only if the mutual compatibility index did not drop; the first
-    candidate is always kept. The index's projection C (indicator * v) is
-    kept up to date by adding one row per commit (C is exactly symmetric,
-    and a row is contiguous).
+    candidate is always kept. The index is the cosine between the
+    projection C (indicator * v) and the indicator, clipped to [0, 1], and
+    0 when the projection vanishes. The projection is kept up to date by
+    adding one row per commit (C is exactly symmetric, and a row is
+    contiguous).
     """
     v = solution.eigenvector
     u = u_matches.u

@@ -8,7 +8,7 @@ range bin r covers [r, r+1) * resolution and is located at its center.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,21 +69,12 @@ class PolarScan:
         object.__setattr__(self, "timestamp", float(self.timestamp))
 
 
-def azimuth_angle(a, meta: SensorMeta):
-    """Beam angle (radians, CCW from +x) of azimuth index ``a``."""
-    return 2.0 * math.pi * np.asarray(a) / meta.num_azimuths
-
-
-def bin_center_range(r, meta: SensorMeta):
-    """Range (meters) of the center of range bin ``r``."""
-    return (np.asarray(r) + 0.5) * meta.range_resolution
-
-
 def bins_to_points(a, r, meta: SensorMeta) -> np.ndarray:
     """Cartesian (x, y) of the centers of cells (a, r), sensor at the origin,
-    without index validation. Returns (N, 2)."""
-    ang = azimuth_angle(a, meta)
-    rng = bin_center_range(r, meta)
+    without index validation: azimuth a at angle 2*pi*a/m, range bin r at
+    (r + 0.5) * resolution. Returns (N, 2)."""
+    ang = 2.0 * math.pi * np.asarray(a) / meta.num_azimuths
+    rng = (np.asarray(r) + 0.5) * meta.range_resolution
     return np.stack([rng * np.cos(ang), rng * np.sin(ang)], axis=-1)
 
 

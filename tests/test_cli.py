@@ -457,9 +457,22 @@ def test_bench_rejects_a_grid_side_below_2_before_timing(tmp_path, shape, capsys
     assert not (tmp_path / "b").exists()
 
 
-def test_bench_requires_three_sweep_points(tmp_path):
-    rc = main(["bench", "--out", str(tmp_path / "b"), "--sweep", "50,100"])
+@pytest.mark.parametrize(
+    "sweep, grid_sweep, message",
+    [
+        ("50,100", "32x64,48x96,64x128", "need at least 3 region budgets, got 2"),
+        ("20,40,80", "32x64,64x128", "need at least 3 grid shapes, got 2"),
+        ("40,40,40", "32x64,48x96,64x128", "need at least 2 distinct region budgets"),
+        ("20,40,80", "32x64,64x32,32x64", "need at least 2 distinct cell counts"),
+    ],
+    ids=["two-budgets", "two-grid-shapes", "equal-budgets", "equal-cell-counts"],
+)
+def test_bench_requires_three_sweep_points(tmp_path, sweep, grid_sweep, message, capsys):
+    rc = main(["bench", "--out", str(tmp_path / "b"), "--sweep", sweep,
+               "--grid-sweep", grid_sweep, "--repeats", "1"])
     assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
 
 
 @pytest.mark.parametrize("repeats", ["0", "-1"])

@@ -17,12 +17,7 @@ from radarodo import (
     render_scan,
 )
 from radarodo import keypoints
-from radarodo.keypoints import (
-    gradient_magnitude,
-    mark_regions,
-    scoring_image,
-    write_keypoints_csv,
-)
+from radarodo.keypoints import mark_regions, scoring_image, write_keypoints_csv
 
 
 def meta_for(power):
@@ -33,6 +28,11 @@ def meta_for(power):
 def scan_of(power):
     power = np.asarray(power, dtype=float)
     return PolarScan(meta_for(power), power)
+
+
+def gradient(power):
+    """The normalized gradient G that ``scoring_image`` weighs the power by."""
+    return keypoints._prewitt_magnitude(power, keypoints._peak_exponent(power))
 
 
 def reference_gradient(power):
@@ -117,14 +117,12 @@ def pairs_of(kset):
 
 
 def test_gradient_of_constant_scan_is_zero():
-    scan = scan_of(np.full((6, 8), 3.5))
-    assert np.array_equal(gradient_magnitude(scan), np.zeros((6, 8)))
+    assert np.array_equal(gradient(np.full((6, 8), 3.5)), np.zeros((6, 8)))
 
 
 def test_gradient_peak_is_one():
     rng = np.random.default_rng(0)
-    scan = scan_of(rng.random((12, 20)))
-    g = gradient_magnitude(scan)
+    g = gradient(rng.random((12, 20)))
     assert g.max() == 1.0
     assert g.min() >= 0.0
 
@@ -132,7 +130,7 @@ def test_gradient_peak_is_one():
 def test_gradient_wraps_azimuth_axis():
     power = np.zeros((8, 10))
     power[0, :] = 1.0
-    g = gradient_magnitude(scan_of(power))
+    g = gradient(power)
     # rows adjacent to the bright row see it through the seam
     assert g[7].max() > 0
     assert g[1].max() > 0
@@ -341,7 +339,7 @@ def test_gradients_whose_squares_underflow_move_no_keypoint():
     power[1::2] = rng.uniform(1.0, 2.0, (8, 24)) * 1e-170
     power[5, 12] = 9.0
     scan = scan_of(power)
-    underflowed = (gradient_magnitude(scan) == 0.0) & (reference_gradient(power) > 0.0)
+    underflowed = (gradient(power) == 0.0) & (reference_gradient(power) > 0.0)
     assert underflowed[0::2].sum() > 150
     assert_matches_reference(scan, power.size, "full budget")
     emitted = pairs_of(extract_keypoints(scan, l_max=power.size))
@@ -406,7 +404,7 @@ def test_scan_near_the_float_maximum_scores_finite(cells, emitted):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         h, s_prime = scoring_image(scan)
-        g = gradient_magnitude(scan)
+        g = gradient(power)
         kset = extract_keypoints(scan, l_max=10)
     assert np.all(np.isfinite(h)) and np.all(np.isfinite(s_prime))
     assert g.max() == 1.0 and g.min() >= 0.0

@@ -17,11 +17,11 @@ from radarodo import (
 from radarodo.descriptors import UnaryMatches, propose_unary_matches
 from radarodo.matching import (
     _LANCZOS_MIN_K,
+    SpectralSolution,
     _lanczos_top_two,
     eigengap_measure,
     global_score,
     greedy_select,
-    mutual_compatibility_index,
     pairwise_compatibility,
     principal_eigenvector,
 )
@@ -77,6 +77,12 @@ def exhaustive_optimum(c, um):
 def reference_greedy(c, v, um):
     """The greedy loop with C (m * v) recomputed from scratch, O(u^2), on
     every tentative commit; returns (rows, mutual compatibility)."""
+
+    def index(m):
+        w = c @ (m * v)
+        nw = np.linalg.norm(w)
+        return 0.0 if nw == 0.0 else float(np.clip(w @ m / (nw * np.linalg.norm(m)), 0.0, 1.0))
+
     weight = v**2
     open_mask = np.ones(um.u, dtype=bool)
     indicator = np.zeros(um.u)
@@ -84,7 +90,7 @@ def reference_greedy(c, v, um):
     while open_mask.any():
         g = int(np.argmax(np.where(open_mask, weight, -np.inf)))
         indicator[g] = 1.0
-        score = mutual_compatibility_index(c, v, indicator)
+        score = index(indicator)
         if current is not None and score < current:
             break
         current = score
@@ -424,17 +430,18 @@ def test_principal_eigenvector_rejects_zero_matrix():
 
 
 def test_mutual_compatibility_bounds_and_zero_cases():
-    c = np.array([[0.0, 1.0], [1.0, 0.0]])
     v = np.array([1.0, 1.0]) / math.sqrt(2)
-    m = np.array([1.0, 1.0])
-    val = mutual_compatibility_index(c, v, m)
-    assert 0.0 <= val <= 1.0
-    assert val == pytest.approx(1.0, abs=1e-12)
+    sol = SpectralSolution(eigenvector=v, eigenvalue=1.0, iterations=1)
+    um = UnaryMatches(np.array([0, 1]), np.array([0, 1]))
+    # the first commit's projection is orthogonal to its indicator (index
+    # 0), the second's parallel to both commits' (index 1), so both stay
+    sel = greedy_select(np.array([[0.0, 1.0], [1.0, 0.0]]), sol, um)
+    assert sel.selected == ((0, 0), (1, 1))
+    assert sel.mutual_compatibility == pytest.approx(1.0, abs=1e-12)
     # a selection the matrix does not support at all scores zero
-    zero = mutual_compatibility_index(np.zeros((2, 2)), v, m)
-    assert zero == 0.0
-    with pytest.raises(ValueError):
-        mutual_compatibility_index(c, v, np.zeros(2))
+    sel = greedy_select(np.zeros((2, 2)), sol, um)
+    assert sel.selected == ((0, 0), (1, 1))
+    assert sel.mutual_compatibility == 0.0
 
 
 def test_global_score_known_value():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radarodo import PolarScan, ScanFormatError, SensorMeta, load_scan, save_scan
-from radarodo.scan import azimuth_angle, bin_center_range, bins_to_points
+from radarodo.scan import bins_to_points
 
 
 def test_sensor_meta_validation():
@@ -31,17 +31,21 @@ def test_max_range():
 
 
 def test_azimuth_angle_exact_fractions():
+    # azimuth a of 8 points along 2*pi*a/8, read back from the point
     meta = SensorMeta(8, 4, 1.0, 0.25)
-    assert azimuth_angle(0, meta) == 0.0
-    assert azimuth_angle(2, meta) == pytest.approx(math.pi / 2, abs=1e-15)
-    assert azimuth_angle(4, meta) == pytest.approx(math.pi, abs=1e-15)
-    assert azimuth_angle(6, meta) == pytest.approx(3 * math.pi / 2, abs=1e-15)
+    xy = bins_to_points(np.array([0, 2, 4, 6]), np.full(4, 1), meta)
+    angle = np.arctan2(xy[:, 1], xy[:, 0]) % (2 * math.pi)
+    assert angle[0] == 0.0
+    assert angle[1:] == pytest.approx([math.pi / 2, math.pi, 3 * math.pi / 2], abs=1e-15)
 
 
 def test_bin_center_range_is_half_offset():
+    # along azimuth 0 the point is (range, 0) exactly
     meta = SensorMeta(4, 10, 0.5, 0.25)
-    assert bin_center_range(0, meta) == 0.25
-    assert bin_center_range(9, meta) == 4.75
+    assert bins_to_points(np.array([0, 0]), np.array([0, 9]), meta).tolist() == [
+        [0.25, 0.0],
+        [4.75, 0.0],
+    ]
 
 
 def test_bin_to_point_cardinal_directions():
