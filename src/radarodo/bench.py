@@ -16,9 +16,9 @@ from functools import partial
 import numpy as np
 
 from .errors import RadarOdoError
-from .keypoints import _is_count, extract_keypoints
+from .keypoints import extract_keypoints
 from .odometry import PipelineConfig, match_keypoint_sets
-from .scan import SensorMeta
+from .scan import SensorMeta, _is_count
 from .se2 import Pose2
 from .simulate import ArtifactModel, random_world, render_scan
 
@@ -46,7 +46,7 @@ def _busy_scene(meta: SensorMeta, seed: int):
 def _check_sweep(points, repeats, grid: bool) -> None:
     """Reject a sweep before anything is rendered, with a ValueError naming
     the bad shape or value. A sweep needs ``repeats`` an int >= 1, at least
-    3 points, grid shapes whose sides are ints >= 2 (a bool is not one),
+    3 points, budgets ints >= 1 and grid sides ints >= 2 (a bool is neither),
     and, for its slope, at least 2 distinct region budgets or cell counts."""
     if not _is_count(repeats):
         raise ValueError(f"repeats must be at least 1, got {repeats!r}")
@@ -54,10 +54,12 @@ def _check_sweep(points, repeats, grid: bool) -> None:
     if len(points) < 3:
         raise ValueError(f"need at least 3 {what}, got {len(points)}")
     params = points
+    for p in points:
+        if not (grid or _is_count(p)):
+            raise ValueError(f"region budget {p} must be an int >= 1")
+        if grid and not (_is_count(p[0]) and _is_count(p[1]) and min(p) >= 2):
+            raise ValueError(f"grid shape {p[0]}x{p[1]} needs integer sides of at least 2")
     if grid:
-        for m, n in points:
-            if not (_is_count(m) and _is_count(n) and min(m, n) >= 2):
-                raise ValueError(f"grid shape {m}x{n} needs integer sides of at least 2")
         params, what = [m * n for m, n in points], "cell counts m*n"
     if len(set(params)) < 2:
         raise ValueError(f"need at least 2 distinct {what} for a slope, got {params}")

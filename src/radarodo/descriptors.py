@@ -26,12 +26,9 @@ a whole block come from one ``bincount`` each and one batched FFT. Each
 histogram still sums its neighbors one by one in index order, so every
 entry is bit-identical to describing the keypoint on its own.
 
-Each description uses one temporary (N, N) distance matrix, freed on
-return. Distances are exactly symmetric ((-d)**2 = d**2 exactly), so only
-its upper triangle is computed, one block of rows at a time, and each
-block's off-diagonal part is mirrored into the rows below.
-:func:`radarodo.matching.pairwise_compatibility` builds its matrix the same
-way.
+Each block's distances ``sqrt(dx*dx + dy*dy)`` come from the offsets its
+bearings use, before ``arctan2`` overwrites them: describing N keypoints
+takes (block, N) temporaries and no (N, N) array.
 
 A :class:`~radarodo.keypoints.KeypointSet` is described once per
 ``(alpha, rho, max_range)``: :func:`descriptor_matrix` keeps the matrix in
@@ -48,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoCandidatesError
-from .keypoints import KeypointSet, _is_count
+from .keypoints import KeypointSet
+from .scan import _is_count
 
 _TWO_PI = 2.0 * math.pi
 _SQRT2 = math.sqrt(2.0)
@@ -57,7 +55,7 @@ _SQRT2 = math.sqrt(2.0)
 _BLOCK = 64
 # with every coordinate at most this in magnitude, a coordinate difference
 # is at most 2**511 and dx*dx + dy*dy at most 2**1023, so every distance of
-# _upper_distances is finite
+# the describe kernel and of matching._upper_distances is finite
 _MAX_COORD = 2.0**510
 
 
@@ -96,18 +94,6 @@ def _check_params(alpha, rho, max_range):
         raise ValueError("max_range must be finite and > 0")
 
 
-def _upper_distances(p: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Distances from points ``lo:hi`` of ``p`` to points ``lo:`` of ``p``:
-    rows ``lo:hi`` of the pairwise distance matrix, columns ``lo:`` only,
-    each ``sqrt(dx*dx + dy*dy)`` worked in place."""
-    dx = p[lo:hi, 0:1] - p[None, lo:, 0]
-    dy = p[lo:hi, 1:2] - p[None, lo:, 1]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return np.sqrt(dx, out=dx)
-
-
 def _angular_bins(ang: np.ndarray, alpha: int) -> np.ndarray:
     """Bins of angles in [-2 pi, 2 pi] wrapped into [0, 2 pi), worked in place.
 
@@ -122,11 +108,10 @@ def _angular_bins(ang: np.ndarray, alpha: int) -> np.ndarray:
     return np.minimum(ang.astype(int), alpha - 1)
 
 
-def _describe_rows(xy, rows, dist, weight, bearing, alpha, rho, max_range) -> np.ndarray:
+def _describe_rows(xy, rows, weight, bearing, alpha, rho, max_range) -> np.ndarray:
     """Descriptor vectors of keypoints ``rows`` of the cloud ``xy``, one row
-    each, given their distances ``dist`` to every keypoint, every
-    keypoint's range ``weight`` and the ``bearing`` of each of ``rows``; a
-    keypoint with no neighbors gets zeros."""
+    each, given every keypoint's range ``weight`` and the ``bearing`` of
+    each of ``rows``; a keypoint with no neighbors gets zeros."""
     b = rows.size
     # a keypoint is not its own neighbor: zero weight adds exactly nothing
     weights = np.broadcast_to(weight, (b, xy.shape[0])).copy()
@@ -136,6 +121,10 @@ def _describe_rows(xy, rows, dist, weight, bearing, alpha, rho, max_range) -> np
     rel_y = xy[None, :, 1] - xy[rows, 1][:, None]
     # histogram bin k of block row r sits at r * bins + k of one bincount
     offset = np.arange(b)[:, None]
+    # distances first: arctan2 writes its angles over rel_x
+    dist = rel_x * rel_x
+    dist += rel_y * rel_y
+    np.sqrt(dist, out=dist)
 
     ang = np.arctan2(rel_y, rel_x, out=rel_x)
     ang -= bearing[:, None]
@@ -144,7 +133,7 @@ def _describe_rows(xy, rows, dist, weight, bearing, alpha, rho, max_range) -> np
 
     # clipped before the cast, so a distance of 2**63 bins or more still
     # lands in the last bin
-    r_bins = dist / (max_range / rho)
+    r_bins = np.divide(dist, max_range / rho, out=dist)
     np.minimum(r_bins, rho - 1, out=r_bins)
     r_bins = r_bins.astype(int)
     hist_r = np.bincount((offset * rho + r_bins).ravel(), weights=weights, minlength=b * rho)
@@ -185,17 +174,13 @@ def descriptor_matrix(kset, alpha: int, rho: int, max_range: float) -> np.ndarra
     xy = _points(kset)
     n = xy.shape[0]
     out = np.empty((n, alpha // 2 + 1 + rho))
-    dist = np.empty((n, n))
     # each keypoint's weight as a neighbor is its range over max_range
     weight = np.hypot(xy[:, 0], xy[:, 1]) / max_range
     bearing = np.array([math.atan2(y, x) for x, y in xy.tolist()])
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        # columns below lo were mirrored in by the blocks above
-        dist[lo:hi, lo:] = _upper_distances(xy, lo, hi)
-        dist[hi:, lo:hi] = dist[lo:hi, hi:].T
         out[lo:hi] = _describe_rows(
-            xy, np.arange(lo, hi), dist[lo:hi], weight, bearing[lo:hi], alpha, rho, max_range
+            xy, np.arange(lo, hi), weight, bearing[lo:hi], alpha, rho, max_range
         )
     if cache is not None:
         out.flags.writeable = False

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IcpDivergedError, stage
-from .keypoints import _is_count
+from .scan import _is_count
 from .se2 import Pose2, apply_pose, estimate_se2, inverse
 
 EPS = np.finfo(float).eps

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scan import PolarScan, SensorMeta, bins_to_points
+from .scan import PolarScan, SensorMeta, _is_count, bins_to_points
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,11 +125,6 @@ def scoring_image(scan: PolarScan):
     np.subtract(1.0, h, out=h)
     h *= s_prime
     return h, s_prime
-
-
-def _is_count(n) -> bool:
-    """Whether ``n`` is an int (numpy's included, a bool not) of at least 1."""
-    return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 1
 
 
 # cells ordered per batch, in multiples of the region budget: a greedy pass

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import _BLOCK, UnaryMatches, _points, _upper_distances
+from .descriptors import _BLOCK, UnaryMatches, _points
 from .errors import DegenerateProblemError, NoCompatibilityError
 
 # From this many selected candidates on, block Lanczos finds the eigengap's
@@ -52,6 +52,18 @@ class MatchSelection:
     indicator: np.ndarray
     mutual_compatibility: float
     eigengap: float
+
+
+def _upper_distances(p: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Distances from points ``lo:hi`` of ``p`` to points ``lo:`` of ``p``:
+    rows ``lo:hi`` of the pairwise distance matrix, columns ``lo:`` only,
+    each ``sqrt(dx*dx + dy*dy)`` worked in place."""
+    dx = p[lo:hi, 0:1] - p[None, lo:, 0]
+    dy = p[lo:hi, 1:2] - p[None, lo:, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def pairwise_compatibility(u_matches: UnaryMatches, l1, l2, sigma: float) -> np.ndarray:

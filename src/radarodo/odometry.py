@@ -25,8 +25,9 @@ import numpy as np
 
 from .descriptors import propose_unary_matches
 from .errors import MatchFailureError, RadarOdoError, stage
-from .keypoints import KeypointSet, _is_count, extract_keypoints
+from .keypoints import KeypointSet, extract_keypoints
 from .matching import greedy_select, pairwise_compatibility, principal_eigenvector
+from .scan import _is_count
 from .se2 import Pose2, apply_pose, compose, estimate_se2, inverse, relative_pose, wrap_angle
 from .simulate import TrajectorySpec
 

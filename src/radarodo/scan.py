@@ -17,9 +17,14 @@ from .errors import ScanFormatError
 _SCAN_MAGIC = b"#polarscan1\n"
 
 
+def _is_count(n) -> bool:
+    """Whether ``n`` is an int (numpy's included, a bool not) of at least 1."""
+    return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 1
+
+
 @dataclass(frozen=True)
 class SensorMeta:
-    """Geometry of one full rotation: bin counts, range scale, rotation time."""
+    """Geometry of one full rotation: bin counts (ints >= 2), range scale, rotation time."""
 
     num_azimuths: int
     num_range_bins: int
@@ -27,7 +32,7 @@ class SensorMeta:
     scan_period: float
 
     def __post_init__(self):
-        if self.num_azimuths < 2 or self.num_range_bins < 2:
+        if not all(_is_count(n) and n >= 2 for n in (self.num_azimuths, self.num_range_bins)):
             raise ValueError("need at least 2 azimuths and 2 range bins")
         if not (0.0 < self.range_resolution < math.inf) or not (0.0 < self.scan_period < math.inf):
             raise ValueError("range_resolution and scan_period must be positive and finite")

@@ -11,12 +11,16 @@ from radarodo.bench import BenchPoint, slope_of, sweep_association, sweep_extrac
         (sweep_extraction, [(48, 96), (2.5, 64), (64, 128)], 1, "grid shape 2.5x64 "),
         (sweep_extraction, [(48, 96), (True, 64), (64, 128)], 1, "grid shape Truex64 "),
         (sweep_extraction, [(32, 64), (64, 32), (32, 64)], 1, "distinct cell counts"),
+        (sweep_association, [20, 2.5, 80], 1, "region budget 2.5 "),
+        (sweep_association, [20, 0, 80], 1, "region budget 0 "),
+        (sweep_association, [20, True, 80], 1, "region budget True "),
         (sweep_association, [40, 40, 40], 1, "distinct region budgets"),
         (sweep_association, [20, 40, 80], 0, "repeats must be at least 1"),
         (sweep_extraction, [(32, 64), (48, 96), (64, 128)], 0, "repeats must be at least 1"),
     ],
     ids=["zero-side", "one-azimuth", "float-side", "bool-side", "equal-cell-counts",
-         "equal-budgets", "association-repeats-0", "extraction-repeats-0"],
+         "float-budget", "zero-budget", "bool-budget", "equal-budgets",
+         "association-repeats-0", "extraction-repeats-0"],
 )
 def test_sweep_rejects_a_bad_point_before_rendering(sweep, points, repeats, message, monkeypatch):
     def unrendered(*args, **kwargs):

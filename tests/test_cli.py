@@ -457,6 +457,19 @@ def test_bench_rejects_a_grid_side_below_2_before_timing(tmp_path, shape, capsys
     assert not (tmp_path / "b").exists()
 
 
+def test_bench_rejects_a_budget_below_1_before_timing(tmp_path, capsys, monkeypatch):
+    def untimed(*args, **kwargs):
+        raise AssertionError("a sweep ran before the region budgets were checked")
+
+    monkeypatch.setattr("radarodo.cli.sweep_association", untimed)
+    monkeypatch.setattr("radarodo.cli.sweep_extraction", untimed)
+    rc = main(["bench", "--out", str(tmp_path / "b"), "--sweep", "0,40,80",
+               "--grid-sweep", "32x64,48x96,64x128", "--repeats", "1"])
+    assert rc == 2
+    assert "region budget 0 " in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
 @pytest.mark.parametrize(
     "sweep, grid_sweep, message",
     [

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,19 @@ def test_descriptor_of_clouds_at_the_coordinate_bound_is_finite():
     xy = np.array([[2.0**510, 2.0**510], [-(2.0**510), -(2.0**510)]])
     d = descriptor_matrix(xy, 8, 6, MAX_RANGE)
     assert np.array_equal(d[:, 8 // 2 + 1 :], [[0.0] * 5 + [1.0]] * 2)
+
+
+def test_describe_memory_grows_with_the_block_not_with_n_squared():
+    # an (n, n) float matrix alone would take n*n*8 bytes, 32 MB here; the
+    # (block, n) temporaries and the (n, 97) result stay far below half that
+    xy = random_cloud(np.random.default_rng(22), 2000)
+    tracemalloc.start()
+    try:
+        descriptor_matrix(xy, 64, 64, MAX_RANGE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 2000 * 8 / 2
 
 
 def test_descriptor_validation():

@@ -12,6 +12,13 @@ def test_sensor_meta_validation():
         SensorMeta(0, 10, 0.5, 0.25)
     with pytest.raises(ValueError):
         SensorMeta(10, 0, 0.5, 0.25)
+    # bin counts are ints: a float count would render, save and load wrongly
+    for bad in (8.0, np.float64(8), True):
+        with pytest.raises(ValueError, match="need at least 2 azimuths and 2 range bins"):
+            SensorMeta(bad, 10, 0.5, 0.25)
+        with pytest.raises(ValueError, match="need at least 2 azimuths and 2 range bins"):
+            SensorMeta(10, bad, 0.5, 0.25)
+    assert SensorMeta(np.int64(8), np.int32(10), 0.5, 0.25).max_range == 5.0
     with pytest.raises(ValueError):
         SensorMeta(10, 10, -1.0, 0.25)
     with pytest.raises(ValueError):
