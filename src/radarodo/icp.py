@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .descriptors import _points
 from .errors import IcpDivergedError, stage
 from .scan import _is_count
 from .se2 import Pose2, apply_pose, estimate_se2, inverse
@@ -60,7 +61,9 @@ def icp_match(l1, l2, config: IcpConfig | None = None):
 
     The pose maps L1 coordinates into L2's frame. Raises
     :class:`IcpDivergedError` when an iteration pairs fewer than two points,
-    and when either set is empty or a target point holds NaN.
+    and when either set is empty or a target point holds NaN; after those
+    checks, ValueError for a coordinate of either set that is not finite or
+    exceeds 2**510 in magnitude, as :func:`pairwise_compatibility` does.
     """
     cfg = config if config is not None else IcpConfig()
     src, dst = (np.asarray(getattr(p, "xy", p), dtype=float) for p in (l1, l2))
@@ -68,6 +71,7 @@ def icp_match(l1, l2, config: IcpConfig | None = None):
         raise IcpDivergedError("cannot align empty keypoint sets")
     if np.isnan(dst).any():
         raise IcpDivergedError("cannot align onto NaN target points")
+    src, dst = _points(src), _points(dst)
     r2 = cfg.nn_radius**2
     order = np.argsort(dst[:, 0], kind="stable")
     tx = dst[order, 0]

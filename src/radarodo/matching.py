@@ -96,15 +96,14 @@ def pairwise_compatibility(u_matches: UnaryMatches, l1, l2, sigma: float) -> np.
     c = np.empty((u, u))
     for lo in range(0, u, _BLOCK):
         hi = min(lo + _BLOCK, u)
-        # exp(-(|d1 - d2| ** 2) / (2 sigma^2)), step by step in the
-        # expression's own order
+        # exp(-(|d1 - d2| ** 2) / (2 sigma^2)) in the expression's own order,
+        # the sign in the divisor: x / (-d) is (-x) / d bit for bit
         delta = _upper_distances(p1, lo, hi)
         block = c[lo:hi, lo:]
         np.subtract(delta, _upper_distances(p2, lo, hi), out=delta)
         np.abs(delta, out=delta)
         np.square(delta, out=block)
-        np.negative(block, out=block)
-        np.divide(block, 2.0 * sigma**2, out=block)
+        np.divide(block, -2.0 * sigma**2, out=block)
         np.exp(block, out=block)
         # the 3 sigma cut, and pairs sharing a keypoint on either side
         cut = delta > 3.0 * sigma
@@ -145,13 +144,6 @@ def principal_eigenvector(c: np.ndarray) -> SpectralSolution:
     if v.sum() < 0:
         v = -v
     return SpectralSolution(eigenvector=v, eigenvalue=lam, iterations=its)
-
-
-def _cosine(w: np.ndarray, m: np.ndarray) -> float:
-    nw = np.linalg.norm(w)
-    if nw == 0.0:
-        return 0.0
-    return float(np.clip((w @ m) / (nw * np.linalg.norm(m)), 0.0, 1.0))
 
 
 def global_score(indicator, c: np.ndarray) -> float:
@@ -271,10 +263,10 @@ def greedy_select(c: np.ndarray, solution: SpectralSolution, u_matches: UnaryMat
     selection uses each keypoint at most once. Each tentative commit is kept
     only if the mutual compatibility index did not drop; the first
     candidate is always kept. The index is the cosine between the
-    projection C (indicator * v) and the indicator, clipped to [0, 1], and
-    0 when the projection vanishes. The projection is kept up to date by
-    adding one row per commit (C is exactly symmetric, and a row is
-    contiguous).
+    projection p = C (indicator * v) and the indicator, which holds k
+    ones: (p . indicator) / (||p|| sqrt(k)), clipped to [0, 1], and 0 when
+    p vanishes. p is kept up to date by adding one row per commit (C is
+    exactly symmetric, and a row is contiguous).
     """
     v = solution.eigenvector
     u = u_matches.u
@@ -291,7 +283,8 @@ def greedy_select(c: np.ndarray, solution: SpectralSolution, u_matches: UnaryMat
             continue
         indicator[g] = 1.0
         projected += c[g] * v[g]
-        score = _cosine(projected, indicator)
+        norm = math.sqrt(projected.dot(projected)) * math.sqrt(len(rows) + 1)
+        score = min(max((projected @ indicator) / norm, 0.0), 1.0) if norm else 0.0
         if current is not None and score < current:
             indicator[g] = 0.0
             break

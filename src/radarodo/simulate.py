@@ -221,8 +221,9 @@ def random_world(
     """
     if n_landmarks < 0:
         raise ValueError("n_landmarks must be >= 0")
-    if extent <= min_range:
-        raise ValueError("extent must exceed min_range")
+    # 4 extent bounds the placement span and every landmark distance; NaN fails too
+    if not (extent > min_range and 4 * extent < math.inf):
+        raise ValueError(f"extent must exceed min_range with 4 * extent finite, got {extent}")
     rng = np.random.default_rng(seed)
     placed = []
     landmarks = []

@@ -163,6 +163,34 @@ def test_simulate_whose_max_range_overflows_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "text", ["world_extent = 1e308", "world_extent = 8e307\nmin_separation = 1.0"],
+    ids=["1e308", "8e307"],
+)
+def test_simulate_whose_world_extent_overflows_is_a_config_error(tmp_path, text, capsys):
+    path = write_cfg(tmp_path, "n_landmarks = 10\nsteps = 3\n" + text + "\n")
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "extent" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_odometry_on_points_beyond_the_pipeline_bound_is_a_config_error(tmp_path, capsys):
+    # every range bin is 1e300 m long, so keypoint coordinates exceed 2**510
+    path = write_cfg(tmp_path, "range_resolution = 1e300\nnum_range_bins = 50\n"
+                               "num_azimuths = 64\nn_landmarks = 10\nsteps = 3\n")
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(path), "--out", str(data)]) == 0
+    capsys.readouterr()
+    for method in ("ro", "icp"):
+        out = tmp_path / method
+        rc = main(["odometry", "--dataset", str(data), "--out", str(out), "--method", method,
+                   "--l-max", "50"])
+        assert rc == 2, method
+        assert "point coordinates must be finite" in capsys.readouterr().err, method
+        assert not out.exists(), method
+
+
 def test_missing_scan_file_is_io_error(tmp_path):
     rc = main(["extract", "--scan", str(tmp_path / "nope.rscan"), "--out", str(tmp_path / "kp.csv")])
     assert rc == 3

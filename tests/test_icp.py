@@ -153,6 +153,18 @@ def test_nan_target_raises():
         icp_match(src, dst)
 
 
+def test_points_beyond_the_pipeline_bound_raise():
+    # checked after the empty-set and NaN-target checks, which keep raising
+    # IcpDivergedError; a NaN source point is no longer left unpaired
+    src = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    far = np.vstack([src, [[1e200, 0.0]]])
+    for s, d in ((far, src), (src, far), (np.vstack([src, [[np.nan, 0.0]]]), src)):
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            icp_match(s, d)
+    with pytest.raises(IcpDivergedError):
+        icp_match(far, np.vstack([src, [[np.nan, 0.0]]]))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         IcpConfig(nn_radius=0.0)

@@ -187,6 +187,15 @@ def test_random_world_rejects_a_negative_landmark_count():
     assert random_world(0, 30.0) == []
 
 
+@pytest.mark.parametrize("extent", [math.nan, 1e308, 8e307])
+def test_random_world_rejects_an_extent_it_cannot_place_landmarks_in(extent):
+    # NaN is not greater than min_range; 4 * 8e307 overflows, so some
+    # landmark distance could too
+    with pytest.raises(ValueError, match="extent"):
+        random_world(3, extent, min_separation=1.0)
+    assert len(random_world(3, 4e307, min_separation=1.0)) == 3
+
+
 def test_render_sequence_matches_trajectory():
     world = random_world(15, 25.0, seed=7)
     traj = make_trajectory("straight", 4, speed=2.0, dt=0.25)
