@@ -228,8 +228,9 @@ def extract_keypoints(scan: PolarScan, l_max: int) -> KeypointSet:
     Emission is one pass over the marked cells in (azimuth, range) order,
     with runs broken at gaps and at each azimuth's range ends. A run yields
     its first score maximum, and survives only if some cell of its range
-    span is also marked on an adjacent azimuth and its best score is
-    strictly positive.
+    span is also marked on an adjacent azimuth. Every strength is positive,
+    as marking visits only positive cells: the best > 0 test drops only a
+    run whose best score is NaN, which a finite scan never scores.
     """
     h, s_prime = scoring_image(scan)
     marked, _ = mark_regions(h, s_prime, l_max)
@@ -252,7 +253,7 @@ def extract_keypoints(scan: PolarScan, l_max: int) -> KeypointSet:
     return KeypointSet(
         azimuths=az,
         range_bins=rb,
-        xy=bins_to_points(az, rb, scan.meta).reshape(-1, 2),
+        xy=bins_to_points(az, rb, scan.meta),
         strengths=best[keep],
         meta=scan.meta,
         timestamp=scan.timestamp,

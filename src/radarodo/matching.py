@@ -169,9 +169,9 @@ def _orthonormalise_pair(w: np.ndarray) -> np.ndarray:
     return np.array([[r00, r01 + again], [0.0, r11]])
 
 
-def _lanczos_top_two(block: np.ndarray):
-    """(lambda1, lambda2) of a symmetric block, as in :func:`eigengap_measure`,
-    by block Lanczos with two vectors per step, or None if not certified.
+def _lanczos_ritz(block: np.ndarray):
+    """Ascending Ritz values of a symmetric block by block Lanczos with two
+    vectors per step, or None if not certified.
 
     Every new pair of Lanczos vectors is orthogonalised twice against all
     earlier ones. The start is a fixed-seed positive pair of size k, so the
@@ -179,11 +179,11 @@ def _lanczos_top_two(block: np.ndarray):
     Ritz value, the second largest and the smallest all have residual norms
     ||A y - theta y|| = ||R s_j[lo:hi]|| (R the new pair's triangular
     factor, s_j[lo:hi] the Ritz vector's last two coordinates) at most
-    ``_LANCZOS_TOL`` |lambda1|; lambda2 is then the larger in magnitude of
-    the last two. Two vectors per step find a repeated or near-repeated
-    lambda1, which one Krylov vector cannot tell from a simple one. None
-    means the step cap was reached or the new pair had (nearly) no part
-    outside the Krylov space built so far.
+    ``_LANCZOS_TOL`` |lambda1|, so each of those three is within that of an
+    eigenvalue; the values between them are not certified. Two vectors per
+    step find a repeated or near-repeated lambda1, which one Krylov vector
+    cannot tell from a simple one. None means the step cap was reached or
+    the new pair had (nearly) no part outside the Krylov space built so far.
     """
     k = block.shape[0]
     q = np.empty((2 * _LANCZOS_STEPS + 2, k))  # Lanczos vectors, one per row
@@ -206,8 +206,7 @@ def _lanczos_top_two(block: np.ndarray):
             return None
         ends = [-1, -2, 0]
         if hi > 2 and np.linalg.norm(r @ s[lo:hi, ends], axis=0).max() <= _LANCZOS_TOL * scale:
-            lam2 = ritz[-2] if abs(ritz[-2]) >= abs(ritz[0]) else ritz[0]
-            return ritz[-1], lam2
+            return ritz
         q[hi : hi + 2] = w
         t[hi : hi + 2, lo:hi] = r
     return None
@@ -226,14 +225,18 @@ def eigengap_measure(c: np.ndarray, selected_rows) -> float:
     and 0 when there is no other. A large gap means the selection stands out
     against every alternative grouping.
 
-    From k = ``_LANCZOS_MIN_K`` on, both come from block Lanczos
-    (:func:`_lanczos_top_two`): it stops once the Ritz residuals of lambda1
-    and of both ends of the rest are at most 1e-13 |lambda1|, so each Ritz
-    value is within that of an eigenvalue, and the gap within
-    2e-13 lambda1 / u of the dense one (below 2e-13 for a compatibility
-    matrix, whose entries are at most 1). Past its step cap, on an early
-    breakdown, and on smaller blocks, where it is faster,
-    ``np.linalg.eigvalsh`` of the block gives them.
+    From k = ``_LANCZOS_MIN_K`` on, block Lanczos (:func:`_lanczos_ritz`)
+    gives the ascending spectrum, with lambda1 and both ends of the rest
+    each within 1e-13 |lambda1| of an eigenvalue; past its step cap, on an
+    early breakdown, and on smaller blocks, where it is faster,
+    ``np.linalg.eigvalsh`` of the block does. Either way the rest's
+    smallest value is lambda2 only if its magnitude beats the largest by
+    more than 2e-13 lambda1, the most two certified values can differ by:
+    a closer tie goes to the positive end, so a repeated lambda1 gives a gap
+    of 0 on both paths, even with the smallest eigenvalue at -lambda1.
+    Where both paths pick the same end, their gaps differ by at most
+    2e-13 lambda1 / u (below 2e-13 for a compatibility matrix, whose
+    entries are at most 1).
     Raises ValueError unless every row is an integer in [0, u).
     """
     rows = np.asarray(selected_rows)
@@ -246,13 +249,12 @@ def eigengap_measure(c: np.ndarray, selected_rows) -> float:
     block = c.take(rows, axis=0).take(rows, axis=1)
     if not block.any():
         return 0.0
-    top = _lanczos_top_two(block) if rows.size >= _LANCZOS_MIN_K else None
-    if top is None:
-        eigenvalues = np.linalg.eigvalsh(block)  # ascending
-        rest = eigenvalues[:-1]
-        top = eigenvalues[-1], rest[np.argmax(np.abs(rest))] if rest.size else 0.0
-    lam1, lam2 = top
-    return float(np.clip((lam1 - lam2) / u, 0.0, 1.0))
+    lam = _lanczos_ritz(block) if rows.size >= _LANCZOS_MIN_K else None
+    if lam is None:
+        lam = np.linalg.eigvalsh(block)
+    lam1, rest = lam[-1], (lam[:-1] if lam.size > 1 else (0.0,))
+    lam2 = rest[0] if -rest[0] - rest[-1] > 2 * _LANCZOS_TOL * lam1 else rest[-1]
+    return float(min(max((lam1 - lam2) / u, 0.0), 1.0))
 
 
 def greedy_select(c: np.ndarray, solution: SpectralSolution, u_matches: UnaryMatches) -> MatchSelection:

@@ -17,9 +17,9 @@ from .errors import ScanFormatError
 _SCAN_MAGIC = b"#polarscan1\n"
 
 
-def _is_count(n) -> bool:
-    """Whether ``n`` is an int (numpy's included, a bool not) of at least 1."""
-    return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 1
+def _is_count(n, least=1) -> bool:
+    """Whether ``n`` is an int (numpy's included, a bool not) of at least ``least``."""
+    return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= least
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class SensorMeta:
     scan_period: float
 
     def __post_init__(self):
-        if not all(_is_count(n) and n >= 2 for n in (self.num_azimuths, self.num_range_bins)):
+        if not all(_is_count(n, 2) for n in (self.num_azimuths, self.num_range_bins)):
             raise ValueError("need at least 2 azimuths and 2 range bins")
         if not (0.0 < self.range_resolution < math.inf) or not (0.0 < self.scan_period < math.inf):
             raise ValueError("range_resolution and scan_period must be positive and finite")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scan import PolarScan, SensorMeta
+from .scan import PolarScan, SensorMeta, _is_count
 from .se2 import Pose2, apply_pose, inverse, wrap_angle
 
 _TWO_PI = 2.0 * math.pi
@@ -167,27 +167,18 @@ def make_trajectory(
     seed: int = 0,
 ) -> TrajectorySpec:
     """Generate a vehicle path: ``straight``, ``arc``, or ``random_walk``."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not _is_count(steps):
+        raise ValueError("steps must be an int >= 1")
+    if not (0.0 < dt < math.inf):  # NaN fails too
+        raise ValueError("dt must be positive and finite")
     ts = np.arange(steps) * dt
 
-    if kind == "straight":
+    if kind == "straight" or (kind == "arc" and abs(yaw_rate) < 1e-12):
         poses = [Pose2(k * speed * dt, 0.0, 0.0) for k in range(steps)]
     elif kind == "arc":
-        if abs(yaw_rate) < 1e-12:
-            poses = [Pose2(k * speed * dt, 0.0, 0.0) for k in range(steps)]
-        else:
-            radius = speed / yaw_rate
-            poses = [
-                Pose2(
-                    radius * math.sin(k * yaw_rate * dt),
-                    radius * (1.0 - math.cos(k * yaw_rate * dt)),
-                    k * yaw_rate * dt,
-                )
-                for k in range(steps)
-            ]
+        radius = speed / yaw_rate
+        angles = [k * yaw_rate * dt for k in range(steps)]
+        poses = [Pose2(radius * math.sin(a), radius * (1.0 - math.cos(a)), a) for a in angles]
     elif kind == "random_walk":
         rng = np.random.default_rng(seed)
         poses = [Pose2()]
@@ -219,10 +210,15 @@ def random_world(
     Rejects points closer than ``min_range`` to the origin (the radar starts
     there) and, optionally, closer than ``min_separation`` to each other.
     """
-    if n_landmarks < 0:
-        raise ValueError("n_landmarks must be >= 0")
-    # 4 extent bounds the placement span and every landmark distance; NaN fails too
-    if not (extent > min_range and 4 * extent < math.inf):
+    if not _is_count(n_landmarks, 0):
+        raise ValueError("n_landmarks must be an int >= 0")
+    # 4 extent bounds the placement span and every landmark distance; NaN
+    # fails too, and so does an extent too large for a float
+    try:
+        fits = extent > min_range and 4 * float(extent) < math.inf
+    except OverflowError:
+        fits = False
+    if not fits:
         raise ValueError(f"extent must exceed min_range with 4 * extent finite, got {extent}")
     rng = np.random.default_rng(seed)
     placed = []

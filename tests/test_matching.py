@@ -14,11 +14,13 @@ from radarodo import (
     random_world,
     render_scan,
 )
+from radarodo import matching
 from radarodo.descriptors import UnaryMatches, propose_unary_matches
 from radarodo.matching import (
     _LANCZOS_MIN_K,
+    _LANCZOS_TOL,
     SpectralSolution,
-    _lanczos_top_two,
+    _lanczos_ritz,
     eigengap_measure,
     global_score,
     greedy_select,
@@ -250,11 +252,12 @@ def test_eigengap_rejects_rows_that_are_not_candidates(rows):
         eigengap_measure(c, rows)
 
 
-def dense_top_two(block):
-    """lambda1 and the largest-magnitude rest eigenvalue, from eigvalsh."""
-    lam = np.linalg.eigvalsh(block)
-    rest = lam[:-1]
-    return lam[-1], rest[np.argmax(np.abs(rest))]
+def top_two(lam):
+    """lambda1 and lambda2 of an ascending spectrum: the rest's negative end
+    only if its magnitude beats the positive end by more than two certified
+    values can differ, else the positive end."""
+    tie = 2 * _LANCZOS_TOL * lam[-1]
+    return lam[-1], lam[0] if -lam[0] - lam[-2] > tie else lam[-2]
 
 
 def embedded(block, rng, extra=20):
@@ -299,12 +302,16 @@ def test_lanczos_eigengap_agrees_with_eigvalsh(busy_problem):
     rng = np.random.default_rng(17)
     for name, block in lanczos_blocks(busy_problem):
         assert block.shape[0] >= _LANCZOS_MIN_K, name
-        top = _lanczos_top_two(block)
-        assert top is not None, name
-        want = dense_top_two(block)
-        assert np.max(np.abs(np.subtract(top, want))) <= 1e-12 * want[0], name
+        ritz = _lanczos_ritz(block)
+        assert ritz is not None, name
+        lam = np.linalg.eigvalsh(block)
+        # lambda1 and both ends of the rest are certified
+        ends = [-1, -2, 0]
+        assert np.max(np.abs(ritz[ends] - lam[ends])) <= 1e-12 * lam[-1], name
+        assert np.all(np.diff(ritz) >= 0), name
         c, rows = embedded(block, rng)
-        gap = float(np.clip((want[0] - want[1]) / c.shape[0], 0.0, 1.0))
+        lam1, lam2 = top_two(lam)
+        gap = min(max((lam1 - lam2) / c.shape[0], 0.0), 1.0)
         assert abs(eigengap_measure(c, rows) - gap) <= 1e-12, name
 
 
@@ -314,11 +321,37 @@ def test_eigengap_falls_back_to_eigvalsh_when_lanczos_cannot_certify():
     clique = np.ones((k, k)) - np.eye(k)  # two distinct eigenvalues: breakdown on step 1
     noise = rng.uniform(0.0, 1.0, (k, k))  # a wide bulk: not certified within the step cap
     for block in (clique, np.triu(noise, 1) + np.triu(noise, 1).T):
-        assert _lanczos_top_two(block) is None
+        assert _lanczos_ritz(block) is None
         c, rows = embedded(block, rng)
-        lam1, lam2 = dense_top_two(block)
-        assert eigengap_measure(c, rows) == float(np.clip((lam1 - lam2) / c.shape[0], 0.0, 1.0))
+        lam1, lam2 = top_two(np.linalg.eigvalsh(block))
+        assert eigengap_measure(c, rows) == float(min(max((lam1 - lam2) / c.shape[0], 0.0), 1.0))
     assert eigengap_measure(*embedded(clique, rng)) == pytest.approx(k / (k + 20), abs=1e-12)
+
+
+def repeated_bipartite_blocks():
+    """Two copies of one bipartite block [[0, W], [W^T, 0]], W uniform on
+    [0.2, 1] with halves of 30, 60 and 120: lambda1 is repeated, and the
+    smallest eigenvalue is -lambda1, so the two ends of the rest tie."""
+    rng = np.random.default_rng(3)
+    for half in (30, 60, 120):
+        w = rng.uniform(0.2, 1.0, (half, half))
+        one = np.block([[np.zeros((half, half)), w], [w.T, np.zeros((half, half))]])
+        z = np.zeros_like(one)
+        yield np.block([[one, z], [z, one]])
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_a_repeated_lambda1_gives_no_gap_on_either_path(dense, monkeypatch):
+    # the ends of the rest tie at lambda1 and -lambda1; the tie goes to the
+    # positive end however either solver rounds them, so lambda2 = lambda1
+    if dense:
+        monkeypatch.setattr(matching, "_LANCZOS_MIN_K", 10**9)
+    pair = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert eigengap_measure(np.kron(np.eye(2), pair), [0, 1, 2, 3]) == 0.0
+    for block in repeated_bipartite_blocks():
+        k = block.shape[0]
+        assert dense or k < _LANCZOS_MIN_K or _lanczos_ritz(block) is not None
+        assert eigengap_measure(block, np.arange(k)) <= 1e-15, k
 
 
 def selection_score(c, sel):

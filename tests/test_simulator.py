@@ -169,6 +169,22 @@ def test_make_trajectory_rejects_unknown_kind():
         make_trajectory("zigzag", 5)
 
 
+@pytest.mark.parametrize("steps, dt", [(2.5, 1.0), (True, 1.0), (0, 1.0), (np.int64(0), 1.0),
+                                      (3, 0.0), (3, -1.0), (3, math.inf), (3, math.nan)])
+def test_make_trajectory_rejects_a_step_count_or_period_it_cannot_honour(steps, dt):
+    # a float or bool step count is no count, and an infinite period would
+    # make 0 * inf a NaN timestamp
+    with pytest.raises(ValueError, match="steps" if dt == 1.0 else "dt"):
+        make_trajectory("straight", steps, dt=dt)
+    assert len(make_trajectory("arc", np.int64(3), yaw_rate=0.1, dt=0.5)) == 3
+
+
+def test_an_arc_without_yaw_rate_is_the_straight_path():
+    straight = make_trajectory("straight", 6, speed=2.0, dt=0.5)
+    for yaw_rate in (0.0, 1e-13, -1e-13):
+        assert make_trajectory("arc", 6, speed=2.0, yaw_rate=yaw_rate, dt=0.5).poses == straight.poses
+
+
 def test_random_world_respects_bounds():
     world = random_world(40, 30.0, seed=6, min_range=5.0, min_separation=2.0)
     assert len(world) == 40
@@ -187,13 +203,21 @@ def test_random_world_rejects_a_negative_landmark_count():
     assert random_world(0, 30.0) == []
 
 
-@pytest.mark.parametrize("extent", [math.nan, 1e308, 8e307])
+@pytest.mark.parametrize("extent", [math.nan, 1e308, 8e307, pytest.param(10**400, id="int-1e400")])
 def test_random_world_rejects_an_extent_it_cannot_place_landmarks_in(extent):
     # NaN is not greater than min_range; 4 * 8e307 overflows, so some
-    # landmark distance could too
+    # landmark distance could too; float(10**400) overflows
     with pytest.raises(ValueError, match="extent"):
         random_world(3, extent, min_separation=1.0)
     assert len(random_world(3, 4e307, min_separation=1.0)) == 3
+
+
+@pytest.mark.parametrize("n", [2.5, True, False, "3"])
+def test_random_world_rejects_a_landmark_count_that_is_not_an_int(n):
+    # 2.5 would place 3 landmarks and True 1; False equals 0 but is no count
+    with pytest.raises(ValueError, match="n_landmarks"):
+        random_world(n, 30.0)
+    assert len(random_world(np.int64(2), 30.0)) == 2
 
 
 def test_render_sequence_matches_trajectory():
