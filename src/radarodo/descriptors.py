@@ -21,6 +21,10 @@ fewer columns. A row is alpha//2 + 1 + rho wide; its angular entries lie
 in [0, sqrt 2] and its radial ones in [0, 1]. The angular channel is
 divided by X_0, the histogram's total, which is its peak.
 
+Unary matching takes each L1 row's nearest L2 row by the float64 sum of
+(a - b)**2, screened by a float32 product under a proven error bound, ties
+to the lowest index (:func:`propose_unary_matches`).
+
 One numpy kernel describes blocks of keypoints at a time: both channels of
 a whole block come from one ``bincount`` each and one batched FFT. Each
 histogram still sums its neighbors one by one in index order, so every
@@ -57,6 +61,15 @@ _BLOCK = 64
 # is at most 2**511 and dx*dx + dy*dy at most 2**1023, so every distance of
 # the describe kernel and of matching._upper_distances is finite
 _MAX_COORD = 2.0**510
+# L1 rows per unary screen block: its (block, n2) float32 products stay
+# near 1 MB at n2 = 1000
+_UNARY_BLOCK = 256
+# entries per float64 gather of the unary decision's row differences
+_GATHER = 2**17
+# unit roundoffs of float32 and float64, and the least normal float32
+_U32 = 2.0**-24
+_U64 = 2.0**-53
+_TINY32 = 2.0**-126
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,28 +204,130 @@ def descriptor_matrix(kset, alpha: int, rho: int, max_range: float) -> np.ndarra
 def propose_unary_matches(l1, l2, alpha: int, rho: int, max_range: float) -> UnaryMatches:
     """Pair each L1 keypoint with its nearest L2 descriptor.
 
-    Distance ties resolve to the lowest L2 index. The caller is expected to
-    pass the smaller set as ``l1``.
+    Row a of L1's descriptor matrix gets the row b of L2's that minimises
+    F(a, b), the float64 ``np.square(a - b).sum()`` along the row; ties go
+    to the lowest L2 index. The caller is expected to pass the smaller set
+    as ``l1``.
+
+    A float32 product screens the L2 rows and F decides among the few that
+    pass. For rows a, b of K entries, all >= 0, let na and nb be their
+    float64 sums of squares, r = sqrt(na), q = sqrt(nb), and m = fl32(nb),
+    whose difference from nb is exact in float64. The screen takes
+
+        t(a, b) = fl32(s + m),  s the float32 dot product of -2 fl32(a) and fl32(b),
+
+    an estimate of T = |b|^2 - 2a.b = D - |a|^2, where D = |a - b|^2
+    exactly. Let u = 2**-24 and v = 2**-53 be the unit roundoffs of float32
+    and float64, gamma_n = nu / (1 - nu), and eta = 2**-126, the least
+    normal float32: more than a float32 operation loses to underflow,
+    gradual or flushed.
+
+    Claim. If (K + 3)u < 1/2, every pair has
+
+        |t - T| + |F - D| <= u|t| + R(a, b),
+        R(a, b) = c r q + |m - nb| + w (na + nb) + h (1 + r + q),
+
+    with c = 2 gamma_(K+3), w = 4(K + 3)v and h = 8K eta.
+
+    Proof. A float32 operation with exact result x returns x(1 + d) + e,
+    |d| <= u, |e| <= eta; scaling by -2 is exact. The casts and the
+    product take each a_k b_k through at most K + 2 factors (1 + d), in
+    any summation order, with or without fused multiply-adds, so the
+    product is -2a.b to within 2 gamma_(K+2) a.b plus, from the e's,
+    4 eta ((1 + u) sqrt(K) (|a| + |b|) + K eta + K) <= 5K eta (1 + |a| + |b|)
+    (gamma_K <= 1 and |a|_1 <= sqrt(K) |a|). Entries are >= 0, so
+    0 <= a.b <= |a||b|. Adding m loses at most u|t| + eta, and m is |b|^2
+    to within |m - nb| + |nb - |b|^2|. In float64, F, na and nb sum
+    non-negative terms, each rounded at most K + 2 times, and
+    D <= |a|^2 + |b|^2 as a.b >= 0; so |F - D| + |nb - |b|^2| is at most
+    2 gamma64_(K+2) (|a|^2 + |b|^2), which w (na + nb) covers with room
+    for na and nb being rounded. Likewise r q >= (1 - (K + 3)v) |a||b|,
+    which the extra u of gamma_(K+3) over gamma_(K+2) makes up for while
+    K + 3 < 2**26. Float64 underflow loses under 2**-990 in all of this;
+    h (1 + r + q) covers it, the e's and the add's eta. []
+
+    Selection. Let t* = t(a, b*) be the least t of row a and
+    S = u|t*| + R(a, b*) + R_max(a), where
+
+        R_max(a) = c r max(q) + max(|m - nb| + w nb + h q) + w na + h (1 + r)
+
+    takes its maxima over L2, so R_max(a) >= R(a, b) for every b. Let
+    x = t* + S. A row b with t > x + 2u|x| has t - u|t| > x, as t - u|t|
+    grows with t and 2u > u / (1 - u); then by the claim
+
+        F(a, b) >= |a|^2 + t - u|t| - R(a, b)
+                 > |a|^2 + t* + u|t*| + R(a, b*) >= F(a, b*),
+
+    so b is not the argmin and does not tie with it. Every other row of L2
+    is kept: if that is b* alone, b* is the answer, else the least F among
+    the kept rows is, ties to the lowest index. S is formed in float64 and
+    scaled by 1 + 2**-40, more than its rounding can take off; 2u|x|
+    exceeds u|x| / (1 - u) by far more than forming x and x + 2u|x| in
+    float64 can round off, and the threshold is rounded up to float32. With (K + 3)u >= 1/2 no bound is formed and
+    every row is kept. L1 goes through in blocks of rows: the bound holds
+    for any float32 summation, so blocking changes no answer.
     """
     n1 = _points(l1).shape[0]
     if n1 == 0 or _points(l2).shape[0] == 0:
         raise NoCandidatesError("cannot match empty keypoint sets")
     d1 = descriptor_matrix(l1, alpha, rho, max_range)
     d2 = descriptor_matrix(l2, alpha, rho, max_range)
-    # squared descriptor distances via the expanded dot product, one block
-    # of L1 rows at a time. The product stays whole (a row-blocked product
-    # changes its last bits); doubling it after is exact.
-    cross = d1 @ d2.T
-    cross *= 2.0
-    norm1 = (d1 * d1).sum(axis=1)
-    norm2 = (d2 * d2).sum(axis=1)
+    return UnaryMatches(l1_indices=np.arange(n1), l2_indices=_nearest_rows(d1, d2))
+
+
+def _nearest_rows(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Index of the nearest ``d2`` row of each ``d1`` row: the float32
+    screen and float64 decision of :func:`propose_unary_matches`, whose
+    docstring proves the bound computed here. Entries must be >= 0."""
+    n1, width = d1.shape
+    na = np.einsum("ij,ij->i", d1, d1)
+    nb = np.einsum("ij,ij->i", d2, d2)
+    ra, rb = np.sqrt(na), np.sqrt(nb)
+    m = nb.astype(np.float32)
+    f2t = d2.astype(np.float32).T
+    k3 = (width + 3) * _U32
+    screened = k3 < 0.5
+    if screened:
+        c = 2.0 * k3 / (1.0 - k3)
+        w = 4.0 * (width + 3) * _U64
+        h = 8.0 * width * _TINY32
+        # R(a, b) = c r q + col(b) + row(a)
+        col = np.abs(m - nb) + w * nb + h * rb
+        row = w * na + h * (1.0 + ra)
+        rb_max, col_max = rb.max(), col.max()
     best = np.empty(n1, dtype=np.intp)
-    for lo in range(0, n1, _BLOCK):
-        hi = min(lo + _BLOCK, n1)
-        sq = norm1[lo:hi, None] + norm2[None, :]
-        np.subtract(sq, cross[lo:hi], out=sq)
-        # rounding leaves some squares just below 0: clamped, they tie at 0
-        # and argmin takes the lowest index among them
-        np.maximum(sq, 0.0, out=sq)
-        best[lo:hi] = np.argmin(sq, axis=1)
-    return UnaryMatches(l1_indices=np.arange(n1), l2_indices=best)
+    for lo in range(0, n1, _UNARY_BLOCK):
+        hi = min(lo + _UNARY_BLOCK, n1)
+        f1 = d1[lo:hi].astype(np.float32)
+        f1 *= -2.0
+        t = f1 @ f2t
+        t += m
+        j = np.argmin(t, axis=1)
+        if screened:
+            t_best = t[np.arange(hi - lo), j].astype(float)
+            # S = u|t*| + R(a, b*) + R_max
+            slack = _U32 * np.abs(t_best) + c * ra[lo:hi] * (rb[j] + rb_max)
+            slack += col[j] + col_max + 2.0 * row[lo:hi]
+            slack *= 1.0 + 2.0**-40
+            x = t_best + slack
+            x += 2.0 * _U32 * np.abs(x)
+            limit = x.astype(np.float32)
+            np.nextafter(limit, np.float32(np.inf), out=limit, where=limit < x)
+        else:
+            limit = np.full(hi - lo, np.inf, np.float32)
+        r, k = np.divmod(np.flatnonzero(t <= limit[:, None]), t.shape[1])
+        several = (np.bincount(r, minlength=hi - lo) > 1)[r]
+        r, k = r[several], k[several]
+        if r.size:
+            f = np.empty(r.size)
+            step = max(1, _GATHER // width)
+            for p in range(0, r.size, step):
+                diff = d1[lo + r[p : p + step]] - d2[k[p : p + step]]
+                f[p : p + step] = np.square(diff, out=diff).sum(axis=1)
+            # r is sorted, so each row keeps its place in the sort, and its
+            # first entry there has its least F, ties to the lowest column
+            order = np.lexsort((k, f, r))
+            first = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+            j[r[first]] = k[order[first]]
+        best[lo:hi] = j
+    return best

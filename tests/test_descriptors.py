@@ -6,8 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from radarodo import KeypointSet, NoCandidatesError, Pose2, SensorMeta, apply_pose
-from radarodo.descriptors import _angular_bins, descriptor_matrix, propose_unary_matches
+from radarodo import KeypointSet, NoCandidatesError, Pose2, SensorMeta, apply_pose, descriptors
+from radarodo.descriptors import (
+    _GATHER,
+    _UNARY_BLOCK,
+    _angular_bins,
+    _nearest_rows,
+    descriptor_matrix,
+    propose_unary_matches,
+)
 
 from conftest import random_cloud
 
@@ -93,13 +100,18 @@ def row_distances(d, rows, others):
 
 
 def dense_unary(d1, d2):
-    """Nearest L2 descriptor of each L1 row from whole (u1, u2) arrays, in
-    the expanded dot product's order: the reference the row-blocked search
-    must match bit for bit. Returns the l2 indices."""
-    sq = (d1 * d1).sum(axis=1)[:, None] + (d2 * d2).sum(axis=1)[None, :]
-    sq = sq - 2.0 * d1 @ d2.T
-    np.maximum(sq, 0.0, out=sq)
-    return np.argmin(sq, axis=1)
+    """Nearest L2 row of each L1 row by the float64 sum of (a - b)**2 over
+    every L2 row, ties to the lowest index: the brute force the screened
+    search must match exactly. Each row's sum is taken the way the search
+    takes it, as a row sum of the squared differences. Returns the l2
+    indices."""
+    diff = np.empty_like(d2)
+
+    def nearest(a):
+        np.subtract(a, d2, out=diff)
+        return np.argmin(np.square(diff, out=diff).sum(axis=1))
+
+    return np.array([nearest(a) for a in d1], dtype=np.intp)
 
 
 def meta_args(kset):
@@ -313,8 +325,9 @@ def test_unary_matches_equal_the_dense_search(noisy_keypoints, busy_keypoints):
         (busy_keypoints[0], busy_keypoints[1]),
         (noisy_keypoints, noisy_keypoints),
     ] + [
-        # L1 sizes on both sides of a block edge, drawn with repeats
-        (kp.xy[rng.choice(len(kp), n1)], kp.xy[: n1 + 7]) for n1 in (1, 63, 64, 65, 130)
+        # L1 sizes on both sides of a screen block edge, drawn with repeats
+        (kp.xy[rng.choice(len(kp), n1)], kp.xy[: n1 + 7])
+        for n1 in (1, _UNARY_BLOCK - 1, _UNARY_BLOCK, _UNARY_BLOCK + 1, 2 * _UNARY_BLOCK + 8)
     ]
     args = meta_args(busy_keypoints[0])
     for l1, l2 in pairs:
@@ -335,6 +348,123 @@ def test_unary_matches_equal_the_full_spectrum_dense_search(noisy_keypoints, bus
         got = propose_unary_matches(l1, l2, *args)
         best = dense_unary(per_keypoint_matrix(l1.xy, *args), per_keypoint_matrix(l2.xy, *args))
         assert np.array_equal(got.l2_indices, best)
+
+
+def test_unary_search_tells_apart_rows_float32_cannot():
+    # one entry 2**-30 apart: float32 rounds both L2 rows alike, and the
+    # expanded dot product's rounding (near 1e-15 here) swamps squared
+    # distances 2**-60 apart; the truly nearer row wins whatever its index
+    base = np.random.default_rng(23).uniform(0.0, 1.4, 24)
+    base[7] = 0.75
+    near = base.copy()
+    near[7] += 2.0**-30
+    assert np.array_equal(base.astype(np.float32), near.astype(np.float32))
+    between = base.copy()
+    between[7] += 3 * 2.0**-32  # 2**-32 from near, 3 * 2**-32 from base
+    d1 = np.array([near, base, between])
+    assert _nearest_rows(d1, np.array([base, near])).tolist() == [1, 0, 1]
+    assert _nearest_rows(d1, np.array([near, base])).tolist() == [0, 1, 0]
+    # amid other rows, on both sides of a screen block edge
+    others = np.random.default_rng(24).uniform(0.0, 1.4, (30, 24))
+    d2 = np.vstack([others[:20], base, others[20:], near])
+    many = np.repeat(d1, _UNARY_BLOCK // 2 + 1, axis=0)
+    got = _nearest_rows(many, d2)
+    assert np.array_equal(got, dense_unary(many, d2))
+    assert set(got.tolist()) == {20, 31}
+
+
+def test_unary_search_gives_exact_ties_to_the_lowest_index():
+    d2 = np.random.default_rng(25).uniform(0.0, 1.4, (7, 10))
+    d2[[2, 4, 6]] = d2[1]
+    # two distinct rows at exactly the same distance from a zero row
+    d2[3] = d2[5] = 0.0
+    d2[3, 0] = d2[5, 9] = 0.5
+    d1 = np.vstack([d2[[6, 4, 1, 0]], np.zeros(10)])
+    assert _nearest_rows(d1, d2).tolist() == [1, 1, 1, 0, 3]
+
+
+def test_unary_search_decides_when_every_row_survives_the_screen():
+    # L2 rows that float32 cannot tell apart screen alike, so every one of
+    # them goes to the float64 decision; enough of them that one screen
+    # block's decision takes more than one gather
+    n2, width = 100, 6
+    assert _UNARY_BLOCK * n2 > _GATHER // width
+    rng = np.random.default_rng(26)
+    perm = rng.permutation(n2)
+    d2 = np.full((n2, width), 0.75)
+    d2[:, 0] += perm * 2.0**-33
+    assert len(np.unique(d2.astype(np.float32), axis=0)) == 1
+    # targets on a quarter of the L2 offsets' spacing, half-way ones
+    # included: these squared distances are exact, so the nearest row is
+    # that of the nearest offset, a tie going to the lower index
+    x = np.concatenate([rng.integers(-12, 4 * n2 + 12, _UNARY_BLOCK + 40) / 4, [2.5, 50.5, -0.5]])
+    d1 = np.full((x.size, width), 0.75)
+    d1[:, 0] += x * 2.0**-33
+    gap = np.abs(x[:, None] - perm[None, :])
+    want = np.argmin(gap, axis=1)
+    assert np.array_equal(_nearest_rows(d1, d2), want)
+    assert np.array_equal(want, dense_unary(d1, d2))
+
+
+def test_unary_search_decides_every_row_when_no_bound_can_be_formed(monkeypatch):
+    # rows of 2**23 or more entries leave float32 no bound; a coarser
+    # float32 roundoff stands in for them here
+    monkeypatch.setattr(descriptors, "_U32", 0.25)
+    rng = np.random.default_rng(29)
+    d1, d2 = rng.uniform(0.0, 1.4, (_UNARY_BLOCK + 9, 5)), rng.uniform(0.0, 1.4, (40, 5))
+    d2[7] = d2[3]
+    d1[:4] = d2[3]
+    assert np.array_equal(_nearest_rows(d1, d2), dense_unary(d1, d2))
+
+
+def test_unary_search_of_one_row_sets():
+    rng = np.random.default_rng(27)
+    one, many = rng.uniform(0.0, 1.4, (1, 9)), rng.uniform(0.0, 1.4, (300, 9))
+    assert np.array_equal(_nearest_rows(one, many), dense_unary(one, many))
+    assert np.array_equal(_nearest_rows(many, one), np.zeros(300, dtype=np.intp))
+    assert _nearest_rows(one, one).tolist() == [0]
+    # a one-point cloud has the zero descriptor, nearest to every row
+    matches = propose_unary_matches(random_cloud(rng, 12), np.array([[3.0, 4.0]]), 8, 6, MAX_RANGE)
+    assert matches.l2_indices.tolist() == [0] * 12
+    matches = propose_unary_matches(np.array([[3.0, 4.0]]), random_cloud(rng, 12), 8, 6, MAX_RANGE)
+    assert matches.u == 1 and matches.l2_indices.dtype == np.intp
+
+
+def test_unary_search_equals_the_brute_force_with_planted_near_ties():
+    rng = np.random.default_rng(28)
+    for width in (2, 3, 9, 64, 129, 385):
+        n2 = int(rng.integers(1, 50))
+        n1 = int(rng.integers(1, 2 * _UNARY_BLOCK + 20))
+        d2 = rng.uniform(0.0, 1.4, (n2, width)) * (rng.random((n2, width)) < 0.7)
+        # near copies of some L2 rows, a few entries moved by 2**-40..2**-21,
+        # and exact copies of others
+        src = rng.integers(0, n2, n2 // 2 + 1)
+        moved = rng.random((src.size, width)) < 0.2
+        near = d2[src] + moved * 2.0 ** rng.integers(-40, -20, (src.size, width))
+        d2 = np.vstack([d2, near, d2[src[:3]]])
+        # L1 rows near L2 rows, some zero, some with entries in float32's
+        # subnormal range or flushed below it
+        d1 = d2[rng.integers(0, len(d2), n1)]
+        d1 = d1 + (rng.random((n1, width)) < 0.1) * 2.0 ** rng.integers(-45, -18, (n1, width))
+        d1[rng.random(n1) < 0.05] = 0.0
+        d1[rng.random((n1, width)) < 0.02] = 1e-40
+        d1[rng.random((n1, width)) < 0.02] = 1e-300
+        assert np.array_equal(_nearest_rows(d1, d2), dense_unary(d1, d2)), width
+
+
+def test_unary_memory_stays_below_one_dense_float64_product(busy_keypoints):
+    # a (u, n2) float64 array, the whole cross product of a dense search,
+    # is 6 MB here; the screen works through blocks of L1 rows
+    l1, l2 = busy_keypoints
+    args = meta_args(l1)
+    u, n2 = (descriptor_matrix(kset, *args).shape[0] for kset in (l1, l2))
+    tracemalloc.start()
+    try:
+        propose_unary_matches(l1, l2, *args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < u * n2 * 8
 
 
 WRAP_EDGES = [

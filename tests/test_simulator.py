@@ -179,6 +179,17 @@ def test_make_trajectory_rejects_a_step_count_or_period_it_cannot_honour(steps, 
     assert len(make_trajectory("arc", np.int64(3), yaw_rate=0.1, dt=0.5)) == 3
 
 
+@pytest.mark.parametrize("kind", ["straight", "arc", "random_walk"])
+@pytest.mark.parametrize("steps, speed, dt", [(3, 1.0, 1e308), (3, 1e300, 1e10), (10**6, 1.0, 1e303)])
+def test_make_trajectory_refuses_a_period_whose_times_or_distances_overflow(kind, steps, speed, dt):
+    # a finite period can still carry the last timestamp or distance past
+    # the float maximum; it is refused before any array is made
+    with pytest.raises(ValueError, match="dt"):
+        make_trajectory(kind, steps, speed=speed, yaw_rate=0.1, dt=dt)
+    # one step has no span, so any finite period fits
+    assert make_trajectory(kind, 1, speed=speed, yaw_rate=0.1, dt=dt).timestamps.tolist() == [0.0]
+
+
 def test_an_arc_without_yaw_rate_is_the_straight_path():
     straight = make_trajectory("straight", 6, speed=2.0, dt=0.5)
     for yaw_rate in (0.0, 1e-13, -1e-13):
