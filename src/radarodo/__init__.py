@@ -33,7 +33,6 @@ from .matching import (
     MatchSelection,
     SpectralSolution,
     eigengap_measure,
-    global_score,
     greedy_select,
     pairwise_compatibility,
     principal_eigenvector,
@@ -44,6 +43,7 @@ from .odometry import (
     PipelineConfig,
     evaluate,
     match_keypoint_sets,
+    odometry_pairs,
     run_odometry,
 )
 from .scan import (

@@ -61,6 +61,10 @@ _BLOCK = 64
 # is at most 2**511 and dx*dx + dy*dy at most 2**1023, so every distance of
 # the describe kernel and of matching._upper_distances is finite
 _MAX_COORD = 2.0**510
+# with the cloud's largest range times (N + rho) at most this many radial
+# bin widths, every weight, histogram total and radial bin index stays
+# finite with room to spare
+_MAX_SCALE = 2.0**960
 # L1 rows per unary screen block: its (block, n2) float32 products stay
 # near 1 MB at n2 = 1000
 _UNARY_BLOCK = 256
@@ -177,7 +181,10 @@ def descriptor_matrix(kset, alpha: int, rho: int, max_range: float) -> np.ndarra
     ``alpha`` and ``rho`` must be ints >= 1 (a bool is not one) and
     ``max_range`` finite and > 0, else ValueError. A raw (N, 2) cloud raises
     ValueError if a coordinate is not finite or exceeds 2**510 in magnitude,
-    where a squared distance could overflow.
+    where a squared distance could overflow. So does a ``max_range`` too
+    small for the cloud: a radial bin width ``max_range / rho`` of zero, or
+    the largest range from the sensor times N + rho beyond 2**960 bin
+    widths, where a weight, a histogram total or a bin index could overflow.
     """
     _check_params(alpha, rho, max_range)
     cache = kset.descriptor_cache if isinstance(kset, KeypointSet) else None
@@ -186,9 +193,16 @@ def descriptor_matrix(kset, alpha: int, rho: int, max_range: float) -> np.ndarra
         return cache[key]
     xy = _points(kset)
     n = xy.shape[0]
+    ranges = np.hypot(xy[:, 0], xy[:, 1])
+    reach = float(ranges.max(initial=0.0))
+    width = float(max_range) / int(rho)
+    if not (0.0 < width and reach * (n + int(rho)) <= width * _MAX_SCALE):
+        raise ValueError(
+            f"max_range {max_range!r} is too small for points {reach:.3g} from the sensor"
+        )
     out = np.empty((n, alpha // 2 + 1 + rho))
     # each keypoint's weight as a neighbor is its range over max_range
-    weight = np.hypot(xy[:, 0], xy[:, 1]) / max_range
+    weight = ranges / max_range
     bearing = np.array([math.atan2(y, x) for x, y in xy.tolist()])
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)

@@ -35,6 +35,17 @@ _LANCZOS_TOL = 1e-13
 # a new Lanczos vector shorter than this, relative to |lambda1|, means the
 # Krylov space is (nearly) invariant: fall back to the dense solver
 _LANCZOS_BREAKDOWN = 1e-10
+# the kernel's widths: 2 sigma**2 is a normal float and 3 sigma finite
+_SIGMA_MIN = 2.0**-511
+_SIGMA_MAX = 2.0**511
+
+
+def _check_sigma(sigma, name="sigma"):
+    """Raise ValueError naming ``name`` unless ``sigma`` is a width the
+    compatibility kernel can use: in [2**-511, 2**511], NaN not."""
+    # written so that NaN fails too
+    if not (_SIGMA_MIN <= sigma <= _SIGMA_MAX):
+        raise ValueError(f"{name} must be in [2**-511, 2**511], got {sigma!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +87,10 @@ def pairwise_compatibility(u_matches: UnaryMatches, l1, l2, sigma: float) -> np.
     keypoint on either side (they can never be selected together). A
     coordinate that is not finite or exceeds 2**510 in magnitude raises
     ValueError, as in :func:`radarodo.descriptors.descriptor_matrix`, and so
-    does a ``sigma`` that is not finite and > 0 (an infinite one would make
-    every pair fully compatible).
+    does a ``sigma`` outside [2**-511, 2**511] (:func:`_check_sigma`),
+    where 2 sigma**2 could overflow or round to zero, before any (u, u)
+    work. A discrepancy whose ratio to 2 sigma**2 overflows is far past the
+    3 sigma cut, so its entry is zero and the overflow is not reported.
 
     C is exactly symmetric: distances square their coordinate differences,
     (-d)**2 = d**2 exactly, and every later step is elementwise. So only its
@@ -85,8 +98,7 @@ def pairwise_compatibility(u_matches: UnaryMatches, l1, l2, sigma: float) -> np.
     columns ``lo:u``, and each block's off-diagonal part is mirrored into
     the rows below; C is the only (u, u) array.
     """
-    if not (0 < sigma < math.inf):
-        raise ValueError("sigma must be finite and > 0")
+    _check_sigma(sigma)
     u = u_matches.u
     if u < 2:
         raise DegenerateProblemError(f"need at least 2 candidates, got {u}")
@@ -103,7 +115,9 @@ def pairwise_compatibility(u_matches: UnaryMatches, l1, l2, sigma: float) -> np.
         np.subtract(delta, _upper_distances(p2, lo, hi), out=delta)
         np.abs(delta, out=delta)
         np.square(delta, out=block)
-        np.divide(block, -2.0 * sigma**2, out=block)
+        # a ratio that overflows to -inf is past the cut and exps to 0
+        with np.errstate(over="ignore"):
+            np.divide(block, -2.0 * sigma**2, out=block)
         np.exp(block, out=block)
         # the 3 sigma cut, and pairs sharing a keypoint on either side
         cut = delta > 3.0 * sigma
@@ -144,14 +158,6 @@ def principal_eigenvector(c: np.ndarray) -> SpectralSolution:
     if v.sum() < 0:
         v = -v
     return SpectralSolution(eigenvector=v, eigenvalue=lam, iterations=its)
-
-
-def global_score(indicator, c: np.ndarray) -> float:
-    """Rayleigh quotient of the indicator: total pairwise consistency per match."""
-    m = np.asarray(indicator, dtype=float)
-    if not m.any():
-        raise ValueError("indicator selects no candidates")
-    return float((m @ c @ m) / (m @ m))
 
 
 def _orthonormalise_pair(w: np.ndarray) -> np.ndarray:

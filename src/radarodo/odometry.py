@@ -7,13 +7,15 @@ frame", i.e. for a landmark seen in both scans  p_a = R p_b + t.  The
 smaller keypoint set always drives the matching; the fitted transform is
 inverted if the sets were swapped to arrange that.
 
-``run_odometry`` is the one loop that chains scan pairs. It takes any pair
-matcher ``(kp_a, kp_b) -> (pose, stats)`` (``match_keypoint_sets`` with the
-config by default, or ``icp.icp_matcher`` for the ICP baseline), so both
-methods share its input checks, timings, failure reasons and
-constant-velocity fallback. ``evaluate`` scores a trajectory (one pose per
-scan, as ``OdometryResult.trajectory`` and ``trajectory.csv`` hold it)
-against ground truth; the CLI writes what it returns.
+``odometry_pairs`` is the one loop that chains scan pairs, one scan at a
+time, so a live feed and a batch run share it; ``run_odometry`` collects
+its pairs and composes the trajectory. It takes any pair matcher
+``(kp_a, kp_b) -> (pose, stats)`` (``match_keypoint_sets`` with the config
+by default, or ``icp.icp_matcher`` for the ICP baseline), so both methods
+share its input checks, timings, failure reasons and constant-velocity
+fallback. ``evaluate`` scores a trajectory (one pose per scan, as
+``OdometryResult.trajectory`` and ``trajectory.csv`` hold it) against
+ground truth; the CLI writes what it returns.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .descriptors import propose_unary_matches
 from .errors import MatchFailureError, RadarOdoError, stage
 from .keypoints import KeypointSet, extract_keypoints
-from .matching import greedy_select, pairwise_compatibility, principal_eigenvector
+from .matching import _check_sigma, greedy_select, pairwise_compatibility, principal_eigenvector
 from .scan import _is_count
 from .se2 import Pose2, apply_pose, compose, estimate_se2, inverse, relative_pose, wrap_angle
 from .simulate import TrajectorySpec
@@ -37,7 +39,8 @@ class PipelineConfig:
     """Tunables for pair matching. ``l_max`` must be an int >= 1 (a bool is
     not one). ``alpha``/``rho`` default to the scan's azimuth/range bin
     counts and ``sigma_c`` to the range resolution; set, they must be ints
-    >= 1 and a finite positive width. A bad value raises ValueError."""
+    >= 1 and a width in [2**-511, 2**511], the compatibility kernel's own
+    rule. A bad value raises ValueError."""
 
     l_max: int = 1000
     alpha: int | None = None
@@ -51,9 +54,8 @@ class PipelineConfig:
             n = getattr(self, name)
             if n is not None and not _is_count(n):
                 raise ValueError(f"{name} must be None or an int >= 1")
-        # written so that NaN fails too
-        if self.sigma_c is not None and not (0 < self.sigma_c < math.inf):
-            raise ValueError("sigma_c must be None or finite and > 0")
+        if self.sigma_c is not None:
+            _check_sigma(self.sigma_c, "sigma_c")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,52 +130,63 @@ def match_keypoint_sets(
     return pose, stats
 
 
-def run_odometry(scans, cfg: PipelineConfig | None = None, matcher=None) -> OdometryResult:
-    """Estimate relative poses over a scan sequence and integrate them.
+def odometry_pairs(scans, cfg: PipelineConfig | None = None, matcher=None):
+    """Match each scan with the one before it, yielding each pair's
+    :class:`PairResult` as soon as its second scan is read.
 
     ``matcher(kp_a, kp_b)`` returns (pose of b in a, stats dict) and raises
     :class:`RadarOdoError` when the pair cannot be matched; ``None`` means
     :func:`match_keypoint_sets` with ``cfg``. The stats, or the error's
     diagnostics, hold :class:`PairResult` fields (any other key raises
     TypeError); a field they leave out keeps its default. Keypoints are
-    extracted with ``cfg.l_max`` either way. A failed pair keeps the previous relative pose
-    (constant velocity carry-over, identity for a first-pair failure) and is
-    flagged; it reports the stats and timings its error carries.
+    extracted with ``cfg.l_max`` either way. A failed pair keeps the previous
+    relative pose (constant velocity carry-over, identity for a first-pair
+    failure) and is flagged; it reports the stats and timings its error
+    carries. A scan not later than the one before it raises ValueError
+    before it is extracted; fewer than two scans yield nothing.
     """
     cfg = cfg if cfg is not None else PipelineConfig()
     if matcher is None:
         matcher = lambda kp_a, kp_b: match_keypoint_sets(kp_a, kp_b, cfg)
-    scans = list(scans)
-    if len(scans) < 2:
-        raise ValueError("need at least 2 scans")
-    ts = np.array([s.timestamp for s in scans])
-    if not np.all(np.diff(ts) > 0):
-        raise ValueError("scan timestamps must be strictly increasing")
-
     # a pair is charged with extracting the scans it introduces; extracting
     # as we go keeps two keypoint sets (and cached descriptors) alive
     extracted = {}
-    with stage("extract", extracted):
-        kp_a = extract_keypoints(scans[0], cfg.l_max)
-    pairs = []
+    kp_a = None
     pose = Pose2()  # the last good pose, carried over by a failed pair
-    for scan_b in scans[1:]:
+    for scan in scans:
+        # written so that NaN fails too
+        if kp_a is not None and not scan.timestamp > kp_a.timestamp:
+            raise ValueError("scan timestamps must be strictly increasing")
         with stage("extract", extracted):
-            kp_b = extract_keypoints(scan_b, cfg.l_max)
-        try:
-            pose, stats = matcher(kp_a, kp_b)
-            reason = ""
-        except RadarOdoError as err:
-            stats = err.diagnostics or {}
-            reason = f"{type(err).__name__}: {err}"
-        stats.setdefault("timings", {})["extract"] = extracted["timings"].pop("extract")
-        pairs.append(PairResult(pose=pose, failed=bool(reason), failure_reason=reason, **stats))
+            kp_b = extract_keypoints(scan, cfg.l_max)
+        if kp_a is not None:
+            try:
+                pose, stats = matcher(kp_a, kp_b)
+                reason = ""
+            except RadarOdoError as err:
+                stats = err.diagnostics or {}
+                reason = f"{type(err).__name__}: {err}"
+            stats.setdefault("timings", {})["extract"] = extracted["timings"].pop("extract")
+            yield PairResult(pose=pose, failed=bool(reason), failure_reason=reason, **stats)
         kp_a = kp_b
 
+
+def run_odometry(scans, cfg: PipelineConfig | None = None, matcher=None) -> OdometryResult:
+    """Estimate relative poses over a scan sequence and integrate them.
+
+    Collects :func:`odometry_pairs` and composes their poses into one pose
+    per scan, the first the identity. Raises ValueError for fewer than 2
+    scans, and as :func:`odometry_pairs` does.
+    """
+    scans = list(scans)
+    if len(scans) < 2:
+        raise ValueError("need at least 2 scans")
+    pairs = tuple(odometry_pairs(scans, cfg, matcher))
     trajectory = [Pose2()]
     for p in pairs:
         trajectory.append(compose(trajectory[-1], p.pose))
-    return OdometryResult(pairs=tuple(pairs), trajectory=tuple(trajectory), timestamps=ts)
+    ts = np.array([s.timestamp for s in scans])
+    return OdometryResult(pairs=pairs, trajectory=tuple(trajectory), timestamps=ts)
 
 
 def evaluate(poses, timestamps, truth: TrajectorySpec) -> dict:

@@ -191,6 +191,21 @@ def test_odometry_on_points_beyond_the_pipeline_bound_is_a_config_error(tmp_path
         assert not out.exists(), method
 
 
+def test_odometry_with_a_sigma_below_the_kernel_bound_is_a_config_error(tmp_path, capsys):
+    # sigma defaults to the range resolution; at 1e-200, 2 sigma**2 rounds
+    # to zero
+    path = write_cfg(tmp_path, "range_resolution = 1e-200\nworld_extent = 3e-199\n"
+                               "min_range = 1e-199\nspeed = 1e-201\nsteps = 3\n")
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(path), "--out", str(data)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "ro"
+    rc = main(["odometry", "--dataset", str(data), "--out", str(out), "--config", str(path)])
+    assert rc == 2
+    assert "sigma must be in [2**-511, 2**511], got 1e-200" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_scan_file_is_io_error(tmp_path):
     rc = main(["extract", "--scan", str(tmp_path / "nope.rscan"), "--out", str(tmp_path / "kp.csv")])
     assert rc == 3

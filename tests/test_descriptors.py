@@ -265,6 +265,36 @@ def test_descriptor_of_clouds_at_the_coordinate_bound_is_finite():
     assert np.array_equal(d[:, 8 // 2 + 1 :], [[0.0] * 5 + [1.0]] * 2)
 
 
+def test_descriptor_rejects_a_max_range_too_small_for_its_cloud():
+    cloud = np.random.default_rng(23).uniform(-30.0, 30.0, (20, 2))
+    with pytest.raises(ValueError, match="max_range 1e-307 is too small"):
+        descriptor_matrix(cloud, 8, 6, 1e-307)
+    # each weight is finite (1.5e308), but a keypoint's two neighbours
+    # overflow its histogram total
+    with pytest.raises(ValueError, match="max_range"):
+        descriptor_matrix(np.array([[1.0, 0.0]] * 3), 8, 6, 1.0 / 1.5e308)
+    # a radial bin width max_range / rho that rounds to zero
+    with pytest.raises(ValueError, match="max_range"):
+        descriptor_matrix(np.zeros((1, 2)), 8, 2, 5e-324)
+
+
+def test_descriptor_of_every_accepted_max_range_is_finite():
+    # from ordinary ranges down past the smallest one accepted for this
+    # cloud: each either raises or gives only finite entries, with no
+    # RuntimeWarning (an error under the test suite's filter)
+    cloud = np.random.default_rng(24).uniform(-30.0, 30.0, (20, 2))
+    accepted = 0
+    for max_range in (10.0 ** -k for k in range(-300, 324, 4)):
+        try:
+            d = descriptor_matrix(cloud, 8, 6, max_range)
+        except ValueError as err:
+            assert "max_range" in str(err)
+            continue
+        assert np.all(np.isfinite(d)), max_range
+        accepted += 1
+    assert 100 < accepted < 156
+
+
 def test_describe_memory_grows_with_the_block_not_with_n_squared():
     # an (n, n) float matrix alone would take n*n*8 bytes, 32 MB here; the
     # (block, n) temporaries and the (n, 97) result stay far below half that

@@ -22,7 +22,6 @@ from radarodo.matching import (
     SpectralSolution,
     _lanczos_ritz,
     eigengap_measure,
-    global_score,
     greedy_select,
     pairwise_compatibility,
     principal_eigenvector,
@@ -481,10 +480,35 @@ def test_compatibility_at_the_coordinate_bound_is_finite():
 
 
 def test_compatibility_rejects_bad_sigma():
+    # past 2**511, 2 sigma**2 can overflow (1e155 raised OverflowError);
+    # below 2**-511 it can round to zero (1e-200 made 0 / -0.0 entries)
     um = UnaryMatches(np.arange(2), np.arange(2))
-    for sigma in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
+    for sigma in (0.0, -1.0, math.nan, math.inf, 1e155, np.nextafter(2.0**511, math.inf),
+                  np.nextafter(2.0**-511, 0.0), 1e-200):
+        with pytest.raises(ValueError, match=r"sigma must be in \[2\*\*-511, 2\*\*511\]"):
             pairwise_compatibility(um, np.zeros((2, 2)), np.zeros((2, 2)), sigma)
+
+
+def test_compatibility_at_the_sigma_bounds_is_finite():
+    um = UnaryMatches(np.arange(3), np.arange(3))
+    pts1 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+    pts2 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
+    for sigma in (2.0**-511, 2.0**511):
+        c = pairwise_compatibility(um, pts1, pts2, sigma)
+        assert np.all(np.isfinite(c))
+        assert c[0, 1] == 1.0
+
+
+def test_compatibility_of_a_discrepancy_far_past_the_cut_is_zero():
+    # (1e5)**2 / (2 sigma**2) overflows at sigma = 1e-150; the entry is past
+    # the 3 sigma cut, so it is zero with no overflow warning
+    um = UnaryMatches(np.arange(2), np.arange(2))
+    pts1 = np.array([[0.0, 0.0], [1.0, 0.0]])
+    pts2 = np.array([[0.0, 0.0], [1.0 + 1e5, 0.0]])
+    c = pairwise_compatibility(um, pts1, pts2, 1e-150)
+    assert np.array_equal(c, np.zeros((2, 2)))
+    c = pairwise_compatibility(um, pts1, pts1, 1e-150)
+    assert np.array_equal(c, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_principal_eigenvector_two_by_two():
@@ -512,12 +536,6 @@ def test_mutual_compatibility_bounds_and_zero_cases():
     sel = greedy_select(np.zeros((2, 2)), sol, um)
     assert sel.selected == ((0, 0), (1, 1))
     assert sel.mutual_compatibility == 0.0
-
-
-def test_global_score_known_value():
-    c = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    m = np.array([1.0, 1.0, 1.0])
-    assert global_score(m, c) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_eigengap_of_clique_is_k_over_u():

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from radarodo import (
     icp_match,
     icp_matcher,
     inverse,
+    odometry_pairs,
     random_world,
     relative_pose,
     render_scan,
@@ -47,10 +49,13 @@ def test_pipeline_config_validation():
     for kwargs in ({"l_max": 0}, {"l_max": 2.5}, {"l_max": math.nan}, {"l_max": True},
                    {"alpha": 0}, {"rho": -2}, {"alpha": 2.5}, {"rho": True},
                    {"sigma_c": -1.0}, {"sigma_c": 0.0}, {"sigma_c": math.nan},
-                   {"sigma_c": math.inf}):
+                   {"sigma_c": math.inf}, {"sigma_c": 1e155}, {"sigma_c": 1e-200}):
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
     PipelineConfig(l_max=np.int64(5), alpha=1, rho=np.int64(3), sigma_c=np.float64(0.1))
+    # the compatibility kernel's own bounds
+    PipelineConfig(sigma_c=2.0**-511)
+    PipelineConfig(sigma_c=2.0**511)
 
 
 def test_a_scan_pair_recovers_motion():
@@ -114,10 +119,10 @@ def test_run_odometry_accumulates_trajectory():
 def test_run_odometry_validates_input():
     world = close_world(5)
     scan = render_scan(world, Pose2(), META, QUIET, seed=0, timestamp=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 2 scans"):
         run_odometry([scan], CFG)
     stale = render_scan(world, Pose2(), META, QUIET, seed=1, timestamp=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="scan timestamps must be strictly increasing"):
         run_odometry([scan, stale], CFG)
 
 
@@ -137,6 +142,81 @@ def test_failed_pair_uses_constant_velocity_fallback():
     assert result.pairs[1].failure_reason != ""
     # the substituted motion repeats the last good estimate
     assert result.pairs[1].pose == result.pairs[0].pose
+
+
+def counting_feed(scans):
+    """A one-pass feed of ``scans`` and a list holding how many were read."""
+    pulled = [0]
+
+    def feed():
+        for scan in scans:
+            pulled[0] += 1
+            yield scan
+
+    return feed(), pulled
+
+
+def test_odometry_pairs_yields_each_pair_when_its_second_scan_is_read():
+    world = close_world(6)
+    traj = TrajectorySpec(
+        poses=tuple(Pose2(0.5 * k, 0.0, 0.0) for k in range(4)),
+        timestamps=tuple(0.25 * k for k in range(4)),
+    )
+    feed, pulled = counting_feed(render_sequence(world, traj, META, QUIET, seed=20))
+    pairs = odometry_pairs(feed, CFG)
+    assert pulled[0] == 0
+    for k in range(3):
+        next(pairs)
+        assert pulled[0] == k + 2
+    with pytest.raises(StopIteration):
+        next(pairs)
+    assert pulled[0] == 4
+
+
+def test_odometry_pairs_equal_run_odometry_pairs_with_a_failed_middle_pair():
+    # the blank-scan setup of the fallback test, with one more good scan
+    world = close_world(7)
+    pose_step = Pose2(0.75, 0.0, 0.0)
+    poses = [Pose2(), pose_step, compose(pose_step, pose_step)]
+    scans = [
+        render_scan(world, poses[0], META, QUIET, seed=0, timestamp=0.0),
+        render_scan(world, poses[1], META, QUIET, seed=1, timestamp=0.25),
+        render_scan([], poses[2], META, QUIET, seed=2, timestamp=0.5),
+        render_scan(world, poses[1], META, QUIET, seed=3, timestamp=0.75),
+    ]
+    fed = list(odometry_pairs(iter(scans), CFG))
+    ran = run_odometry(scans, CFG).pairs
+    assert [p.failed for p in fed] == [False, True, True]
+    assert fed[1].pose == fed[2].pose == fed[0].pose
+    assert len(fed) == len(ran)
+    for a, b in zip(fed, ran):
+        for f in fields(a):
+            if f.name == "timings":
+                # wall-clock values; the stages charged are the same
+                assert a.timings.keys() == b.timings.keys()
+            else:
+                assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+
+def test_odometry_pairs_checks_each_timestamp_against_the_one_before():
+    world = close_world(6)
+    scans = [render_scan(world, Pose2(0.5 * k, 0.0, 0.0), META, QUIET, seed=k,
+                         timestamp=0.25 * k) for k in range(3)]
+    # a stale scan that could not be extracted: the order check comes first
+    stale = SimpleNamespace(timestamp=0.25)
+    pairs = odometry_pairs(scans + [stale], CFG)
+    next(pairs)
+    next(pairs)
+    with pytest.raises(ValueError, match="scan timestamps must be strictly increasing"):
+        next(pairs)
+
+
+def test_odometry_pairs_of_a_one_scan_feed_is_empty():
+    scan = render_scan(close_world(5), Pose2(), META, QUIET, seed=0, timestamp=0.0)
+    assert list(odometry_pairs([scan], CFG)) == []
+    assert list(odometry_pairs([], CFG)) == []
+    with pytest.raises(ValueError, match="need at least 2 scans"):
+        run_odometry([scan], CFG)
 
 
 def test_positional_dt_is_ignored():
