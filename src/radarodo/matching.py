@@ -8,7 +8,7 @@ time, enforcing one-to-one use of keypoints, and stops as soon as a
 cosine-based consistency index drops. Two confidence measures come out of
 the process: the consistency index of the final selection and a normalized
 eigengap of the selection-restricted matrix, taken from the k x k block of
-the k selected candidates.
+the k selected candidates. One block Lanczos kernel serves both spectra.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from .errors import DegenerateProblemError, NoCompatibilityError
 # took 2.7 and 2.5 ms at k = 220, 2.1 and 2.5 ms at k = 230, 3.3 and 9.0 ms
 # at k = 400, and 3.2 and 2.4 ms at k = 200.
 _LANCZOS_MIN_K = 220
-# steps of two Lanczos vectors each; the k = 357-502 benchmark selections
-# take 16-21
+# steps of one or two Lanczos vectors each; the benchmark's eigenvectors take
+# 13-16 steps of one, the eigengaps of its k = 357-502 selections 16-21 of two
 _LANCZOS_STEPS = 40
 # Ritz residual bound, relative to |lambda1|, that certifies a Ritz value
 _LANCZOS_TOL = 1e-13
 # a new Lanczos vector shorter than this, relative to |lambda1|, means the
-# Krylov space is (nearly) invariant: fall back to the dense solver
+# Krylov space is (nearly) invariant and the Ritz pairs exact to this
 _LANCZOS_BREAKDOWN = 1e-10
 # the kernel's widths: 2 sigma**2 is a normal float and 3 sigma finite
 _SIGMA_MIN = 2.0**-511
@@ -131,91 +131,80 @@ def pairwise_compatibility(u_matches: UnaryMatches, l1, l2, sigma: float) -> np.
 def principal_eigenvector(c: np.ndarray) -> SpectralSolution:
     """Dominant eigenvector of a non-negative symmetric matrix.
 
-    Power iteration from the uniform unit vector; converged when successive
-    iterates differ by less than 1e-9 in Euclidean norm, or stopped after
-    1000 steps. The eigenvector is entrywise non-negative (sign fixed) and
-    the eigenvalue reported is the Rayleigh quotient.
+    The top Ritz pair of one-vector Lanczos from the uniform vector, kept
+    also on a breakdown (then exact) and at the step cap; ``iterations``
+    counts the products with ``c``. The eigenvector is |y| for the Ritz
+    vector y, which fixes the sign: entry by entry, |y| is no farther than
+    y or -y from the non-negative Perron vector. The first Ritz value, the
+    mean row sum, is positive unless ``c`` is zero: NoCompatibilityError.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("compatibility matrix must be square")
-    if not c.any():
+    ritz, v, products, _ = _lanczos(c, np.ones((1, c.shape[0])), [-1])
+    if not ritz[-1] > 0.0:
         raise NoCompatibilityError("compatibility matrix is identically zero")
-    u = c.shape[0]
-    v = np.full(u, 1.0 / math.sqrt(u))
-    its = 0
-    for its in range(1, 1001):
-        y = c @ v
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            break
-        y /= norm
-        step = np.linalg.norm(y - v)
-        v = y
-        if step < 1e-9:
-            break
-    lam = float(v @ c @ v)
-    if v.sum() < 0:
-        v = -v
-    return SpectralSolution(eigenvector=v, eigenvalue=lam, iterations=its)
+    return SpectralSolution(eigenvector=np.abs(v), eigenvalue=float(ritz[-1]), iterations=products)
 
 
-def _orthonormalise_pair(w: np.ndarray) -> np.ndarray:
-    """Orthonormalise the two rows of ``w`` in place by Gram-Schmidt, the
-    second row's projection taken twice; returns the 2 x 2 upper-triangular
-    R with ``w`` on entry equal to R^T times ``w`` on return."""
-    r00 = np.linalg.norm(w[0])
-    w[0] /= r00
-    r01 = w[0] @ w[1]
-    w[1] -= r01 * w[0]
-    again = w[0] @ w[1]
-    w[1] -= again * w[0]
-    r11 = np.linalg.norm(w[1])
-    w[1] /= r11
-    return np.array([[r00, r01 + again], [0.0, r11]])
+def _orthonormalise(w: np.ndarray) -> np.ndarray:
+    """Orthonormalise the one or two rows of ``w`` in place by Gram-Schmidt,
+    the second row's projection taken twice; returns the upper-triangular R
+    with ``w`` on entry equal to R^T times ``w`` on return. A row with
+    nothing left stays zero (a breakdown) rather than divided 0/0."""
+    r = np.zeros((len(w), len(w)))
+    for i, row in enumerate(w):
+        for _ in range(2 * i):
+            coef = w[0] @ row
+            row -= coef * w[0]
+            r[0, 1] += coef
+        r[i, i] = math.sqrt(row.dot(row))  # np.linalg.norm's sum, less overhead
+        if r[i, i]:
+            row /= r[i, i]
+    return r
 
 
-def _lanczos_ritz(block: np.ndarray):
-    """Ascending Ritz values of a symmetric block by block Lanczos with two
-    vectors per step, or None if not certified.
+def _lanczos(a: np.ndarray, start: np.ndarray, ends):
+    """Block Lanczos on the symmetric ``a`` from the one or two rows of
+    ``start`` (orthonormalised in place), as many vectors per step; returns
+    the ascending Ritz values, the top Ritz vector, the number of products
+    with ``a`` and whether the Ritz values at ``ends`` are certified.
 
-    Every new pair of Lanczos vectors is orthogonalised twice against all
-    earlier ones. The start is a fixed-seed positive pair of size k, so the
-    answer depends on the block alone. A step is accepted once the largest
-    Ritz value, the second largest and the smallest all have residual norms
-    ||A y - theta y|| = ||R s_j[lo:hi]|| (R the new pair's triangular
-    factor, s_j[lo:hi] the Ritz vector's last two coordinates) at most
-    ``_LANCZOS_TOL`` |lambda1|, so each of those three is within that of an
-    eigenvalue; the values between them are not certified. Two vectors per
-    step find a repeated or near-repeated lambda1, which one Krylov vector
-    cannot tell from a simple one. None means the step cap was reached or
-    the new pair had (nearly) no part outside the Krylov space built so far.
+    Every new block is orthogonalised twice against all earlier ones. A
+    step certifies once each Ritz value at ``ends`` has a residual norm
+    ||A y - theta y|| = ||R s_j[lo:hi]|| (R the new block's triangular
+    factor, s_j[lo:hi] the Ritz vector's last coordinates) at most
+    ``_LANCZOS_TOL`` |lambda1|, so each is within that of an eigenvalue.
+    Two vectors per step find a repeated or near-repeated lambda1, which
+    one Krylov vector cannot tell from a simple one. The run ends
+    uncertified at the step cap or on a breakdown: the new block has
+    (nearly) no part outside the Krylov space built so far.
     """
-    k = block.shape[0]
-    q = np.empty((2 * _LANCZOS_STEPS + 2, k))  # Lanczos vectors, one per row
-    t = np.zeros((2 * _LANCZOS_STEPS + 2, 2 * _LANCZOS_STEPS))  # band, lower half read
-    q[:2] = np.random.default_rng(0).uniform(0.5, 1.5, (2, k))
-    _orthonormalise_pair(q[:2])
-    for step in range(_LANCZOS_STEPS):
-        lo, hi = 2 * step, 2 * step + 2
-        w = q[lo:hi] @ block  # (block @ q.T).T, as the block is symmetric
+    b = start.shape[0]
+    n = b * _LANCZOS_STEPS
+    q = np.empty((n + b, a.shape[0]))  # Lanczos vectors, one per row
+    t = np.zeros((n + b, n))  # band, lower half read
+    q[:b] = start
+    _orthonormalise(q[:b])
+    for lo in range(0, n, b):
+        hi = lo + b
+        w = q[lo:hi] @ a  # (a @ q.T).T, as a is symmetric
         basis = q[:hi]
         coef = basis @ w.T
         w -= coef.T @ basis
         again = basis @ w.T
         w -= again.T @ basis
         t[:hi, lo:hi] = coef + again
-        r = _orthonormalise_pair(w)
+        r = _orthonormalise(w)
         ritz, s = np.linalg.eigh(t[:hi, :hi], UPLO="L")
         scale = abs(ritz[-1])
-        if not min(r[0, 0], r[1, 1]) > _LANCZOS_BREAKDOWN * scale:
-            return None
-        ends = [-1, -2, 0]
-        if hi > 2 and np.linalg.norm(r @ s[lo:hi, ends], axis=0).max() <= _LANCZOS_TOL * scale:
-            return ritz
-        q[hi : hi + 2] = w
-        t[hi : hi + 2, lo:hi] = r
-    return None
+        broken = not r.diagonal().min() > _LANCZOS_BREAKDOWN * scale
+        certified = (not broken and hi > b
+                     and np.linalg.norm(r @ s[lo:hi, ends], axis=0).max() <= _LANCZOS_TOL * scale)
+        if broken or certified or hi == n:
+            return ritz, s[:, -1] @ basis, hi, certified
+        q[hi : hi + b] = w
+        t[hi : hi + b, lo:hi] = r
 
 
 def eigengap_measure(c: np.ndarray, selected_rows) -> float:
@@ -231,8 +220,9 @@ def eigengap_measure(c: np.ndarray, selected_rows) -> float:
     and 0 when there is no other. A large gap means the selection stands out
     against every alternative grouping.
 
-    From k = ``_LANCZOS_MIN_K`` on, block Lanczos (:func:`_lanczos_ritz`)
-    gives the ascending spectrum, with lambda1 and both ends of the rest
+    From k = ``_LANCZOS_MIN_K`` on, block Lanczos (:func:`_lanczos`) with
+    two vectors per step from a fixed-seed positive start gives the
+    ascending spectrum, with lambda1 and both ends of the rest
     each within 1e-13 |lambda1| of an eigenvalue; past its step cap, on an
     early breakdown, and on smaller blocks, where it is faster,
     ``np.linalg.eigvalsh`` of the block does. Either way the rest's
@@ -255,8 +245,11 @@ def eigengap_measure(c: np.ndarray, selected_rows) -> float:
     block = c.take(rows, axis=0).take(rows, axis=1)
     if not block.any():
         return 0.0
-    lam = _lanczos_ritz(block) if rows.size >= _LANCZOS_MIN_K else None
-    if lam is None:
+    certified = False
+    if rows.size >= _LANCZOS_MIN_K:
+        start = np.random.default_rng(0).uniform(0.5, 1.5, (2, rows.size))
+        lam, _, _, certified = _lanczos(block, start, [-1, -2, 0])
+    if not certified:
         lam = np.linalg.eigvalsh(block)
     lam1, rest = lam[-1], (lam[:-1] if lam.size > 1 else (0.0,))
     lam2 = rest[0] if -rest[0] - rest[-1] > 2 * _LANCZOS_TOL * lam1 else rest[-1]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptors import propose_unary_matches
+from .descriptors import _points, propose_unary_matches
 from .errors import MatchFailureError, RadarOdoError, stage
 from .keypoints import KeypointSet, extract_keypoints
 from .matching import _check_sigma, greedy_select, pairwise_compatibility, principal_eigenvector
@@ -96,11 +96,16 @@ def match_keypoint_sets(
 
     Raises errors from the matching stages, or MatchFailureError when fewer
     than two matches survive selection, with the stats reached as diagnostics.
+    A kernel width outside [2**-511, 2**511] (by default the scans' range
+    resolution) raises ValueError after the points' check, before describing.
     """
     meta = kp_a.meta
     alpha = cfg.alpha if cfg.alpha is not None else meta.num_azimuths
     rho = cfg.rho if cfg.rho is not None else meta.num_range_bins
     sigma = cfg.sigma_c if cfg.sigma_c is not None else meta.range_resolution
+    for kset in (kp_a, kp_b):
+        _points(kset)  # a coordinate past the bound is reported before the width
+    _check_sigma(sigma)
     swapped = len(kp_a) > len(kp_b)
     l1, l2 = (kp_b, kp_a) if swapped else (kp_a, kp_b)
 

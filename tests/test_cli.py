@@ -13,6 +13,7 @@ from radarodo import (
     IcpConfig, PipelineConfig, PolarScan, SensorMeta, TrajectorySpec, evaluate, extract_keypoints,
     icp_matcher, load_scan, run_odometry, save_scan,
 )
+from radarodo import odometry
 from radarodo.cli import CONFIG_SCHEMA, main, read_config_file, read_pose_csv
 from radarodo.errors import ScanFormatError
 
@@ -191,7 +192,8 @@ def test_odometry_on_points_beyond_the_pipeline_bound_is_a_config_error(tmp_path
         assert not out.exists(), method
 
 
-def test_odometry_with_a_sigma_below_the_kernel_bound_is_a_config_error(tmp_path, capsys):
+def test_odometry_with_a_sigma_below_the_kernel_bound_is_a_config_error(tmp_path, capsys,
+                                                                        monkeypatch):
     # sigma defaults to the range resolution; at 1e-200, 2 sigma**2 rounds
     # to zero
     path = write_cfg(tmp_path, "range_resolution = 1e-200\nworld_extent = 3e-199\n"
@@ -199,11 +201,17 @@ def test_odometry_with_a_sigma_below_the_kernel_bound_is_a_config_error(tmp_path
     data = tmp_path / "data"
     assert main(["simulate", "--config", str(path), "--out", str(data)]) == 0
     capsys.readouterr()
+    described = []
+    describe = odometry.propose_unary_matches
+    monkeypatch.setattr(odometry, "propose_unary_matches",
+                        lambda *args: described.append(args) or describe(*args))
     out = tmp_path / "ro"
     rc = main(["odometry", "--dataset", str(data), "--out", str(out), "--config", str(path)])
     assert rc == 2
     assert "sigma must be in [2**-511, 2**511], got 1e-200" in capsys.readouterr().err
     assert not out.exists()
+    # the width is checked before the first pair is described
+    assert described == []
 
 
 def test_missing_scan_file_is_io_error(tmp_path):

@@ -18,9 +18,10 @@ from radarodo import matching
 from radarodo.descriptors import UnaryMatches, propose_unary_matches
 from radarodo.matching import (
     _LANCZOS_MIN_K,
+    _LANCZOS_STEPS,
     _LANCZOS_TOL,
     SpectralSolution,
-    _lanczos_ritz,
+    _lanczos,
     eigengap_measure,
     greedy_select,
     pairwise_compatibility,
@@ -259,6 +260,14 @@ def top_two(lam):
     return lam[-1], lam[0] if -lam[0] - lam[-2] > tie else lam[-2]
 
 
+def lanczos_ritz(block):
+    """The kernel run as ``eigengap_measure`` runs it: the block's Ritz
+    values, or None if they are not certified."""
+    start = np.random.default_rng(0).uniform(0.5, 1.5, (2, block.shape[0]))
+    ritz, _, _, certified = _lanczos(block, start, [-1, -2, 0])
+    return ritz if certified else None
+
+
 def embedded(block, rng, extra=20):
     """A (k + extra) x (k + extra) matrix holding ``block`` on random rows,
     with those rows."""
@@ -301,7 +310,7 @@ def test_lanczos_eigengap_agrees_with_eigvalsh(busy_problem):
     rng = np.random.default_rng(17)
     for name, block in lanczos_blocks(busy_problem):
         assert block.shape[0] >= _LANCZOS_MIN_K, name
-        ritz = _lanczos_ritz(block)
+        ritz = lanczos_ritz(block)
         assert ritz is not None, name
         lam = np.linalg.eigvalsh(block)
         # lambda1 and both ends of the rest are certified
@@ -320,7 +329,7 @@ def test_eigengap_falls_back_to_eigvalsh_when_lanczos_cannot_certify():
     clique = np.ones((k, k)) - np.eye(k)  # two distinct eigenvalues: breakdown on step 1
     noise = rng.uniform(0.0, 1.0, (k, k))  # a wide bulk: not certified within the step cap
     for block in (clique, np.triu(noise, 1) + np.triu(noise, 1).T):
-        assert _lanczos_ritz(block) is None
+        assert lanczos_ritz(block) is None
         c, rows = embedded(block, rng)
         lam1, lam2 = top_two(np.linalg.eigvalsh(block))
         assert eigengap_measure(c, rows) == float(min(max((lam1 - lam2) / c.shape[0], 0.0), 1.0))
@@ -349,7 +358,7 @@ def test_a_repeated_lambda1_gives_no_gap_on_either_path(dense, monkeypatch):
     assert eigengap_measure(np.kron(np.eye(2), pair), [0, 1, 2, 3]) == 0.0
     for block in repeated_bipartite_blocks():
         k = block.shape[0]
-        assert dense or k < _LANCZOS_MIN_K or _lanczos_ritz(block) is not None
+        assert dense or k < _LANCZOS_MIN_K or lanczos_ritz(block) is not None
         assert eigengap_measure(block, np.arange(k)) <= 1e-15, k
 
 
@@ -521,6 +530,53 @@ def test_principal_eigenvector_two_by_two():
 def test_principal_eigenvector_rejects_zero_matrix():
     with pytest.raises(NoCompatibilityError):
         principal_eigenvector(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("c", [
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[1.0, 0.7], [0.7, 0.25]],
+    [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+    [[0.0, 0.0, 0.5], [0.0, 0.0, 1.0], [0.5, 1.0, 0.0]],
+    [[0.0, 0.25, 1.0], [0.25, 0.0, 1.0], [1.0, 1.0, 0.0]],
+    [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+])
+def test_the_eigenvector_survives_a_krylov_space_that_fills_at_once(c):
+    # the Krylov space of a 2 x 2 or 3 x 3 matrix fills within u products,
+    # and on several of these the next Lanczos vector is exactly zero: the
+    # run must end as a breakdown, not divide 0/0 (a RuntimeWarning, which
+    # the pytest settings turn into an error), and keep its top Ritz pair
+    c = np.array(c)
+    u = c.shape[0]
+    ritz, v, products, certified = _lanczos(c, np.ones((1, u)), [-1])
+    assert not certified and products <= u
+    lam, vecs = np.linalg.eigh(c)
+    top = vecs[:, -1] * np.sign(vecs[:, -1].sum())
+    assert ritz[-1] == pytest.approx(lam[-1], rel=1e-14)
+    # the Ritz vector can come out negative ([[1, 0.7], [0.7, 0.25]] does):
+    # the eigenvector is turned to the non-negative side
+    sol = principal_eigenvector(c)
+    assert np.all(sol.eigenvector >= 0.0)
+    assert np.max(np.abs(sol.eigenvector - top)) <= 1e-14
+    assert sol.eigenvalue == ritz[-1] and sol.iterations == products
+
+
+def test_principal_eigenvector_resolves_two_near_equal_groups():
+    # two consistent groups under different motions, 450 and 420 candidates:
+    # lambda2 / lambda1 ~ 0.925, two motions explaining the scene almost
+    # equally; power iteration needed 230 steps here and ended 1.2e-8 off
+    rng = np.random.default_rng(0)
+    pts1 = rng.uniform(-60.0, 60.0, size=(870, 2))
+    pts2 = np.vstack([apply_pose(random_pose(rng, t_scale=3.0), pts1[:450]),
+                      apply_pose(random_pose(rng, t_scale=3.0), pts1[450:])])
+    pts2 += rng.normal(0.0, 0.2, size=pts2.shape)
+    um = UnaryMatches(np.arange(870), np.arange(870))
+    c = pairwise_compatibility(um, pts1, pts2, SIGMA)
+    lam, vecs = np.linalg.eigh(c)
+    assert 0.92 < lam[-2] / lam[-1] < 0.94
+    sol = principal_eigenvector(c)
+    assert sol.iterations <= _LANCZOS_STEPS
+    assert np.linalg.norm(sol.eigenvector - np.abs(vecs[:, -1])) <= 1e-12
+    assert sol.eigenvalue == pytest.approx(lam[-1], rel=1e-13)
 
 
 def test_mutual_compatibility_bounds_and_zero_cases():
