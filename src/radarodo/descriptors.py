@@ -91,8 +91,8 @@ class UnaryMatches:
 def _points(kset) -> np.ndarray:
     """The (N, 2) float points of a keypoint set or a raw cloud.
 
-    Raises ValueError unless every coordinate is finite and at most
-    ``_MAX_COORD`` in magnitude, where no squared distance can overflow.
+    Raises ValueError unless every coordinate is finite and at most ``_MAX_COORD`` in
+    magnitude, where no squared distance overflows and the rigid fit stays finite.
     """
     xy = np.asarray(getattr(kset, "xy", kset), dtype=float)
     # written so that NaN fails too

@@ -208,7 +208,7 @@ def test_06_greedy_selection_against_exhaustive_search():
     )
 
 
-def test_07_power_iteration_against_dense_eigensolver():
+def test_07_principal_eigenvector_against_dense_eigensolver():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
@@ -221,7 +221,7 @@ def test_07_power_iteration_against_dense_eigensolver():
         rel = abs(sol.eigenvalue - top) / abs(top)
         worst = max(worst, rel)
         assert rel < 1e-6
-    print(f"PASS 7: Rayleigh quotient within 1e-6 relative of dense solver on 100 matrices (worst {worst:.2e})")
+    print(f"PASS 7: principal eigenvalue within 1e-6 relative of dense solver on 100 matrices (worst {worst:.2e})")
 
 
 def test_08_descriptors_are_rotation_invariant():

@@ -309,6 +309,32 @@ def test_icp_matcher_chains_like_a_reference_loop():
         assert p.eigengap == p.mutual_compatibility == 0.0
 
 
+SCALE = 2.0**503
+
+
+def scaled_scene(k):
+    """One 64 x 200 scene with every length times ``k``; at 2**503 the range
+    reaches 2.6e153 and the keypoints 2.5e153, inside the 2**510 bound."""
+    meta = SensorMeta(64, 200, 0.5 * k, 0.25)
+    world = random_world(40, 90.0 * k, seed=13, min_range=8.0 * k, min_separation=4.0 * k)
+    poses = [Pose2(), Pose2(1.5 * k, 0.2 * k, 0.03), Pose2(3.0 * k, 0.5 * k, 0.07)]
+    return [render_scan(world, pose, meta, QUIET, seed=90 + i, timestamp=0.25 * i)
+            for i, pose in enumerate(poses)]
+
+
+@pytest.mark.parametrize("method", ["spectral", "icp"])
+def test_a_scene_scaled_to_the_coordinate_bound_scales_its_poses_exactly(method):
+    def run(k):
+        matcher = icp_matcher(IcpConfig(nn_radius=2.0 * k)) if method == "icp" else None
+        return run_odometry(scaled_scene(k), CFG, matcher=matcher)
+
+    small, big = run(1.0), run(SCALE)
+    assert small.failure_count == big.failure_count == 0
+    for p, q in zip(small.pairs, big.pairs):
+        assert q.pose.theta == p.pose.theta
+        assert (q.pose.x, q.pose.y) == (p.pose.x * SCALE, p.pose.y * SCALE)
+
+
 def test_a_matcher_stat_that_is_not_a_pair_field_is_a_type_error():
     world = close_world(12)
     scans = [

@@ -148,3 +148,53 @@ def test_noisy_estimate_beats_rotation_grid_search():
         assert _sse(est, src, dst) <= best + 1e-9
         step = thetas[1] - thetas[0]
         assert abs(wrap_angle(est.theta - best_theta)) <= step
+
+
+def svd_fit(src, dst):
+    """The general d-dimensional fit (Umeyama, TPAMI 1991): the SVD of the
+    centred cross-covariance with a determinant guard against reflections.
+    Kept as the reference the 2-D closed form must agree with."""
+    cs, cd = src.mean(axis=0), dst.mean(axis=0)
+    u, _, vt = np.linalg.svd((src - cs).T @ (dst - cd))
+    d = math.copysign(1.0, np.linalg.det(vt.T @ u.T))
+    rot = vt.T @ np.diag([1.0, d]) @ u.T
+    t = cd - rot @ cs
+    return Pose2(t[0], t[1], math.atan2(rot[1, 0], rot[0, 0]))
+
+
+def reference_cases():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(2, 61))
+        src = random_cloud(rng, n)
+        yield src, apply_pose(random_pose(rng), src) + rng.normal(0.0, 0.5, size=(n, 2))
+    for _ in range(20):
+        # collinear sources, noisy targets
+        n = int(rng.integers(2, 61))
+        src = np.outer(rng.uniform(-30.0, 30.0, n), [math.cos(0.4), math.sin(0.4)]) + [3.0, -1.0]
+        yield src, apply_pose(random_pose(rng), src) + rng.normal(0.0, 0.5, size=(n, 2))
+    for _ in range(20):
+        # mirrored targets: the best proper rotation, never the flip
+        src = random_cloud(rng, int(rng.integers(3, 61)))
+        yield src, apply_pose(random_pose(rng), src * [1.0, -1.0])
+    for _ in range(5):
+        # coincident targets, at a point whose mean is exact: every angle fits
+        n = int(rng.integers(2, 61))
+        yield random_cloud(rng, n), np.tile(rng.integers(-20, 21, size=2).astype(float), (n, 1))
+
+
+def test_estimate_agrees_with_the_svd_reference():
+    for src, dst in reference_cases():
+        est, ref = estimate_se2(src, dst), svd_fit(src, dst)
+        assert abs(wrap_angle(est.theta - ref.theta)) < 1e-12
+        assert _sse(est, src, dst) <= _sse(ref, src, dst) * (1 + 1e-12)
+
+
+def test_estimate_stays_finite_up_to_the_coordinate_bound():
+    rng = np.random.default_rng(6)
+    src = rng.uniform(-(2.0**509), 2.0**509, size=(1000, 2))
+    dst = apply_pose(Pose2(0.0, 0.0, 0.3), src)
+    est = estimate_se2(src, dst)
+    assert abs(est.theta - 0.3) < 1e-12
+    # powers of two scale every sum exactly, so the angle is bit-equal
+    assert est.theta == estimate_se2(src * 2.0**-500, dst * 2.0**-500).theta
