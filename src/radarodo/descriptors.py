@@ -25,14 +25,18 @@ Unary matching takes each L1 row's nearest L2 row by the float64 sum of
 (a - b)**2, screened by a float32 product under a proven error bound, ties
 to the lowest index (:func:`propose_unary_matches`).
 
-One numpy kernel describes blocks of keypoints at a time: both channels of
-a whole block come from one ``bincount`` each and one batched FFT. Each
-histogram still sums its neighbors one by one in index order, so every
-entry is bit-identical to describing the keypoint on its own.
+One numpy kernel describes blocks of keypoints at a time: each channel of
+a whole block comes from one ``bincount``, and the angular histograms of
+every block from one FFT per call. Each histogram still sums its
+neighbors one by one in index order, so every entry is bit-identical to
+describing the keypoint on its own; a keypoint's own entry goes to a
+spare bin past the block's histograms and is dropped.
 
 Each block's distances ``sqrt(dx*dx + dy*dy)`` come from the offsets its
-bearings use, before ``arctan2`` overwrites them: describing N keypoints
-takes (block, N) temporaries and no (N, N) array.
+bearings use, before ``arctan2`` overwrites them. The blocks share one
+workspace per call, (block, N) arrays that every pass writes into with
+plain ufuncs (no masked ufunc, boolean-mask store or weight copy):
+describing N keypoints takes no (N, N) array.
 
 A :class:`~radarodo.keypoints.KeypointSet` is described once per
 ``(alpha, rho, max_range)``: :func:`descriptor_matrix` keeps the matrix in
@@ -54,8 +58,8 @@ from .scan import _is_count
 
 _TWO_PI = 2.0 * math.pi
 _SQRT2 = math.sqrt(2.0)
-# keypoints per kernel call: the (block, n) temporaries stay near 0.5 MB
-# each at n = 1000 neighbors
+# keypoints per block: each (block, n) workspace array stays near 0.5 MB at
+# n = 1000 neighbors
 _BLOCK = 64
 # with every coordinate at most this in magnitude, a coordinate difference
 # is at most 2**511 and dx*dx + dy*dy at most 2**1023, so every distance of
@@ -111,59 +115,91 @@ def _check_params(alpha, rho, max_range):
         raise ValueError("max_range must be finite and > 0")
 
 
-def _angular_bins(ang: np.ndarray, alpha: int) -> np.ndarray:
-    """Bins of angles in [-2 pi, 2 pi] wrapped into [0, 2 pi), worked in place.
+def _angular_bins(ang, alpha, scratch, out) -> np.ndarray:
+    """Bins of angles in [-2 pi, 2 pi] wrapped into [0, 2 pi), written into
+    the intp array ``out``; ``ang`` is worked in place and ``scratch``, of
+    its shape, overwritten.
 
-    The same bins as ``np.mod(ang, 2 pi)`` bin for bin. The order of the two
-    wraps matters: a tiny negative angle plus 2 pi rounds to exactly 2 pi,
-    which ``np.mod`` also returns and which then falls in the last bin.
+    The same bins as ``np.mod(ang, 2 pi)`` bin for bin. Every angle gets
+    ``(ang < 0) * 2 pi`` added: +0.0 leaves it in its bin (a -0.0 becomes
+    +0.0, bin 0 either way), and a tiny negative angle plus 2 pi rounds to
+    exactly 2 pi, which ``np.mod`` also returns and which then falls in the
+    last bin. The angles at 2 pi before the add, the only ones at or above
+    it, are found first and set to 0 after it.
     """
-    np.putmask(ang, ang >= _TWO_PI, 0.0)
-    np.add(ang, _TWO_PI, out=ang, where=ang < 0.0)
+    big = np.flatnonzero(ang >= _TWO_PI)
+    np.less(ang, 0.0, out=scratch)
+    scratch *= _TWO_PI
+    ang += scratch
+    ang.reshape(-1)[big] = 0.0
     ang /= _TWO_PI
     ang *= alpha
-    return np.minimum(ang.astype(int), alpha - 1)
+    np.copyto(out, ang, casting="unsafe")
+    return np.minimum(out, alpha - 1, out=out)
 
 
-def _describe_rows(xy, rows, weight, bearing, alpha, rho, max_range) -> np.ndarray:
-    """Descriptor vectors of keypoints ``rows`` of the cloud ``xy``, one row
-    each, given every keypoint's range ``weight`` and the ``bearing`` of
-    each of ``rows``; a keypoint with no neighbors gets zeros."""
-    b = rows.size
-    # a keypoint is not its own neighbor: zero weight adds exactly nothing
-    weights = np.broadcast_to(weight, (b, xy.shape[0])).copy()
-    weights[np.arange(b), rows] = 0.0
-    weights = weights.ravel()
-    rel_x = xy[None, :, 0] - xy[rows, 0][:, None]
-    rel_y = xy[None, :, 1] - xy[rows, 1][:, None]
-    # histogram bin k of block row r sits at r * bins + k of one bincount
-    offset = np.arange(b)[:, None]
-    # distances first: arctan2 writes its angles over rel_x
-    dist = rel_x * rel_x
-    dist += rel_y * rel_y
-    np.sqrt(dist, out=dist)
+def _block_histograms(bins, weights, lo, count) -> np.ndarray:
+    """The (b, count) histograms of the neighbor bins ``bins`` (b, n) of
+    keypoints ``lo:lo + b``, from one ``bincount`` over the tiled ``weights``;
+    ``bins`` is overwritten. Bin k of block row r sits at r * count + k, and
+    each keypoint's own entry goes to the spare bin b * count, dropped after."""
+    b, n = bins.shape
+    bins += np.arange(0, b * count, count)[:, None]
+    bins.reshape(-1)[np.arange(b) * (n + 1) + lo] = b * count
+    hist = np.bincount(bins.reshape(-1), weights=weights[: b * n], minlength=b * count + 1)
+    return hist[:-1].reshape(b, count)
 
-    ang = np.arctan2(rel_y, rel_x, out=rel_x)
-    ang -= bearing[:, None]
-    a_bins = _angular_bins(ang, alpha)
-    hist_a = np.bincount((offset * alpha + a_bins).ravel(), weights=weights, minlength=b * alpha)
 
-    # clipped before the cast, so a distance of 2**63 bins or more still
-    # lands in the last bin
-    r_bins = np.divide(dist, max_range / rho, out=dist)
-    np.minimum(r_bins, rho - 1, out=r_bins)
-    r_bins = r_bins.astype(int)
-    hist_r = np.bincount((offset * rho + r_bins).ravel(), weights=weights, minlength=b * rho)
+def _describe_rows(xy, weight, bearing, alpha, rho, max_range) -> np.ndarray:
+    """Descriptor rows of every keypoint of the cloud ``xy``, given each
+    keypoint's range ``weight`` and ``bearing``; a keypoint with no
+    neighbors gets zeros.
 
+    Blocks of ``_BLOCK`` keypoints share one workspace per call: the
+    offsets, distances, a scratch array and the bin indices, each
+    (block, n), every pass a ufunc written into them. A keypoint is not
+    its own neighbor: its entry goes to a spare bin (:func:`_block_histograms`),
+    so every real bin sums the same terms in the same order as one that
+    skips it. The angular histograms of all blocks go through one FFT.
+    """
+    n = xy.shape[0]
+    x, y = xy.T.copy()
+    block = max(1, min(_BLOCK, n))
+    rel_x, rel_y, dist, scratch = (np.empty((block, n)) for _ in range(4))
+    bins = np.empty((block, n), dtype=np.intp)
+    # each block row's neighbor weights, one row after another
+    weights = np.tile(weight, block)
+    hist_a = np.empty((n, alpha))
     half = alpha // 2 + 1
-    out = np.empty((b, half + rho))
+    out = np.empty((n, half + rho))
     spectrum, radial = out[:, :half], out[:, half:]
-    np.abs(np.fft.rfft(hist_a.reshape(b, alpha), axis=1), out=spectrum)
-    radial[:] = hist_r.reshape(b, rho)
-    # the spectrum of a non-negative histogram peaks at X_0, its total
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        b = hi - lo
+        rx, ry, d, s, k = (a[:b] for a in (rel_x, rel_y, dist, scratch, bins))
+        np.subtract(x, x[lo:hi, None], out=rx)
+        np.subtract(y, y[lo:hi, None], out=ry)
+        # distances first: arctan2 writes its angles over rel_x
+        np.multiply(rx, rx, out=d)
+        np.multiply(ry, ry, out=s)
+        d += s
+        np.sqrt(d, out=d)
+        ang = np.arctan2(ry, rx, out=rx)
+        ang -= bearing[lo:hi, None]
+        hist_a[lo:hi] = _block_histograms(_angular_bins(ang, alpha, s, k), weights, lo, alpha)
+        # clipped before the cast, so a distance of 2**63 bins or more still
+        # lands in the last bin
+        np.divide(d, max_range / rho, out=d)
+        np.minimum(d, rho - 1, out=d)
+        np.copyto(k, d, casting="unsafe")
+        radial[lo:hi] = _block_histograms(k, weights, lo, rho)
+    np.abs(np.fft.rfft(hist_a, axis=1), out=spectrum)
+    # the spectrum of a non-negative histogram peaks at X_0, its total; a
+    # zero peak is a zero row's, which dividing by 1.0 leaves as it is
     peaks = (spectrum[:, :1].copy(), radial.max(axis=1, keepdims=True))
     for channel, peak in zip((spectrum, radial), peaks):
-        np.divide(channel, peak, out=channel, where=peak > 0)
+        peak += peak == 0.0
+        channel /= peak
     # coefficients 1..(alpha-1)//2 stand for their mirror images too
     spectrum[:, 1 : (alpha + 1) // 2] *= _SQRT2
     return out
@@ -200,15 +236,10 @@ def descriptor_matrix(kset, alpha: int, rho: int, max_range: float) -> np.ndarra
         raise ValueError(
             f"max_range {max_range!r} is too small for points {reach:.3g} from the sensor"
         )
-    out = np.empty((n, alpha // 2 + 1 + rho))
     # each keypoint's weight as a neighbor is its range over max_range
     weight = ranges / max_range
     bearing = np.array([math.atan2(y, x) for x, y in xy.tolist()])
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        out[lo:hi] = _describe_rows(
-            xy, np.arange(lo, hi), weight, bearing[lo:hi], alpha, rho, max_range
-        )
+    out = _describe_rows(xy, weight, bearing, alpha, rho, max_range)
     if cache is not None:
         out.flags.writeable = False
         cache[key] = out

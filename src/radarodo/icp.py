@@ -23,7 +23,7 @@ import numpy as np
 from .descriptors import _points
 from .errors import IcpDivergedError, stage
 from .scan import _is_count
-from .se2 import Pose2, apply_pose, estimate_se2, inverse
+from .se2 import Pose2, apply_pose, estimate_se2, inverse, mean_square_residual
 
 EPS = np.finfo(float).eps
 
@@ -107,9 +107,9 @@ def icp_match(l1, l2, config: IcpConfig | None = None):
             raise IcpDivergedError(
                 f"iteration {iterations}: {pair_count} pairings within {cfg.nn_radius} m"
             )
-        pose = estimate_se2(src[within], dst[nn[within]])
-        resid = apply_pose(pose, src[within]) - dst[nn[within]]
-        mse = float((resid**2).sum(axis=1).mean())
+        paired = src[within], dst[nn[within]]
+        pose = estimate_se2(*paired)
+        mse = mean_square_residual(pose, *paired)
         history.append(mse)
         if mse == 0.0:
             break

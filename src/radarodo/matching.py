@@ -96,7 +96,9 @@ def pairwise_compatibility(u_matches: UnaryMatches, l1, l2, sigma: float) -> np.
     (-d)**2 = d**2 exactly, and every later step is elementwise. So only its
     upper triangle is computed, a block of rows ``[lo, hi)`` at a time over
     columns ``lo:u``, and each block's off-diagonal part is mirrored into
-    the rows below; C is the only (u, u) array.
+    the rows below; C is the only (u, u) array. The cut is a multiply by
+    the keep mask: the kernel's values are finite and >= 0, so multiplying
+    by 1.0 or 0.0 is exact.
     """
     _check_sigma(sigma)
     u = u_matches.u
@@ -119,11 +121,11 @@ def pairwise_compatibility(u_matches: UnaryMatches, l1, l2, sigma: float) -> np.
         with np.errstate(over="ignore"):
             np.divide(block, -2.0 * sigma**2, out=block)
         np.exp(block, out=block)
-        # the 3 sigma cut, and pairs sharing a keypoint on either side
-        cut = delta > 3.0 * sigma
-        cut |= i1[lo:hi, None] == i1[None, lo:]
-        cut |= i2[lo:hi, None] == i2[None, lo:]
-        block[cut] = 0.0
+        # kept: within the 3 sigma cut and sharing no keypoint on either side
+        keep = delta <= 3.0 * sigma
+        keep &= i1[lo:hi, None] != i1[None, lo:]
+        keep &= i2[lo:hi, None] != i2[None, lo:]
+        block *= keep
         c[hi:, lo:hi] = c[lo:hi, hi:].T
     return c
 

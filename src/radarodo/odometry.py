@@ -30,7 +30,15 @@ from .errors import MatchFailureError, RadarOdoError, stage
 from .keypoints import KeypointSet, extract_keypoints
 from .matching import _check_sigma, greedy_select, pairwise_compatibility, principal_eigenvector
 from .scan import _is_count
-from .se2 import Pose2, apply_pose, compose, estimate_se2, inverse, relative_pose, wrap_angle
+from .se2 import (
+    Pose2,
+    compose,
+    estimate_se2,
+    inverse,
+    mean_square_residual,
+    relative_pose,
+    wrap_angle,
+)
 from .simulate import TrajectorySpec
 
 
@@ -128,8 +136,7 @@ def match_keypoint_sets(
         idx1 = np.array([g for g, _ in selection.selected])
         idx2 = np.array([h for _, h in selection.selected])
         fitted = estimate_se2(l1.xy[idx1], l2.xy[idx2])
-        resid = apply_pose(fitted, l1.xy[idx1]) - l2.xy[idx2]
-        stats["residual_rms"] = float(np.sqrt((resid**2).sum(axis=1).mean()))
+        stats["residual_rms"] = math.sqrt(mean_square_residual(fitted, l1.xy[idx1], l2.xy[idx2]))
         # fitted maps l1 coords into l2's frame; express b in a's frame
         pose = fitted if swapped else inverse(fitted)
     return pose, stats

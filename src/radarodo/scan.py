@@ -64,7 +64,8 @@ class PolarScan:
                 f"power shape {power.shape} does not match meta "
                 f"({self.meta.num_azimuths}, {self.meta.num_range_bins})"
             )
-        if not np.all(np.isfinite(power)) or np.any(power < 0.0):
+        # two reductions, no full-grid temporaries; written so that NaN fails too
+        if not (power.min() >= 0.0 and power.max() < math.inf):
             raise ValueError("power must be finite and non-negative")
         if not math.isfinite(self.timestamp):
             raise ValueError("timestamp must be finite")

@@ -88,3 +88,18 @@ def estimate_se2(src, dst) -> Pose2:
     theta = math.atan2(cross.sum(), (a * b).sum())
     c, s = math.cos(theta), math.sin(theta)
     return Pose2(cd[0] - (c * cs[0] - s * cs[1]), cd[1] - (s * cs[0] + c * cs[1]), theta)
+
+
+def mean_square_residual(pose: Pose2, src, dst) -> float:
+    """Mean over the point pairs of the squared distance from ``pose`` applied
+    to ``src`` to ``dst``.
+
+    The residuals are scaled by an exact power of two below 1 before they are
+    squared, and the mean scaled back, so the sum cannot overflow for points
+    within the 2**510 bound; outside the subnormals the result is that of
+    squaring the raw residuals, bit for bit.
+    """
+    resid = apply_pose(pose, src) - dst
+    e = int(np.frexp(np.abs(resid).max())[1])
+    resid = np.ldexp(resid, -e)
+    return float(np.ldexp((resid * resid).sum(axis=1).mean(), 2 * e))

@@ -238,8 +238,49 @@ def test_translation_changes_descriptors():
 
 
 def test_lone_keypoint_gets_zero_descriptor():
+    # a zero peak divides by 1.0: zeros, and no 0/0 warning (an error under
+    # the test filter)
     d = descriptor_matrix(np.array([[3.0, 4.0]]), 8, 6, MAX_RANGE)
     assert np.array_equal(d, np.zeros((1, 8 // 2 + 1 + 6)))
+
+
+EDGE_CLOUDS = {
+    # the keypoint at (-1, -0.0) has bearing -pi, and its neighbour at
+    # (-3, 0.0) bearing pi from it: pi - (-pi) is exactly 2 pi, bin 0 as
+    # np.mod has it; the third point tells bin 0 from the last bin
+    "exact_two_pi": [[-1.0, -0.0], [-3.0, 0.0], [-1.0, 2.0]],
+    # the keypoint at (1, 0) sees (2, -1e-300) at a bearing of -1e-300,
+    # which plus 2 pi rounds to exactly 2 pi: the last bin
+    "tiny_negative": [[1.0, 0.0], [2.0, -1e-300], [1.0, 3.0]],
+    "coincident": [[3.0, 4.0], [3.0, 4.0], [-5.0, 1.0], [0.5, -7.0]],
+    "two_points": [[3.0, 4.0], [-20.0, 1.0]],
+    "lone": [[3.0, 4.0]],
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CLOUDS)
+def test_descriptor_of_edge_clouds_equals_the_per_keypoint_reference(name):
+    xy = np.array(EDGE_CLOUDS[name])
+    for alpha, rho in ((8, 6), (64, 50), (7, 3)):
+        d = descriptor_matrix(xy, alpha, rho, MAX_RANGE)
+        assert np.array_equal(d, per_keypoint_matrix(xy, alpha, rho, MAX_RANGE, full=False))
+        radial = d[:, alpha // 2 + 1 :]
+        if name == "two_points":
+            # only the other keypoint reaches a row: one radial entry, far
+            # from bin 0, where the keypoint's own distance of 0 would land
+            assert np.count_nonzero(radial, axis=1).tolist() == [1, 1]
+            assert not radial[:, 0].any()
+        if name == "lone":
+            assert not d.any()
+
+
+def test_edge_clouds_reach_the_wrap_edges():
+    # the angles the edge clouds above are built on
+    assert math.atan2(0.0, -2.0) - math.atan2(-0.0, -1.0) == 2 * math.pi
+    assert angular_bins([2 * math.pi], 8).tolist() == [0]
+    tiny = math.atan2(-1e-300, 1.0) - math.atan2(0.0, 1.0)
+    assert tiny < 0.0 and tiny + 2 * math.pi == 2 * math.pi
+    assert angular_bins([tiny], 8).tolist() == [7]
 
 
 def test_radial_overflow_clips_to_last_bin():
@@ -504,6 +545,12 @@ WRAP_EDGES = [
 ]
 
 
+def angular_bins(ang, alpha):
+    """``_angular_bins`` of a copy of ``ang``, with fresh buffers."""
+    ang = np.array(ang, dtype=float)
+    return _angular_bins(ang, alpha, np.empty_like(ang), np.empty(ang.shape, dtype=np.intp))
+
+
 def test_angular_bins_equal_np_mod_bins():
     rng = np.random.default_rng(13)
     # multiples of a bin width, where rounding picks the bin; the kernel's
@@ -513,8 +560,8 @@ def test_angular_bins_equal_np_mod_bins():
     ang = np.concatenate([WRAP_EDGES, rng.uniform(-2 * math.pi, 2 * math.pi, 2000), grid])
     for alpha in (1, 7, 64, 256, 400):
         want = np.minimum((np.mod(ang, 2 * math.pi) / (2 * math.pi) * alpha).astype(int), alpha - 1)
-        got = _angular_bins(ang.copy(), alpha)
+        got = angular_bins(ang, alpha)
         assert np.array_equal(got, want), alpha
     # a tiny negative angle wraps to exactly 2 pi, as np.mod has it: the last bin
     assert np.mod(-1e-300, 2 * math.pi) == 2 * math.pi
-    assert _angular_bins(np.array([-1e-300, 2 * math.pi, -0.0]), 64).tolist() == [63, 0, 0]
+    assert angular_bins([-1e-300, 2 * math.pi, -0.0], 64).tolist() == [63, 0, 0]

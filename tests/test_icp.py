@@ -249,3 +249,20 @@ def test_residual_history_is_monotone_enough():
     hist = diag.residual_history
     assert len(hist) == diag.iterations
     assert all(b <= a * (1 + 1e-9) for a, b in zip(hist, hist[1:]))
+
+
+def test_residuals_near_the_coordinate_bound_stay_finite():
+    # 200 points on a circle of radius 2**509 paired with two targets at
+    # (+-2**509, 0): the raw sum of squared residuals overflows (a warning,
+    # an error under the test filter); scaled, every mean square is finite
+    # and 2**1000 times that of the same scene at 2**9
+    t = np.arange(200) * (2 * math.pi / 200)
+    src = np.column_stack([np.cos(t), np.sin(t)]) * 2.0**9
+    dst = np.array([[2.0**9, 0.0], [-(2.0**9), 0.0]])
+    cfg = IcpConfig(nn_radius=math.inf)
+    pose, diag = icp_match(src * 2.0**500, dst * 2.0**500, cfg)
+    small_pose, small_diag = icp_match(src, dst, cfg)
+    assert np.all(np.isfinite(diag.residual_history))
+    assert diag.residual_history == tuple(h * 2.0**1000 for h in small_diag.residual_history)
+    assert diag.residual_rms == small_diag.residual_rms * 2.0**500
+    assert pose.theta == small_pose.theta

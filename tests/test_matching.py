@@ -446,6 +446,29 @@ def test_compatibility_cutoff_is_exact_zero():
     assert c[0, 1] == 0.0
 
 
+def test_compatibility_keeps_a_discrepancy_of_exactly_three_sigma():
+    # sigma = 0.25: the distances 10 and 10.75 are exact, so the discrepancy
+    # is exactly 3 sigma, kept because the cut is > 3 sigma; one ulp more is cut
+    um = UnaryMatches(np.arange(2), np.arange(2))
+    pts1 = np.array([[0.0, 0.0], [10.0, 0.0]])
+    # 0.75**2 / (-2 * 0.25**2) is exactly -4.5
+    for far, want in ((10.75, np.exp(-4.5)), (np.nextafter(10.75, 11.0), 0.0)):
+        pts2 = np.array([[0.0, 0.0], [far, 0.0]])
+        c = pairwise_compatibility(um, pts1, pts2, 0.25)
+        assert c[0, 1] == c[1, 0] == want
+
+
+def test_compatibility_of_candidates_that_all_share_a_keypoint_is_exact_zeros():
+    # every candidate shares its L2 keypoint, or its L1 keypoint, with every
+    # other: C is +0.0 throughout, no -0.0 and no NaN from the keep mask
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(-10.0, 10.0, size=(80, 2))
+    for l1, l2 in ((np.arange(70), np.full(70, 3)), (np.full(70, 5), np.arange(70))):
+        c = pairwise_compatibility(UnaryMatches(l1, l2), pts, pts, SIGMA)
+        assert np.array_equal(c, np.zeros((70, 70)))
+        assert not np.signbit(c).any()
+
+
 def test_compatibility_gaussian_value():
     pts1 = np.array([[0.0, 0.0], [10.0, 0.0]])
     pts2 = np.array([[0.0, 0.0], [10.3, 0.0]])

@@ -64,18 +64,25 @@ def test_bin_to_point_cardinal_directions():
     assert np.allclose(south, [0.0, -3.5], atol=1e-12)
 
 
+# one power entry each: the check is two reductions, and NaN must fail them too
+POWER_ENTRIES = [(math.nan, False), (math.inf, False), (-math.inf, False), (-1e-300, False),
+                 (-1.0, False), (-0.0, True), (0.0, True), (1e308, True)]
+
+
 def test_polar_scan_validation():
     meta = SensorMeta(4, 6, 0.5, 0.25)
     with pytest.raises(ValueError):
         PolarScan(meta, np.zeros((3, 6)))
     with pytest.raises(ValueError):
-        PolarScan(meta, np.full((4, 6), -1.0))
-    bad = np.zeros((4, 6))
-    bad[1, 2] = np.nan
-    with pytest.raises(ValueError):
-        PolarScan(meta, bad)
-    with pytest.raises(ValueError):
         PolarScan(meta, np.zeros((4, 6)), timestamp=math.nan)
+    for value, accepted in POWER_ENTRIES:
+        power = np.ones((4, 6))
+        power[1, 2] = value
+        if accepted:
+            assert PolarScan(meta, power).power[1, 2] == value
+        else:
+            with pytest.raises(ValueError, match="power must be finite and non-negative"):
+                PolarScan(meta, power)
 
 
 def test_polar_scan_power_is_frozen_copy():

@@ -14,7 +14,7 @@ from radarodo import (
     inverse,
     relative_pose,
 )
-from radarodo.se2 import wrap_angle
+from radarodo.se2 import mean_square_residual, wrap_angle
 
 from conftest import random_cloud, random_pose
 
@@ -198,3 +198,28 @@ def test_estimate_stays_finite_up_to_the_coordinate_bound():
     assert abs(est.theta - 0.3) < 1e-12
     # powers of two scale every sum exactly, so the angle is bit-equal
     assert est.theta == estimate_se2(src * 2.0**-500, dst * 2.0**-500).theta
+
+
+def test_mean_square_residual_equals_the_raw_mean_of_squares():
+    # scaling by a power of two commutes with rounding, so the helper gives
+    # the plain expression's bits on every ordinary fit
+    for src, dst in reference_cases():
+        fit = estimate_se2(src, dst)
+        raw = ((apply_pose(fit, src) - dst) ** 2).sum(axis=1).mean()
+        assert mean_square_residual(fit, src, dst) == raw
+
+
+def test_mean_square_residual_stays_finite_up_to_the_coordinate_bound():
+    # 64 points on a circle of radius 2**509 against the same points
+    # shuffled: residuals reach 2 * 2**509 and the raw sum of 64 squares
+    # passes 2**1024 (an overflow warning, an error under the test filter)
+    t = np.arange(64) * (2 * math.pi / 64)
+    small = np.column_stack([np.cos(t), np.sin(t)]) * 2.0**9
+    shuffled = small[np.random.default_rng(7).permutation(64)]
+    scale = 2.0**500
+    big = small * scale, shuffled * scale
+    fit = estimate_se2(*big)
+    assert np.abs(apply_pose(fit, big[0]) - big[1]).max() > 2.0**509
+    small_fit = estimate_se2(small, shuffled)
+    raw = ((apply_pose(small_fit, small) - shuffled) ** 2).sum(axis=1).mean()
+    assert mean_square_residual(fit, *big) == raw * scale**2
