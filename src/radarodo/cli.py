@@ -120,11 +120,12 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, inputs, outputs, timi
     return path
 
 
-def read_pose_csv(path):
-    """Read a (timestamp, x, y, theta) CSV; returns (timestamps, poses).
+def read_pose_csv(path) -> TrajectorySpec:
+    """Read a (timestamp, x, y, theta) CSV as a :class:`TrajectorySpec`.
 
-    Raises ValueError for a file that is not ASCII, lacks the header, or has
-    a row that is not four finite numbers (naming ``path:line``).
+    Raises ValueError, naming ``path``, for a file that is not ASCII, lacks
+    the header or any row, has timestamps that do not increase, or has a row
+    that is not four finite numbers (naming ``path:line``).
     """
     try:
         lines = Path(path).read_text(encoding="ascii").splitlines()
@@ -147,15 +148,18 @@ def read_pose_csv(path):
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: {err}") from err
         ts.append(t)
-    return np.asarray(ts), poses
+    try:
+        return TrajectorySpec(poses, ts)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
-def write_pose_csv(path, timestamps, poses):
+def write_pose_csv(path, trajectory: TrajectorySpec):
     """Write the (timestamp, x, y, theta) CSV that ``read_pose_csv`` reads,
     floats by ``repr`` so they read back exactly."""
     with open(path, "w", encoding="ascii") as f:
         f.write("timestamp,x,y,theta\n")
-        for t, p in zip(timestamps, poses):
+        for t, p in zip(trajectory.timestamps, trajectory.poses):
             f.write(f"{float(t)!r},{p.x!r},{p.y!r},{p.theta!r}\n")
 
 
@@ -245,7 +249,7 @@ def cmd_simulate(args) -> int:
             save_scan(p, scan)
             outputs.append(p)
         truth_path = out_dir / "truth.csv"
-        write_pose_csv(truth_path, traj.timestamps, traj.poses)
+        write_pose_csv(truth_path, traj)
         outputs.append(truth_path)
     write_manifest(out_dir, "simulate", cfg, [], outputs, stats["timings"], seed=args.seed)
     print(f"wrote {len(scans)} scans + truth.csv to {out_dir}")
@@ -298,13 +302,11 @@ def cmd_odometry(args) -> int:
         entries["mean_eigengap"] = float(np.mean([p.eigengap for p in matched]))
 
     truth_path = Path(args.truth) if args.truth else dataset / "truth.csv"
-    true_poses = None
+    truth = None
     if args.truth or truth_path.exists():
         try:
-            true_ts, poses = read_pose_csv(truth_path)
-            truth = TrajectorySpec(poses, true_ts)
-            true_poses = truth.poses  # plotted even when it does not line up
-            entries.update(evaluate(result.trajectory, result.timestamps, truth))
+            truth = read_pose_csv(truth_path)  # plotted even when it does not line up
+            entries.update(evaluate(result.trajectory, truth))
         except (OSError, ValueError) as err:
             print(f"warning: truth not scored: {err}", file=sys.stderr)
 
@@ -315,15 +317,15 @@ def cmd_odometry(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     traj_path = out_dir / "trajectory.csv"
-    write_pose_csv(traj_path, result.timestamps, result.trajectory)
+    write_pose_csv(traj_path, result.trajectory)
     metrics_path = out_dir / "metrics.txt"
     write_metrics_file(metrics_path, entries)
     outputs = [traj_path, metrics_path]
     if args.plot:
         svg_path = out_dir / "trajectory.svg"
         tracks = [("estimate", result.trajectory)]
-        if true_poses is not None:
-            tracks.insert(0, ("truth", true_poses))
+        if truth is not None:
+            tracks.insert(0, ("truth", truth))
         write_trajectory_svg(svg_path, tracks)
         outputs.append(svg_path)
     write_manifest(out_dir, "odometry", cfg, scan_paths, outputs, stats["timings"])
@@ -339,13 +341,12 @@ def cmd_eval(args) -> int:
     svg_path = out_path.with_suffix(".svg")
     if args.plot and svg_path == out_path:
         raise ValueError(f"--plot writes <out>.svg, which would overwrite --out {out_path}")
-    est_ts, est_poses = read_pose_csv(args.trajectory)
-    true_ts, true_poses = read_pose_csv(args.truth)
-    entries = evaluate(est_poses, est_ts, TrajectorySpec(true_poses, true_ts))
+    estimate, truth = read_pose_csv(args.trajectory), read_pose_csv(args.truth)
+    entries = evaluate(estimate, truth)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_metrics_file(out_path, entries)
     if args.plot:
-        write_trajectory_svg(svg_path, [("truth", true_poses), ("estimate", est_poses)])
+        write_trajectory_svg(svg_path, [("truth", truth), ("estimate", estimate)])
     for key, value in entries.items():
         print(f"{key} = {value}")
     return 0

@@ -49,6 +49,11 @@ class KeypointSet:
             arr = np.array(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        n = self.xy.shape[:1]  # (N,) for an (N, 2) xy
+        if self.xy.shape != (*n, 2) or any(
+            a.shape != n for a in (self.azimuths, self.range_bins, self.strengths)
+        ):
+            raise ValueError("need an (N, 2) xy and N azimuths, range bins and strengths")
 
     def __len__(self):
         return self.azimuths.shape[0]

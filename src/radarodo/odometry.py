@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -84,8 +85,7 @@ class PairResult:
 @dataclass(frozen=True, eq=False)
 class OdometryResult:
     pairs: tuple
-    trajectory: tuple  # one pose per scan, first is the identity
-    timestamps: np.ndarray
+    trajectory: TrajectorySpec  # one pose per scan, first is the identity
 
     @property
     def failure_count(self) -> int:
@@ -187,38 +187,34 @@ def run_odometry(scans, cfg: PipelineConfig | None = None, matcher=None) -> Odom
     """Estimate relative poses over a scan sequence and integrate them.
 
     Collects :func:`odometry_pairs` and composes their poses into one pose
-    per scan, the first the identity. Raises ValueError for fewer than 2
-    scans, and as :func:`odometry_pairs` does.
+    per scan at the scan's timestamp, the first the identity. Raises
+    ValueError for fewer than 2 scans, and as :func:`odometry_pairs` does.
     """
     scans = list(scans)
     if len(scans) < 2:
         raise ValueError("need at least 2 scans")
     pairs = tuple(odometry_pairs(scans, cfg, matcher))
-    trajectory = [Pose2()]
-    for p in pairs:
-        trajectory.append(compose(trajectory[-1], p.pose))
-    ts = np.array([s.timestamp for s in scans])
-    return OdometryResult(pairs=pairs, trajectory=tuple(trajectory), timestamps=ts)
+    poses = accumulate((p.pose for p in pairs), compose, initial=Pose2())
+    return OdometryResult(pairs, TrajectorySpec(poses, [s.timestamp for s in scans]))
 
 
-def evaluate(poses, timestamps, truth: TrajectorySpec) -> dict:
+def evaluate(estimate: TrajectorySpec, truth: TrajectorySpec) -> dict:
     """Score a trajectory against ground truth, pair by pair.
 
-    ``poses`` holds one world-frame pose per scan (``result.trajectory`` for
-    an :class:`OdometryResult`, or the poses of a ``trajectory.csv``); each
-    pair is the relative pose of two consecutive poses, compared with the
-    truth's. Returns the metrics-file entries ``n_pairs``,
-    ``translation_median_m``, ``translation_std_m``, ``rotation_median_deg``
-    and ``rotation_std_deg``. ``timestamps`` holds one entry per pose and
-    must line up with ``truth`` to 1e-9 s; otherwise, or with fewer than two
-    poses, this raises ValueError.
+    ``estimate`` holds one world-frame pose per scan (``result.trajectory``
+    for an :class:`OdometryResult`, or a ``trajectory.csv``); each pair is
+    the relative pose of two consecutive poses, compared with the truth's.
+    Returns the metrics-file entries ``n_pairs``, ``translation_median_m``,
+    ``translation_std_m``, ``rotation_median_deg`` and ``rotation_std_deg``.
+    Raises ValueError for fewer than two poses, a truth of another length,
+    or timestamps more than 1e-9 s apart.
     """
-    poses = list(poses)
+    poses = estimate.poses
     if len(poses) < 2:
         raise ValueError("need at least 2 poses to evaluate")
-    if len(timestamps) != len(poses) or len(truth) != len(timestamps):
+    if len(truth) != len(poses):
         raise ValueError("truth length does not match scan count")
-    if not np.allclose(truth.timestamps, timestamps, rtol=0, atol=1e-9):
+    if not np.allclose(truth.timestamps, estimate.timestamps, rtol=0, atol=1e-9):
         raise ValueError("truth timestamps do not match scan timestamps")
     t_err, r_err = [], []
     for k in range(len(poses) - 1):

@@ -34,8 +34,17 @@ class SensorMeta:
     def __post_init__(self):
         if not all(_is_count(n, 2) for n in (self.num_azimuths, self.num_range_bins)):
             raise ValueError("need at least 2 azimuths and 2 range bins")
-        if not (0.0 < self.range_resolution < math.inf) or not (0.0 < self.scan_period < math.inf):
+        # stored as floats (an int or an np.float32 too), so save_scan can
+        # write them in hex; an int too large for a float is not finite
+        try:
+            valid = 0.0 < self.range_resolution < math.inf and 0.0 < self.scan_period < math.inf
+            res, period = float(self.range_resolution), float(self.scan_period)
+        except OverflowError:
+            valid = False
+        if not valid:
             raise ValueError("range_resolution and scan_period must be positive and finite")
+        object.__setattr__(self, "range_resolution", res)
+        object.__setattr__(self, "scan_period", period)
         # a bin count too large for a float overflows the product too
         try:
             finite = math.isfinite(self.max_range)

@@ -66,7 +66,7 @@ class ArtifactModel:
 
 @dataclass(frozen=True)
 class TrajectorySpec:
-    """A sequence of world-frame poses with strictly increasing timestamps."""
+    """World-frame poses with strictly increasing timestamps; iterating it yields the poses."""
 
     poses: tuple
     timestamps: np.ndarray
@@ -84,6 +84,9 @@ class TrajectorySpec:
     def __len__(self):
         return len(self.poses)
 
+    def __iter__(self):
+        return iter(self.poses)
+
 
 def _stamp_blob(grid, az_f, r_f, amplitude, sigma_a, sigma_r):
     """Add a separable Gaussian blob at continuous bin coords (az_f, r_f).
@@ -99,8 +102,6 @@ def _stamp_blob(grid, az_f, r_f, amplitude, sigma_a, sigma_r):
     az_idx = np.mod(az_idx, m)
     r0 = int(math.floor(r_f))
     r_idx = np.arange(max(r0 - hr, 0), min(r0 + hr, n - 1) + 1)
-    if r_idx.size == 0:
-        return
     dr = r_idx - r_f
     blob = amplitude * np.outer(
         np.exp(-0.5 * (da / sigma_a) ** 2), np.exp(-0.5 * (dr / sigma_r) ** 2)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -9,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radarodo
 from radarodo import (
-    IcpConfig, PipelineConfig, PolarScan, SensorMeta, TrajectorySpec, evaluate, extract_keypoints,
-    icp_matcher, load_scan, run_odometry, save_scan,
+    IcpConfig, PipelineConfig, PolarScan, Pose2, SensorMeta, TrajectorySpec, evaluate,
+    extract_keypoints, icp_matcher, load_scan, run_odometry, save_scan,
 )
 from radarodo import odometry
-from radarodo.cli import CONFIG_SCHEMA, main, read_config_file, read_pose_csv
+from radarodo.cli import CONFIG_SCHEMA, main, read_config_file, read_pose_csv, write_pose_csv
 from radarodo.errors import ScanFormatError
 
 SMALL_SIM = """
@@ -253,16 +257,16 @@ def test_simulate_writes_dataset(tmp_path):
     assert manifest["command"] == "simulate"
     assert manifest["seed"] == 0
     assert manifest["config"]["steps"] == 4
-    stamps, poses = read_pose_csv(out / "truth.csv")
-    assert len(poses) == 4
-    assert poses[-1].x == pytest.approx(3 * 3.0 * 0.25)
+    truth = read_pose_csv(out / "truth.csv")
+    assert len(truth) == 4
+    assert truth.poses[-1].x == pytest.approx(3 * 3.0 * 0.25)
 
 
 def test_simulated_scans_are_one_scan_period_apart(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_SIM + "scan_period = 0.1\n")
     data = tmp_path / "data"
     assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
-    true_ts, _ = read_pose_csv(data / "truth.csv")
+    true_ts = read_pose_csv(data / "truth.csv").timestamps
     scans = [load_scan(p) for p in sorted(data.glob("scan_*.rscan"))]
     assert len(scans) == len(true_ts) == 4
     for k, (scan, t) in enumerate(zip(scans, true_ts)):
@@ -309,7 +313,7 @@ def test_odometry_then_eval_round_trip(tmp_path):
     assert int(metrics["failures"]) == 0
     assert float(metrics["translation_median_m"]) < 0.25
 
-    stamps, poses = read_pose_csv(traj_csv)
+    poses = read_pose_csv(traj_csv).poses
     assert len(poses) == 4
     assert math.hypot(poses[-1].x - 2.25, poses[-1].y) < 0.3
 
@@ -334,7 +338,7 @@ def test_odometry_icp_method_runs(tmp_path):
         ["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out), "--method", "icp"]
     )
     assert rc == 0
-    stamps, poses = read_pose_csv(out / "trajectory.csv")
+    poses = read_pose_csv(out / "trajectory.csv").poses
     assert len(poses) == 4
     # 0.75 m steps sit within the 2 m pairing radius, so ICP should track
     assert math.hypot(poses[-1].x - 2.25, poses[-1].y) < 0.4
@@ -385,8 +389,7 @@ def test_odometry_error_lines_equal_eval_of_its_trajectory(tmp_path):
         if line.split(" = ")[0].endswith(("_m", "_deg"))
     ]
     scans = [load_scan(p) for p in sorted(data.glob("scan_*.rscan"))]
-    true_ts, true_poses = read_pose_csv(data / "truth.csv")
-    truth = TrajectorySpec(true_poses, true_ts)
+    truth = read_pose_csv(data / "truth.csv")
     for method, matcher in (("ro", None), ("icp", icp_matcher(IcpConfig()))):
         out = tmp_path / method
         rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out),
@@ -398,7 +401,7 @@ def test_odometry_error_lines_equal_eval_of_its_trajectory(tmp_path):
         lines = error_lines(out / "metrics.txt")
         assert len(lines) == 4 and lines == error_lines(out / "eval.txt"), method
         result = run_odometry(scans, PipelineConfig(l_max=200), matcher)
-        entries = evaluate(result.trajectory, result.timestamps, truth)
+        entries = evaluate(result.trajectory, truth)
         assert lines == [f"{k} = {v!r}" for k, v in entries.items() if k != "n_pairs"], method
         n_pairs = {read_metrics(out / name)["n_pairs"] for name in ("metrics.txt", "eval.txt")}
         assert n_pairs == {str(entries["n_pairs"])} == {"3"}, method
@@ -443,7 +446,7 @@ def test_odometry_with_no_matched_pair_exits_4_after_writing(tmp_path, method):
     assert rc == 4
     metrics = read_metrics(out / "metrics.txt")
     assert metrics["n_pairs"] == "3" and metrics["failures"] == "3"
-    stamps, poses = read_pose_csv(out / "trajectory.csv")
+    poses = read_pose_csv(out / "trajectory.csv").poses
     assert len(poses) == 4 and all(p.x == p.y == p.theta == 0.0 for p in poses)
     assert json.loads((out / "manifest.json").read_text())["command"] == "odometry"
     # no pair succeeded, so there is no confidence to average
@@ -650,7 +653,7 @@ def test_unreadable_truth_is_reported_not_scored(tmp_path, truth, capsys):
     assert rc == 0
     warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
     assert len(warnings) == 1 and warnings[0].startswith("warning: truth not scored: ")
-    assert str(path) in warnings[0] or truth == "header_only"
+    assert str(path) in warnings[0]
     metrics = read_metrics(out / "metrics.txt")
     assert metrics["n_pairs"] == "3" and "translation_median_m" not in metrics
     for name in ("trajectory.csv", "trajectory.svg", "manifest.json"):
@@ -680,6 +683,42 @@ def test_malformed_pose_row_names_file_and_line(tmp_path):
             read_pose_csv(path)
 
 
+def test_pose_csv_reads_back_the_trajectory_it_wrote(tmp_path):
+    traj = TrajectorySpec([Pose2(0.1, -2.0 / 3.0, 0.3), Pose2(1e-300, 1e300, -3.1)], [0.1, 1 / 3])
+    path = tmp_path / "poses.csv"
+    write_pose_csv(path, traj)
+    back = read_pose_csv(path)
+    assert isinstance(back, TrajectorySpec) and back.poses == traj.poses
+    assert back.timestamps.tolist() == traj.timestamps.tolist()
+
+
+def test_pose_csv_without_rows_or_increasing_timestamps_is_rejected(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("timestamp,x,y,theta\n0.0,0.0,0.0,0.0\n0.25,1.0,0.0,0.0\n")
+    path = tmp_path / "poses.csv"
+    for body, reason in [("", "one timestamp per pose"),
+                         ("0.25,0.0,0.0,0.0\n0.25,1.0,0.0,0.0\n", "strictly increasing"),
+                         ("0.25,0.0,0.0,0.0\n0.0,1.0,0.0,0.0\n", "strictly increasing")]:
+        path.write_text("timestamp,x,y,theta\n" + body)
+        with pytest.raises(ValueError, match=rf"^{path}: .*{reason}") as err:
+            read_pose_csv(path)
+        for traj, ref in [(path, truth), (truth, path)]:
+            rc = main(["eval", "--trajectory", str(traj), "--truth", str(ref),
+                       "--out", str(tmp_path / "eval.txt")])
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def test_module_runs_as_a_script_and_prints_its_version():
+    src = str(Path(radarodo.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    proc = subprocess.run([sys.executable, "-m", "radarodo.cli", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"radarodo {radarodo.__version__}\n" == "radarodo 0.1.0\n"
+
+
 POSE_HEADER = b"timestamp,x,y,theta\n"
 pose_number = st.one_of(
     st.floats(), st.sampled_from(["", "-", "1e999", "0x1p3", " 1_0 ", "nan", "0.25"])
@@ -707,11 +746,11 @@ def test_any_pose_file_reads_or_is_a_value_error_and_eval_exits_0_or_2(content):
         path = tmp / "poses.csv"
         path.write_bytes(content)
         try:
-            stamps, poses = read_pose_csv(path)
+            trajectory = read_pose_csv(path)
         except ValueError:
             pass
         else:
-            assert len(stamps) == len(poses)
+            assert isinstance(trajectory, TrajectorySpec) and len(trajectory) > 0
         truth = tmp / "truth.csv"
         truth.write_text("timestamp,x,y,theta\n0.0,0.0,0.0,0.0\n0.25,1.0,0.0,0.0\n")
         for traj, ref in [(path, path), (path, truth), (truth, path)]:

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from radarodo import (
     ArtifactModel,
+    KeypointSet,
     PolarScan,
     Pose2,
     SensorMeta,
@@ -424,6 +425,25 @@ def test_keypoint_set_ordering_and_indexing():
     assert len(kset) == 3
     pairs = pairs_of(kset)
     assert pairs == sorted(pairs)
+
+
+def test_keypoint_set_rejects_arrays_that_disagree():
+    meta = SensorMeta(4, 8, 1.0, 0.25)
+    n5, xy = np.arange(5), np.zeros((5, 2))
+    for az, rb, pts, strengths in [
+        (np.arange(3), np.arange(3), xy, np.ones(2)),
+        (n5, n5, xy, np.ones(4)),
+        (n5, n5[:4], xy, np.ones(5)),
+        (n5[:4], n5, xy, np.ones(5)),
+        (n5, n5, np.zeros((5, 3)), np.ones(5)),
+        (n5, n5, np.zeros(10), np.ones(5)),
+        (n5, n5, xy, np.ones((5, 1))),
+        (0, 0, np.zeros(2), 1.0),
+    ]:
+        with pytest.raises(ValueError, match=r"need an \(N, 2\) xy"):
+            KeypointSet(az, rb, pts, strengths, meta)
+    assert len(KeypointSet(n5, n5, xy, np.ones(5), meta)) == 5
+    assert len(KeypointSet(n5[:0], n5[:0], xy[:0], np.ones(0), meta)) == 0
 
 
 def test_write_keypoints_csv(tmp_path, noisy_keypoints):

@@ -550,6 +550,12 @@ def test_principal_eigenvector_two_by_two():
     assert np.allclose(sol.eigenvector, [1 / math.sqrt(2)] * 2, atol=1e-9)
 
 
+def test_principal_eigenvector_rejects_a_matrix_that_is_not_square():
+    for c in (np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="must be square"):
+            principal_eigenvector(c)
+
+
 def test_principal_eigenvector_rejects_zero_matrix():
     with pytest.raises(NoCompatibilityError):
         principal_eigenvector(np.zeros((3, 3)))
@@ -642,6 +648,14 @@ def test_greedy_selects_the_clique():
         assert sorted(p[0] for p in sel.selected) == list(range(k))
         assert np.array_equal(np.flatnonzero(sel.indicator), np.arange(k))
         assert sel.mutual_compatibility == pytest.approx(1.0, abs=1e-9)
+
+
+def test_greedy_rejects_a_matrix_of_another_size():
+    c, um = clique_instance(np.random.default_rng(5), 4, extra=1)
+    sol = principal_eigenvector(c)
+    for bad in (c[:-1, :-1], c[:, :-1], np.ones((6, 6))):
+        with pytest.raises(ValueError, match="does not match candidate count"):
+            greedy_select(bad, sol, um)
 
 
 def test_greedy_respects_uniqueness():

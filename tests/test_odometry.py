@@ -104,15 +104,19 @@ def test_run_odometry_accumulates_trajectory():
     )
     scans = render_sequence(world, traj, META, QUIET, seed=10)
     result = run_odometry(scans, CFG)
+    assert [f.name for f in fields(result)] == ["pairs", "trajectory"]
     assert len(result.pairs) == 3
-    assert len(result.trajectory) == 4
-    assert result.trajectory[0] == Pose2()
+    assert isinstance(result.trajectory, TrajectorySpec)
+    assert np.array_equal(result.trajectory.timestamps, [s.timestamp for s in scans])
+    poses = result.trajectory.poses
+    assert len(poses) == 4
+    assert poses[0] == Pose2()
     assert result.failure_count == 0
     rebuilt = Pose2()
-    for pair, target in zip(result.pairs, result.trajectory[1:]):
+    for pair, target in zip(result.pairs, poses[1:]):
         rebuilt = compose(rebuilt, pair.pose)
         assert rebuilt == target
-    final = result.trajectory[-1]
+    final = poses[-1]
     assert math.hypot(final.x - 2.25, final.y) < 0.3
 
 
@@ -240,7 +244,7 @@ def test_evaluate_computes_pairwise_error_stats():
     )
     scans = render_sequence(world, traj, META, QUIET, seed=40)
     result = run_odometry(scans, CFG)
-    metrics = evaluate(result.trajectory, result.timestamps, traj)
+    metrics = evaluate(result.trajectory, traj)
     assert list(metrics) == [
         "n_pairs", "translation_median_m", "translation_std_m",
         "rotation_median_deg", "rotation_std_deg",
@@ -265,13 +269,14 @@ def test_evaluate_rejects_mismatched_truth():
     result = run_odometry(scans, CFG)
     short = TrajectorySpec(poses=traj.poses[:2], timestamps=traj.timestamps[:2])
     with pytest.raises(ValueError, match="length"):
-        evaluate(result.trajectory, result.timestamps, short)
+        evaluate(result.trajectory, short)
     late = TrajectorySpec(poses=traj.poses, timestamps=(0.0, 0.25, 0.6))
     with pytest.raises(ValueError, match="timestamps"):
-        evaluate(result.trajectory, result.timestamps, late)
+        evaluate(result.trajectory, late)
     one = TrajectorySpec(traj.poses[:1], traj.timestamps[:1])
+    first = TrajectorySpec(result.trajectory.poses[:1], result.trajectory.timestamps[:1])
     with pytest.raises(ValueError, match="at least 2"):
-        evaluate(result.trajectory[:1], result.timestamps[:1], one)
+        evaluate(first, one)
 
 
 def test_icp_matcher_chains_like_a_reference_loop():
@@ -294,7 +299,7 @@ def test_icp_matcher_chains_like_a_reference_loop():
         except RadarOdoError:
             pass
         trajectory.append(compose(trajectory[-1], last))
-    assert result.trajectory == tuple(trajectory)
+    assert result.trajectory.poses == tuple(trajectory)
 
     assert [p.failed for p in result.pairs] == [False, False, False, True]
     good, failed = result.pairs[2], result.pairs[3]

@@ -30,6 +30,11 @@ def test_sensor_meta_validation():
         SensorMeta(8, 10, 1e308, 0.25)
     with pytest.raises(ValueError, match="max range"):
         SensorMeta(8, 10**400, 0.5, 0.25)
+    # an int that no float can hold is not a finite width or period
+    with pytest.raises(ValueError, match="positive and finite"):
+        SensorMeta(8, 10, 10**400, 0.25)
+    with pytest.raises(ValueError, match="positive and finite"):
+        SensorMeta(8, 10, 0.5, 10**400)
 
 
 def test_max_range():
@@ -96,16 +101,20 @@ def test_polar_scan_power_is_frozen_copy():
 
 
 def test_save_load_round_trip_bit_exact(tmp_path):
-    meta = SensorMeta(8, 16, 0.0437, 0.2501)
     rng = np.random.default_rng(11)
     power = rng.gamma(2.0, 1.0, size=(8, 16))
-    scan = PolarScan(meta, power, timestamp=123.456789)
-    path = tmp_path / "a.rscan"
-    save_scan(path, scan)
-    back = load_scan(path)
-    assert back.meta == scan.meta
-    assert back.timestamp == scan.timestamp
-    assert np.array_equal(back.power, scan.power)
+    # an int or np.float32 width and period are stored, saved and loaded as floats
+    for resolution, period in [(0.0437, 0.2501), (1, 1), (np.float32(0.0437), 0.25)]:
+        meta = SensorMeta(8, 16, resolution, period)
+        assert type(meta.range_resolution) is float and type(meta.scan_period) is float
+        assert (meta.range_resolution, meta.scan_period) == (float(resolution), float(period))
+        scan = PolarScan(meta, power, timestamp=123.456789)
+        path = tmp_path / "a.rscan"
+        save_scan(path, scan)
+        back = load_scan(path)
+        assert back.meta == scan.meta
+        assert back.timestamp == scan.timestamp
+        assert np.array_equal(back.power, scan.power)
 
 
 def test_save_twice_is_byte_identical(tmp_path):

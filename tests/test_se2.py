@@ -97,6 +97,14 @@ def test_estimate_exact_recovery():
         assert abs(wrap_angle(est.theta - pose.theta)) < 1e-9
 
 
+def test_estimate_rejects_point_sets_that_do_not_match():
+    pts = np.zeros((4, 2))
+    for src, dst in [(pts, pts[:3]), (pts, pts.T), (pts[:, :1], pts[:, :1]),
+                     (np.zeros((4, 3)), np.zeros((4, 3))), (np.zeros(8), np.zeros(8))]:
+        with pytest.raises(ValueError, match=r"matching \(N, 2\) arrays"):
+            estimate_se2(src, dst)
+
+
 def test_estimate_never_reflects():
     # mirrored targets must come back as a proper rotation, not a flip
     src = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

@@ -55,6 +55,18 @@ def test_trajectory_spec_validation():
         TrajectorySpec(poses=(Pose2(),), timestamps=(0.0, 1.0))
 
 
+def test_trajectory_spec_iterates_over_its_poses():
+    traj = make_trajectory("arc", 4, speed=2.0, yaw_rate=0.3, dt=0.25)
+    assert tuple(traj) == traj.poses and len(traj) == 4
+
+
+def test_landmarks_at_the_range_edges_stamp_the_first_and_last_bins():
+    meta = SensorMeta(16, 8, 1.0, 0.25)
+    for rng_m, last in ((1e-9, 0), (7.999999, 7)):
+        scan = render_scan([Landmark(np.array([rng_m, 0.0]))], Pose2(), meta, QUIET)
+        assert scan.power[0, last] > 0.0
+
+
 def test_single_landmark_peaks_at_its_bin():
     world = [Landmark(np.array([10.25, 0.0]), 1.0)]
     scan = render_scan(world, Pose2(), META, QUIET, seed=0)
@@ -229,6 +241,11 @@ def test_random_world_rejects_a_landmark_count_that_is_not_an_int(n):
     with pytest.raises(ValueError, match="n_landmarks"):
         random_world(n, 30.0)
     assert len(random_world(np.int64(2), 30.0)) == 2
+
+
+def test_random_world_reports_landmarks_it_cannot_place():
+    with pytest.raises(ValueError, match="could not place landmarks"):
+        random_world(2, 5.0, min_range=1.0, min_separation=100.0)
 
 
 def test_render_sequence_matches_trajectory():
