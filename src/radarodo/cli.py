@@ -7,10 +7,12 @@ resolved configuration, inputs, outputs, and stage wall times next to
 their outputs.
 
 ``odometry`` runs both methods (``ro`` and ``icp``) through
-``odometry.run_odometry``; the spectral method takes one parameter, the
-region budget ``l_max``. ``odometry`` and ``eval`` both write what
-``odometry.evaluate`` returns for the trajectory, so ``eval`` on the
-``trajectory.csv`` that ``odometry`` wrote reproduces its error lines exactly.
+``odometry.run_odometry``, loading each scan file when the pair loop
+reaches it, so at most two scans are in memory; the spectral method takes
+one parameter, the region budget ``l_max``. ``odometry`` and ``eval`` both
+write what ``odometry.evaluate`` returns for the trajectory, so ``eval`` on
+the ``trajectory.csv`` that ``odometry`` wrote reproduces its error lines
+exactly.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 I/O error
 (including a malformed scan file), 4 no scan pair could be matched
@@ -275,10 +277,10 @@ def cmd_odometry(args) -> int:
     dataset = Path(args.dataset)
     out_dir = Path(args.out)
     scan_paths = _scan_paths(dataset)
-    scans = [load_scan(p) for p in scan_paths]
 
     stats = {}
     with stage("total", stats):
+        scans = map(load_scan, scan_paths)  # each loaded when the pair loop reaches it
         matcher = None
         if args.method == "icp":
             matcher = icp_matcher(

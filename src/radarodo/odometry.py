@@ -9,11 +9,13 @@ inverted if the sets were swapped to arrange that.
 
 ``odometry_pairs`` is the one loop that chains scan pairs, one scan at a
 time, so a live feed and a batch run share it; ``run_odometry`` collects
-its pairs and composes the trajectory. It takes any pair matcher
-``(kp_a, kp_b) -> (pose, stats)`` (``match_keypoint_sets`` with the config
-by default, or ``icp.icp_matcher`` for the ICP baseline), so both methods
-share its input checks, timings, failure reasons and constant-velocity
-fallback. ``evaluate`` scores a trajectory (one pose per scan, as
+its pairs and composes the trajectory. Both read their scans once, in
+order, with at most two alive, so a sequence never has to fit in memory.
+``run_odometry`` takes any pair matcher ``(kp_a, kp_b) -> (pose, stats)``
+(``match_keypoint_sets`` with the config by default, or
+``icp.icp_matcher`` for the ICP baseline), so both methods share its input
+checks, timings, failure reasons and constant-velocity fallback.
+``evaluate`` scores a trajectory (one pose per scan, as
 ``OdometryResult.trajectory`` and ``trajectory.csv`` hold it) against
 ground truth; the CLI writes what it returns.
 """
@@ -187,15 +189,22 @@ def run_odometry(scans, cfg: PipelineConfig | None = None, matcher=None) -> Odom
     """Estimate relative poses over a scan sequence and integrate them.
 
     Collects :func:`odometry_pairs` and composes their poses into one pose
-    per scan at the scan's timestamp, the first the identity. Raises
-    ValueError for fewer than 2 scans, and as :func:`odometry_pairs` does.
+    per scan at the scan's timestamp, the first the identity. ``scans`` may
+    be any iterable; each timestamp is recorded as the pair loop pulls its
+    scan. Raises ValueError for fewer than 2 scans, and as
+    :func:`odometry_pairs` does.
     """
-    scans = list(scans)
-    if len(scans) < 2:
+    timestamps = []
+
+    def stamped():
+        for scan in scans:
+            timestamps.append(scan.timestamp)
+            yield scan
+    pairs = tuple(odometry_pairs(stamped(), cfg, matcher))
+    if not pairs:
         raise ValueError("need at least 2 scans")
-    pairs = tuple(odometry_pairs(scans, cfg, matcher))
     poses = accumulate((p.pose for p in pairs), compose, initial=Pose2())
-    return OdometryResult(pairs, TrajectorySpec(poses, [s.timestamp for s in scans]))
+    return OdometryResult(pairs, TrajectorySpec(poses, timestamps))
 
 
 def evaluate(estimate: TrajectorySpec, truth: TrajectorySpec) -> dict:

@@ -20,7 +20,7 @@ from .se2 import Pose2, apply_pose, inverse, wrap_angle
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Landmark:
     position: np.ndarray  # (2,) world coordinates, meters
     reflectivity: float = 1.0
@@ -64,9 +64,9 @@ class ArtifactModel:
             raise ValueError("blob spreads must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectorySpec:
-    """World-frame poses with strictly increasing timestamps; iterating it yields the poses."""
+    """World-frame poses at finite, strictly increasing times; iterating it yields the poses."""
 
     poses: tuple
     timestamps: np.ndarray
@@ -76,6 +76,8 @@ class TrajectorySpec:
         ts = np.asarray(self.timestamps, dtype=float)
         if len(poses) == 0 or ts.shape != (len(poses),):
             raise ValueError("need one timestamp per pose")
+        if not np.all(np.isfinite(ts)):
+            raise ValueError("timestamps must be finite")
         if len(poses) > 1 and not np.all(np.diff(ts) > 0):
             raise ValueError("timestamps must be strictly increasing")
         object.__setattr__(self, "poses", poses)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +248,43 @@ def test_malformed_scan_file_is_io_error(tmp_path, content, capsys):
     assert str(scan) in capsys.readouterr().err
     rc = main(["odometry", "--dataset", str(data), "--out", str(tmp_path / "o")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("method", ["ro", "icp"])
+def test_odometry_reports_a_malformed_last_scan_and_writes_nothing(tmp_path, method, capsys):
+    cfg, data = simulate(tmp_path)
+    last = sorted(data.glob("scan_*.rscan"))[-1]
+    last.write_bytes(b"#notascan\n1 2 x y z\n")
+    out = tmp_path / "o"
+    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out),
+               "--method", method])
+    assert rc == 3
+    assert str(last) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["ro", "icp"])
+def test_odometry_loads_each_scan_when_the_pair_loop_reaches_it(tmp_path, method,
+                                                                monkeypatch):
+    cfg = write_cfg(tmp_path, SMALL_SIM.replace("steps = 4", "steps = 6"))
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    refs, alive = [], []
+    load = radarodo.cli.load_scan
+
+    def recording_load(path):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        scan = load(path)
+        refs.append(weakref.ref(scan))
+        return scan
+
+    monkeypatch.setattr(radarodo.cli, "load_scan", recording_load)
+    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data),
+               "--out", str(tmp_path / "o"), "--method", method])
+    assert rc == 0
+    # the scan before the one being loaded may still be alive, no earlier one
+    assert len(alive) == 6 and max(alive) <= 1
 
 
 def test_simulate_writes_dataset(tmp_path):

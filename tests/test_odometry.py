@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -177,6 +179,27 @@ def test_odometry_pairs_yields_each_pair_when_its_second_scan_is_read():
     assert pulled[0] == 4
 
 
+def test_run_odometry_reads_a_one_shot_feed_once_with_one_earlier_scan_alive():
+    world = close_world(6)
+    refs, alive = [], []
+
+    def render_lazily():
+        for k in range(8):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            scan = render_scan(world, Pose2(0.5 * k, 0.0, 0.0), META, QUIET, seed=k,
+                               timestamp=0.25 * k)
+            refs.append(weakref.ref(scan))
+            yield scan
+
+    feed, pulled = counting_feed(render_lazily())
+    result = run_odometry(feed, CFG)
+    assert pulled[0] == 8 and len(result.pairs) == 7
+    # the scan before the one being read may still be alive, no earlier one
+    assert len(alive) == 8 and max(alive) <= 1
+    assert np.array_equal(result.trajectory.timestamps, [0.25 * k for k in range(8)])
+
+
 def test_odometry_pairs_equal_run_odometry_pairs_with_a_failed_middle_pair():
     # the blank-scan setup of the fallback test, with one more good scan
     world = close_world(7)
@@ -219,8 +242,9 @@ def test_odometry_pairs_of_a_one_scan_feed_is_empty():
     scan = render_scan(close_world(5), Pose2(), META, QUIET, seed=0, timestamp=0.0)
     assert list(odometry_pairs([scan], CFG)) == []
     assert list(odometry_pairs([], CFG)) == []
-    with pytest.raises(ValueError, match="need at least 2 scans"):
-        run_odometry([scan], CFG)
+    for scans in ([scan], [], iter([]), (s for s in [scan])):
+        with pytest.raises(ValueError, match="need at least 2 scans"):
+            run_odometry(scans, CFG)
 
 
 def test_positional_dt_is_ignored():

@@ -53,6 +53,20 @@ def test_trajectory_spec_validation():
         TrajectorySpec(poses=(Pose2(), Pose2()), timestamps=(0.0, 0.0))
     with pytest.raises(ValueError):
         TrajectorySpec(poses=(Pose2(),), timestamps=(0.0, 1.0))
+    # np.diff of (0, inf) is inf > 0, so finiteness needs its own check
+    for ts in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (math.nan,), (math.inf,)):
+        poses = tuple(Pose2(float(k), 0.0, 0.0) for k in range(len(ts)))
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            TrajectorySpec(poses=poses, timestamps=ts)
+
+
+def test_records_holding_arrays_compare_and_hash_by_identity():
+    for make in (lambda: make_trajectory("straight", 3), lambda: Landmark([1.0, 2.0])):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert a in [b, a] and b not in [a]
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
 
 
 def test_trajectory_spec_iterates_over_its_poses():
