@@ -8,11 +8,11 @@ their outputs.
 
 ``odometry`` runs both methods (``ro`` and ``icp``) through
 ``odometry.run_odometry``, loading each scan file when the pair loop
-reaches it, so at most two scans are in memory; the spectral method takes
-one parameter, the region budget ``l_max``. ``odometry`` and ``eval`` both
-write what ``odometry.evaluate`` returns for the trajectory, so ``eval`` on
-the ``trajectory.csv`` that ``odometry`` wrote reproduces its error lines
-exactly.
+reaches it, so at most two scans are in memory. Both read one setting, the
+region budget ``l_max``; ``icp`` runs ``icp_matcher()`` at its defaults.
+``odometry`` and ``eval`` both write what ``odometry.evaluate`` returns for
+the trajectory, so ``eval`` on the ``trajectory.csv`` that ``odometry``
+wrote reproduces its error lines exactly.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 I/O error
 (including a malformed scan file), 4 no scan pair could be matched
@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .bench import _check_sweep, slope_of, sweep_association, sweep_extraction
 from .errors import RadarOdoError, ScanFormatError, stage
-from .icp import IcpConfig, icp_matcher
+from .icp import icp_matcher
 from .keypoints import extract_keypoints, write_keypoints_csv
 from .odometry import PipelineConfig, evaluate, run_odometry
 from .scan import SensorMeta, load_scan, save_scan
@@ -62,9 +62,6 @@ CONFIG_SCHEMA = {
     "min_separation": (float, 0.0),
     **{f.name: (type(f.default), f.default) for f in dataclasses.fields(ArtifactModel)},
     "l_max": (int, PipelineConfig.l_max),
-    "nn_radius": (float, IcpConfig.nn_radius),
-    "icp_tol": (float, IcpConfig.convergence_tol),
-    "icp_max_iterations": (int, IcpConfig.max_iterations),
 }
 
 
@@ -213,7 +210,8 @@ def write_trajectory_svg(path, named_tracks):
 
 
 def _scan_paths(dataset: Path):
-    paths = sorted(dataset.glob("scan_*.rscan"))
+    # by length first, so scan_100000 follows scan_99999 as simulate numbers them
+    paths = sorted(dataset.glob("scan_*.rscan"), key=lambda p: (len(p.name), p.name))
     if not paths:
         raise FileNotFoundError(f"no scan_*.rscan files in {dataset}")
     return paths
@@ -281,15 +279,7 @@ def cmd_odometry(args) -> int:
     stats = {}
     with stage("total", stats):
         scans = map(load_scan, scan_paths)  # each loaded when the pair loop reaches it
-        matcher = None
-        if args.method == "icp":
-            matcher = icp_matcher(
-                IcpConfig(
-                    nn_radius=cfg["nn_radius"],
-                    convergence_tol=cfg["icp_tol"],
-                    max_iterations=cfg["icp_max_iterations"],
-                )
-            )
+        matcher = icp_matcher() if args.method == "icp" else None
         result = run_odometry(scans, PipelineConfig(l_max=cfg["l_max"]), matcher)
     entries = {
         "method": args.method,

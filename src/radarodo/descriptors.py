@@ -82,10 +82,27 @@ _TINY32 = 2.0**-126
 
 @dataclass(frozen=True, eq=False)
 class UnaryMatches:
-    """Best descriptor match in L2 for each L1 keypoint."""
+    """Best descriptor match in L2 for each L1 keypoint.
+
+    Raises ValueError unless both index arrays are 1-D integer arrays of one
+    length with no negative entry: a negative index would alias a keypoint
+    that one-to-one selection then counts as another.
+    """
 
     l1_indices: np.ndarray
     l2_indices: np.ndarray
+
+    def __post_init__(self):
+        i1, i2 = np.asarray(self.l1_indices), np.asarray(self.l2_indices)
+        if not (
+            i1.ndim == 1
+            and i1.shape == i2.shape
+            and all(np.issubdtype(a.dtype, np.integer) for a in (i1, i2))
+            and (i1.size == 0 or min(i1.min(), i2.min()) >= 0)
+        ):
+            raise ValueError("need 1-D integer index arrays of one length, none negative")
+        object.__setattr__(self, "l1_indices", i1)
+        object.__setattr__(self, "l2_indices", i2)
 
     @property
     def u(self) -> int:
@@ -95,10 +112,13 @@ class UnaryMatches:
 def _points(kset) -> np.ndarray:
     """The (N, 2) float points of a keypoint set or a raw cloud.
 
-    Raises ValueError unless every coordinate is finite and at most ``_MAX_COORD`` in
-    magnitude, where no squared distance overflows and the rigid fit stays finite.
+    Raises ValueError, naming the shape, for an array that is not (N, 2), and
+    unless every coordinate is finite and at most ``_MAX_COORD`` in magnitude,
+    where no squared distance overflows and the rigid fit stays finite.
     """
     xy = np.asarray(getattr(kset, "xy", kset), dtype=float)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"points must be an (N, 2) array, got shape {xy.shape}")
     # written so that NaN fails too
     if not np.all(np.abs(xy) <= _MAX_COORD):
         raise ValueError(

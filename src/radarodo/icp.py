@@ -59,19 +59,16 @@ class IcpDiagnostics:
 def icp_match(l1, l2, config: IcpConfig | None = None):
     """Align L1 points onto L2 points; returns (pose, diagnostics).
 
-    The pose maps L1 coordinates into L2's frame. Raises
-    :class:`IcpDivergedError` when an iteration pairs fewer than two points,
-    and when either set is empty or a target point holds NaN; after those
-    checks, ValueError for a coordinate of either set that is not finite or
-    exceeds 2**510 in magnitude, as :func:`pairwise_compatibility` does.
+    The pose maps L1 coordinates into L2's frame. Raises ValueError unless
+    both sets are (N, 2) with every coordinate finite and at most 2**510 in
+    magnitude, as :func:`radarodo.odometry.match_keypoint_sets` does; then
+    :class:`IcpDivergedError` when either set is empty, and when an
+    iteration pairs fewer than two points.
     """
     cfg = config if config is not None else IcpConfig()
-    src, dst = (np.asarray(getattr(p, "xy", p), dtype=float) for p in (l1, l2))
+    src, dst = _points(l1), _points(l2)
     if src.shape[0] == 0 or dst.shape[0] == 0:
         raise IcpDivergedError("cannot align empty keypoint sets")
-    if np.isnan(dst).any():
-        raise IcpDivergedError("cannot align onto NaN target points")
-    src, dst = _points(src), _points(dst)
     r2 = cfg.nn_radius**2
     order = np.argsort(dst[:, 0], kind="stable")
     tx = dst[order, 0]

@@ -194,10 +194,15 @@ def mark_regions(h: np.ndarray, s_prime: np.ndarray, l_max: int):
     region; if the batch runs out first and positive cells remain, it is
     widened fourfold.
 
-    ``l_max`` must be an int >= 1 (a bool is not one), else ValueError.
+    ``l_max`` must be an int >= 1 (a bool is not one), and ``h`` and
+    ``s_prime`` 2-D arrays of one shape, else ValueError.
     """
     if not _is_count(l_max):
         raise ValueError("l_max must be an int >= 1")
+    if h.ndim != 2 or h.shape != s_prime.shape:
+        raise ValueError(
+            f"need 2-D h and s_prime of one shape, got {h.shape} and {s_prime.shape}"
+        )
     pos = np.flatnonzero(h > 0.0)
     score = h.ravel()[pos]
     size = _BATCH_PER_REGION * l_max

@@ -87,10 +87,11 @@ def pairwise_compatibility(u_matches: UnaryMatches, l1, l2, sigma: float) -> np.
     keypoint on either side (they can never be selected together). A
     coordinate that is not finite or exceeds 2**510 in magnitude raises
     ValueError, as in :func:`radarodo.descriptors.descriptor_matrix`, and so
-    does a ``sigma`` outside [2**-511, 2**511] (:func:`_check_sigma`),
-    where 2 sigma**2 could overflow or round to zero, before any (u, u)
-    work. A discrepancy whose ratio to 2 sigma**2 overflows is far past the
-    3 sigma cut, so its entry is zero and the overflow is not reported.
+    do a candidate index at or past its set's size and a ``sigma`` outside
+    [2**-511, 2**511] (:func:`_check_sigma`), where 2 sigma**2 could
+    overflow or round to zero, before any (u, u) work. A discrepancy whose
+    ratio to 2 sigma**2 overflows is far past the 3 sigma cut, so its entry
+    is zero and the overflow is not reported.
 
     C is exactly symmetric: distances square their coordinate differences,
     (-d)**2 = d**2 exactly, and every later step is elementwise. So only its
@@ -105,8 +106,10 @@ def pairwise_compatibility(u_matches: UnaryMatches, l1, l2, sigma: float) -> np.
     if u < 2:
         raise DegenerateProblemError(f"need at least 2 candidates, got {u}")
     i1, i2 = u_matches.l1_indices, u_matches.l2_indices
-    p1 = _points(l1)[i1]
-    p2 = _points(l2)[i2]
+    p1, p2 = _points(l1), _points(l2)
+    if i1.max() >= p1.shape[0] or i2.max() >= p2.shape[0]:
+        raise ValueError("candidate indices must be below their set's size")
+    p1, p2 = p1[i1], p2[i2]
     c = np.empty((u, u))
     for lo in range(0, u, _BLOCK):
         hi = min(lo + _BLOCK, u)
@@ -235,18 +238,19 @@ def eigengap_measure(c: np.ndarray, selected_rows) -> float:
     Where both paths pick the same end, their gaps differ by at most
     2e-13 lambda1 / u (below 2e-13 for a compatibility matrix, whose
     entries are at most 1).
-    Raises ValueError unless every row is an integer in [0, u).
+    Raises ValueError unless ``c`` is square and every row is an integer
+    in [0, u).
     """
     rows = np.asarray(selected_rows)
     if rows.size < 1:
         raise ValueError("need at least one selected candidate")
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError(f"need a square compatibility matrix, got shape {c.shape}")
     u = c.shape[0]
     if not np.issubdtype(rows.dtype, np.integer) or rows.min() < 0 or rows.max() >= u:
         raise ValueError(f"selected rows must be integers in [0, {u})")
     rows = np.unique(rows)
     block = c.take(rows, axis=0).take(rows, axis=1)
-    if not block.any():
-        return 0.0
     certified = False
     if rows.size >= _LANCZOS_MIN_K:
         start = np.random.default_rng(0).uniform(0.5, 1.5, (2, rows.size))
@@ -269,12 +273,15 @@ def greedy_select(c: np.ndarray, solution: SpectralSolution, u_matches: UnaryMat
     projection p = C (indicator * v) and the indicator, which holds k
     ones: (p . indicator) / (||p|| sqrt(k)), clipped to [0, 1], and 0 when
     p vanishes. p is kept up to date by adding one row per commit (C is
-    exactly symmetric, and a row is contiguous).
+    exactly symmetric, and a row is contiguous). Raises ValueError unless
+    ``c`` is (u, u) and the eigenvector has u entries.
     """
     v = solution.eigenvector
     u = u_matches.u
     if c.shape != (u, u):
         raise ValueError("compatibility matrix does not match candidate count")
+    if v.shape != (u,):
+        raise ValueError("eigenvector does not match candidate count")
     l1, l2 = u_matches.l1_indices.tolist(), u_matches.l2_indices.tolist()
     used1, used2 = set(), set()
     indicator = np.zeros(u)

@@ -1,5 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+
+# On a failing @given test the Hypothesis pytest plugin imports its patch
+# writer, whose libcst import warns a DeprecationWarning; pyproject turns
+# that into an INTERNALERROR that ends the run. Imported once here, with
+# only that category ignored, the plugin's later import is a cached no-op.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from radarodo import (
     ArtifactModel,

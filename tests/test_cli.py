@@ -70,19 +70,28 @@ def test_config_file_parsing(tmp_path):
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):
-    # dt is gone: simulated scans are one scan_period apart
-    for key in ("warp_drive", "dt"):
+    # dt is gone: simulated scans are one scan_period apart; and the ICP
+    # method runs at IcpConfig's defaults, reading l_max alone, as ro does
+    for key in ("warp_drive", "dt", "nn_radius", "icp_tol", "icp_max_iterations"):
         path = write_cfg(tmp_path, f"{key} = 0.25\n")
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
         assert rc == 2, key
         assert f"{path}:1: unknown key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+    _, data = simulate(tmp_path)
+    for key in ("nn_radius", "icp_tol", "icp_max_iterations"):
+        path = write_cfg(tmp_path, SMALL_SIM + f"{key} = 1\n", name="icp.ini")
+        rc = main(["odometry", "--config", str(path), "--dataset", str(data),
+                   "--out", str(tmp_path / "icp"), "--method", "icp"])
+        assert rc == 2, key
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "icp").exists()
 
 
 def test_config_rejects_bad_value(tmp_path, capsys):
     # a non-finite float would reach the manifest as NaN or Infinity
     for text in ("steps = soon", "speckle_scale = nan", "background_noise = nan",
-                 "false_positive_rate = nan", "yaw_rate = nan", "nn_radius = inf",
+                 "false_positive_rate = nan", "yaw_rate = nan", "world_extent = inf",
                  "speed = -inf"):
         path = write_cfg(tmp_path, f"steps = 3\n{text}\n")
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
@@ -285,6 +294,21 @@ def test_odometry_loads_each_scan_when_the_pair_loop_reaches_it(tmp_path, method
     assert rc == 0
     # the scan before the one being loaded may still be alive, no earlier one
     assert len(alive) == 6 and max(alive) <= 1
+
+
+def test_odometry_reads_scans_past_scan_99999_in_index_order(tmp_path, capsys):
+    # as strings, scan_100000 sorts between scan_10000 and scan_10001
+    data = tmp_path / "data"
+    data.mkdir()
+    names = ["scan_10000", "scan_10001", "scan_100000"]
+    for k, name in enumerate(names):
+        power = np.random.default_rng(k).random((2, 2))
+        save_scan(data / f"{name}.rscan", PolarScan(SensorMeta(2, 2, 0.5, 0.25), power, 0.25 * k))
+    out = tmp_path / "out"
+    rc = main(["odometry", "--dataset", str(data), "--out", str(out)])
+    assert rc != 2, capsys.readouterr().err
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert inputs == [str(data / f"{name}.rscan") for name in names]
 
 
 def test_simulate_writes_dataset(tmp_path):

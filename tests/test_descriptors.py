@@ -1,15 +1,20 @@
 import cmath
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from radarodo import KeypointSet, NoCandidatesError, Pose2, SensorMeta, apply_pose, descriptors
+from radarodo import (
+    KeypointSet, NoCandidatesError, Pose2, SensorMeta, apply_pose, descriptors, icp_match,
+    pairwise_compatibility,
+)
 from radarodo.descriptors import (
     _GATHER,
     _UNARY_BLOCK,
+    UnaryMatches,
     _angular_bins,
     _nearest_rows,
     descriptor_matrix,
@@ -372,6 +377,26 @@ def test_unary_identity_sets_match_one_to_one():
     assert matches.u == 15
     assert np.array_equal(matches.l1_indices, np.arange(15))
     assert np.array_equal(matches.l2_indices, np.arange(15))
+
+
+@pytest.mark.parametrize("shape", [(6, 3), (6, 1), (6,), (2,)], ids=["N3", "N1", "N", "2"])
+def test_point_sets_that_are_not_n_by_2_raise(shape):
+    # unchecked, the compatibility matrix would read an (N, 3) cloud as its
+    # first two columns, and the other stages would fail inside numpy
+    bad = np.random.default_rng(0).uniform(-10.0, 10.0, size=shape)
+    good = random_cloud(np.random.default_rng(1), 6)
+    um = UnaryMatches(np.arange(2), np.arange(2))
+    message = re.escape(f"points must be an (N, 2) array, got shape {shape}")
+    with pytest.raises(ValueError, match=message):
+        descriptor_matrix(bad, 8, 6, MAX_RANGE)
+    for a, b in ((bad, good), (good, bad)):
+        for call in (
+            lambda: propose_unary_matches(a, b, 8, 6, MAX_RANGE),
+            lambda: pairwise_compatibility(um, a, b, 1.0),
+            lambda: icp_match(a, b),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_unary_rejects_empty_sets():

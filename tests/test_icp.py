@@ -147,22 +147,23 @@ def test_pairing_radius_is_inclusive_and_ties_go_to_the_lowest_target_index():
 
 
 def test_nan_target_raises():
+    # malformed input, as for the spectral matcher: not a divergence
     src = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     dst = np.vstack([src, [[np.nan, 0.0]]])
-    with pytest.raises(IcpDivergedError):
+    with pytest.raises(ValueError, match="point coordinates must be finite"):
         icp_match(src, dst)
 
 
 def test_points_beyond_the_pipeline_bound_raise():
-    # checked after the empty-set and NaN-target checks, which keep raising
-    # IcpDivergedError; a NaN source point is no longer left unpaired
+    # both sets are checked before the empty-set check; a NaN in either set
+    # is a point beyond the bound too
     src = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     far = np.vstack([src, [[1e200, 0.0]]])
-    for s, d in ((far, src), (src, far), (np.vstack([src, [[np.nan, 0.0]]]), src)):
+    nan = np.vstack([src, [[np.nan, 0.0]]])
+    empty = np.zeros((0, 2))
+    for s, d in ((far, src), (src, far), (nan, src), (far, nan), (empty, nan), (far, empty)):
         with pytest.raises(ValueError, match="point coordinates must be finite"):
             icp_match(s, d)
-    with pytest.raises(IcpDivergedError):
-        icp_match(far, np.vstack([src, [[np.nan, 0.0]]]))
 
 
 def test_config_validation():

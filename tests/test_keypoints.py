@@ -179,6 +179,14 @@ def test_mark_regions_rejects_bad_budget():
     assert mark_regions(h, s_prime, np.int64(2))[1] == 2
 
 
+def test_mark_regions_rejects_images_of_other_shapes():
+    h, s_prime = scoring_image(scan_of(FIXTURE_A))
+    for bad_h, bad_s in ((h, s_prime[:, :-1]), (h[:-1], s_prime), (h[0], s_prime[0]),
+                         (h.ravel(), s_prime.ravel()), (h[None], s_prime[None])):
+        with pytest.raises(ValueError, match="2-D h and s_prime of one shape"):
+            mark_regions(bad_h, bad_s, 5)
+
+
 # Fixture A: 3x3 blob in a 5x20 grid. Only the center column survives the
 # gradient penalty, one region (and one keypoint) per blob row.
 FIXTURE_A = np.zeros((5, 20))

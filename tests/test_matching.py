@@ -250,6 +250,10 @@ def test_eigengap_rejects_rows_that_are_not_candidates(rows):
     c, _ = clique_instance(np.random.default_rng(15), 5, extra=3)
     with pytest.raises(ValueError):
         eigengap_measure(c, rows)
+    # nor a matrix that is not square, whatever rows it is given
+    for bad in (c[:, :-1], c[:-1], c[0], c[None]):
+        with pytest.raises(ValueError, match="square"):
+            eigengap_measure(bad, rows or [0, 1])
 
 
 def top_two(lam):
@@ -636,6 +640,10 @@ def test_eigengap_zero_for_unsupported_selection():
     c, um = clique_instance(rng, 4, extra=2)
     # the scatter candidates have no mutual support at all
     assert eigengap_measure(c, [4, 5]) == 0.0
+    # an all-zero block gives 0 on the dense path and on the Lanczos one
+    for k in (1, _LANCZOS_MIN_K - 1, _LANCZOS_MIN_K, _LANCZOS_MIN_K + 30):
+        c, rows = embedded(np.zeros((k, k)), rng)
+        assert eigengap_measure(c, rows) == 0.0, k
 
 
 def test_greedy_selects_the_clique():
@@ -656,6 +664,40 @@ def test_greedy_rejects_a_matrix_of_another_size():
     for bad in (c[:-1, :-1], c[:, :-1], np.ones((6, 6))):
         with pytest.raises(ValueError, match="does not match candidate count"):
             greedy_select(bad, sol, um)
+    # a shorter eigenvector would leave candidates unvisited, a longer one
+    # index past them
+    v = sol.eigenvector
+    for bad in (v[:-1], np.append(v, 0.0), v[None]):
+        short = SpectralSolution(eigenvector=bad, eigenvalue=sol.eigenvalue, iterations=1)
+        with pytest.raises(ValueError, match="eigenvector does not match candidate count"):
+            greedy_select(c, short, um)
+
+
+def test_unary_matches_reject_indices_that_are_not_keypoints():
+    # -1 would alias L1 keypoint 5, which greedy selection would then use
+    # twice: its candidates (5, 5) and (-1, 6) look like distinct keypoints
+    with pytest.raises(ValueError, match="none negative"):
+        UnaryMatches(np.array([0, 1, 2, 3, 4, 5, -1]), np.arange(7))
+    with pytest.raises(ValueError, match="none negative"):
+        UnaryMatches(np.arange(7), np.array([0, 1, 2, 3, 4, 5, -1]))
+    for l1, l2 in (
+        (np.arange(3), np.arange(4)),  # unequal lengths
+        (np.arange(3.0), np.arange(3)),  # float indices
+        (np.arange(3), np.array([True, False, True])),
+        (np.arange(4).reshape(2, 2), np.arange(4).reshape(2, 2)),
+    ):
+        with pytest.raises(ValueError, match="1-D integer index arrays"):
+            UnaryMatches(l1, l2)
+    assert UnaryMatches(np.arange(0), np.arange(0)).u == 0
+
+
+def test_compatibility_rejects_an_index_past_its_set():
+    pts = np.random.default_rng(0).uniform(-10.0, 10.0, size=(6, 2))
+    for l1, l2 in ((np.array([0, 6]), np.arange(2)), (np.arange(2), np.array([0, 6]))):
+        with pytest.raises(ValueError, match="below their set's size"):
+            pairwise_compatibility(UnaryMatches(l1, l2), pts, pts, SIGMA)
+    c = pairwise_compatibility(UnaryMatches(np.array([0, 5]), np.array([5, 0])), pts, pts, SIGMA)
+    assert c.shape == (2, 2)
 
 
 def test_greedy_respects_uniqueness():
