@@ -10,13 +10,15 @@ their outputs.
 ``odometry.run_odometry``, loading each scan file when the pair loop
 reaches it, so at most two scans are in memory. Both read one setting, the
 region budget ``l_max``; ``icp`` runs ``icp_matcher()`` at its defaults.
-``odometry`` and ``eval`` both write what ``odometry.evaluate`` returns for
-the trajectory, so ``eval`` on the ``trajectory.csv`` that ``odometry``
-wrote reproduces its error lines exactly.
+``odometry`` scores against ``dataset/truth.csv`` when it exists, ``eval``
+against any truth file; both write what ``odometry.evaluate`` returns, so
+``eval`` of ``odometry``'s ``trajectory.csv`` repeats its error lines exactly.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 I/O error
-(including a malformed scan file), 4 no scan pair could be matched
-(``odometry`` still writes its outputs).
+Exit codes: 0 success, 2 configuration or usage error (including an
+``extract`` or ``eval`` output that is one of its inputs), 3 I/O error
+(including a malformed scan file, and ``simulate`` into a directory that
+already holds scans), 4 no scan pair could be matched (``odometry`` still
+writes its outputs).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .bench import _check_sweep, slope_of, sweep_association, sweep_extraction
-from .errors import RadarOdoError, ScanFormatError, stage
+from .errors import ScanFormatError, stage
 from .icp import icp_matcher
 from .keypoints import extract_keypoints, write_keypoints_csv
 from .odometry import PipelineConfig, evaluate, run_odometry
@@ -166,8 +168,6 @@ def write_metrics_file(path, entries: dict):
     """Plain ``key = value`` lines; timing keys carry a ``timing_`` prefix."""
     with open(path, "w", encoding="ascii") as f:
         for key, value in entries.items():
-            if isinstance(value, float):
-                value = repr(value)
             f.write(f"{key} = {value}\n")
 
 
@@ -217,6 +217,17 @@ def _scan_paths(dataset: Path):
     return paths
 
 
+def _refuse_overwrite(outputs: dict, inputs: dict):
+    """Raise ValueError when an output path resolves to an input's or to an
+    earlier output's; both map a flag to its path."""
+    taken = {Path(path).resolve(): flag for flag, path in inputs.items()}
+    for flag, path in outputs.items():
+        resolved = Path(path).resolve()
+        if resolved in taken:
+            raise ValueError(f"{flag} {path} would overwrite {taken[resolved]}")
+        taken[resolved] = flag
+
+
 def _from_config(record, cfg):
     """Build the dataclass ``record`` from the config keys named like its fields."""
     return record(**{f.name: cfg[f.name] for f in dataclasses.fields(record)})
@@ -225,6 +236,9 @@ def _from_config(record, cfg):
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args.config)
     out_dir = Path(args.out)
+    # new scans over an older, longer run would leave a mixed dataset
+    if any(out_dir.glob("scan_*.rscan")):
+        raise FileExistsError(f"{out_dir} already holds scan_*.rscan files")
     stats = {}
     with stage("total", stats):
         meta = _from_config(SensorMeta, cfg)
@@ -257,6 +271,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    _refuse_overwrite({"--out": args.out}, {"--scan": args.scan})
     cfg = resolve_config(args.config, args.l_max)
     scan = load_scan(args.scan)
     stats = {}
@@ -293,9 +308,9 @@ def cmd_odometry(args) -> int:
         )
         entries["mean_eigengap"] = float(np.mean([p.eigengap for p in matched]))
 
-    truth_path = Path(args.truth) if args.truth else dataset / "truth.csv"
+    truth_path = dataset / "truth.csv"
     truth = None
-    if args.truth or truth_path.exists():
+    if truth_path.exists():
         try:
             truth = read_pose_csv(truth_path)  # plotted even when it does not line up
             entries.update(evaluate(result.trajectory, truth))
@@ -331,8 +346,10 @@ def cmd_odometry(args) -> int:
 def cmd_eval(args) -> int:
     out_path = Path(args.out)
     svg_path = out_path.with_suffix(".svg")
-    if args.plot and svg_path == out_path:
-        raise ValueError(f"--plot writes <out>.svg, which would overwrite --out {out_path}")
+    outputs = {"--out": out_path}
+    if args.plot:
+        outputs["--plot's <out>.svg"] = svg_path
+    _refuse_overwrite(outputs, {"--trajectory": args.trajectory, "--truth": args.truth})
     estimate, truth = read_pose_csv(args.trajectory), read_pose_csv(args.truth)
     entries = evaluate(estimate, truth)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -406,10 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("odometry", help="run scan-to-scan odometry over a dataset")
     pipeline_flags(p)
-    p.add_argument("--dataset", required=True, help="directory of scan_*.rscan files")
+    p.add_argument("--dataset", required=True, help="scan_*.rscan files and an optional truth.csv")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--method", choices=("ro", "icp"), default="ro")
-    p.add_argument("--truth", default=None, help="truth CSV (default: dataset/truth.csv)")
     p.add_argument("--plot", action="store_true", help="also write an SVG overlay")
     p.set_defaults(fn=cmd_odometry)
 
@@ -441,9 +457,6 @@ def main(argv=None) -> int:
     except (OSError, ScanFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
-    except RadarOdoError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_MATCH
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -71,7 +71,8 @@ class PipelineConfig:
 
 @dataclass(frozen=True, eq=False)
 class PairResult:
-    """Relative pose and diagnostics for one consecutive scan pair."""
+    """Relative pose and diagnostics for one consecutive scan pair. A pair
+    failed when it has a ``failure_reason``; ``failed`` reads it."""
 
     pose: Pose2
     u: int = 0
@@ -80,8 +81,11 @@ class PairResult:
     eigengap: float = 0.0
     residual_rms: float = 0.0
     timings: dict = field(default_factory=dict)
-    failed: bool = False
     failure_reason: str = ""
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.failure_reason)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +185,7 @@ def odometry_pairs(scans, cfg: PipelineConfig | None = None, matcher=None):
                 stats = err.diagnostics or {}
                 reason = f"{type(err).__name__}: {err}"
             stats.setdefault("timings", {})["extract"] = extracted["timings"].pop("extract")
-            yield PairResult(pose=pose, failed=bool(reason), failure_reason=reason, **stats)
+            yield PairResult(pose=pose, failure_reason=reason, **stats)
         kp_a = kp_b
 
 

@@ -20,7 +20,9 @@ from radarodo import (
     extract_keypoints, icp_matcher, load_scan, run_odometry, save_scan,
 )
 from radarodo import odometry
-from radarodo.cli import CONFIG_SCHEMA, main, read_config_file, read_pose_csv, write_pose_csv
+from radarodo.cli import (
+    CONFIG_SCHEMA, main, read_config_file, read_pose_csv, write_metrics_file, write_pose_csv,
+)
 from radarodo.errors import ScanFormatError
 
 SMALL_SIM = """
@@ -325,6 +327,28 @@ def test_simulate_writes_dataset(tmp_path):
     assert truth.poses[-1].x == pytest.approx(3 * 3.0 * 0.25)
 
 
+def snapshot(root):
+    """Every file under ``root``, by path, with its bytes."""
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_simulate_into_a_directory_holding_scans_exits_3(tmp_path, capsys):
+    small = "num_azimuths = 64\nnum_range_bins = 64\nsteps = {}\n"
+    data = tmp_path / "d"
+    data.mkdir()  # a new, empty directory is fine
+    cfg = write_cfg(tmp_path, small.format(6), name="six.ini")
+    assert main(["simulate", "--config", str(cfg), "--seed", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    before = snapshot(tmp_path)
+    cfg = write_cfg(tmp_path, small.format(3), name="three.ini")
+    before[cfg] = cfg.read_bytes()
+    rc = main(["simulate", "--config", str(cfg), "--seed", "2", "--out", str(data)])
+    assert rc == 3
+    assert f"error: {data} already holds scan_*.rscan files" in capsys.readouterr().err
+    assert snapshot(tmp_path) == before
+    assert len(list(data.glob("scan_*.rscan"))) == 6
+
+
 def test_simulated_scans_are_one_scan_period_apart(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_SIM + "scan_period = 0.1\n")
     data = tmp_path / "data"
@@ -439,6 +463,44 @@ def test_eval_plot_that_would_overwrite_its_metrics_is_a_usage_error(tmp_path, c
     assert rc == 2
     assert "overwrite" in capsys.readouterr().err
     assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "--scan", "data/scan_00000.rscan", "--out", "data/../data/scan_00000.rscan"],
+        ["eval", "--trajectory", "t.csv", "--truth", "data/truth.csv", "--out", "./data/truth.csv"],
+        ["eval", "--trajectory", "t.csv", "--truth", "data/truth.csv", "--out", "t.csv"],
+        ["eval", "--trajectory", "t.csv", "--truth", "data/truth.csv", "--out", "link.csv"],
+        ["eval", "--trajectory", "t.csv", "--truth", "g.svg", "--out", "g.txt", "--plot"],
+        ["eval", "--trajectory", "t.svg", "--truth", "data/truth.csv", "--out", "t.txt", "--plot"],
+    ],
+    ids=["extract-scan", "eval-truth", "eval-trajectory", "eval-truth-by-link",
+         "eval-plot-truth", "eval-plot-trajectory"],
+)
+def test_an_output_that_is_an_input_is_a_usage_error(tmp_path, monkeypatch, argv, capsys):
+    simulate(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    truth = (tmp_path / "data" / "truth.csv").read_bytes()
+    for name in ("t.csv", "t.svg", "g.svg"):
+        (tmp_path / name).write_bytes(truth)
+    (tmp_path / "link.csv").symlink_to(tmp_path / "data" / "truth.csv")
+    capsys.readouterr()
+    before = snapshot(tmp_path)
+    rc = main(argv)
+    assert rc == 2
+    assert "would overwrite" in capsys.readouterr().err
+    assert snapshot(tmp_path) == before
+
+
+def test_metrics_file_writes_each_value_as_python_prints_it(tmp_path):
+    floats = {"third": 1 / 3, "tiny": 5e-324, "big": 1e16, "negzero": -0.0, "inf": math.inf}
+    entries = {"method": "ro", "n_pairs": 3, **floats, "np": np.float64(0.1)}
+    path = tmp_path / "metrics.txt"
+    write_metrics_file(path, entries)
+    assert path.read_text().splitlines() == [
+        "method = ro", "n_pairs = 3", *(f"{k} = {v!r}" for k, v in floats.items()), "np = 0.1",
+    ]
 
 
 def test_odometry_error_lines_equal_eval_of_its_trajectory(tmp_path):
@@ -658,9 +720,10 @@ def test_bench_writes_summary(tmp_path):
         ["simulate", "--out", "d", "--l-max", "5"],
         ["extract", "--scan", "s.rscan", "--out", "k.csv", "--seed", "9"],
         ["odometry", "--dataset", "d", "--out", "o", "--seed", "9"],
+        ["odometry", "--dataset", "d", "--out", "o", "--truth", "t.csv"],
     ],
     ids=["eval-config", "eval-l-max", "eval-seed", "bench-config", "bench-l-max",
-         "simulate-l-max", "extract-seed", "odometry-seed"],
+         "simulate-l-max", "extract-seed", "odometry-seed", "odometry-truth"],
 )
 def test_commands_reject_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -691,11 +754,10 @@ def test_negative_pipeline_setting_is_a_config_error(tmp_path, line, capsys):
 
 def test_misaligned_truth_is_reported_not_scored(tmp_path, capsys):
     cfg, data = simulate(tmp_path)
-    short = tmp_path / "short.csv"
-    short.write_text("\n".join((data / "truth.csv").read_text().splitlines()[:-1]) + "\n")
+    truth = data / "truth.csv"
+    truth.write_text("\n".join(truth.read_text().splitlines()[:-1]) + "\n")
     out = tmp_path / "ro"
-    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out),
-               "--truth", str(short)])
+    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out)])
     assert rc == 0
     warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
     assert warnings == ["warning: truth not scored: truth length does not match scan count"]
@@ -704,15 +766,18 @@ def test_misaligned_truth_is_reported_not_scored(tmp_path, capsys):
     assert (out / "trajectory.csv").exists() and (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("truth", ["missing", "bad_header", "header_only"])
+@pytest.mark.parametrize("truth", ["bad_header", "header_only", "directory"])
 def test_unreadable_truth_is_reported_not_scored(tmp_path, truth, capsys):
     cfg, data = simulate(tmp_path)
-    path = tmp_path / f"{truth}.csv"
-    if truth != "missing":
+    path = data / "truth.csv"
+    if truth == "directory":
+        path.unlink()
+        path.mkdir()
+    else:
         path.write_text("bad,header\n" if truth == "bad_header" else "timestamp,x,y,theta\n")
     out = tmp_path / "ro"
     rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out),
-               "--truth", str(path), "--plot"])
+               "--plot"])
     assert rc == 0
     warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
     assert len(warnings) == 1 and warnings[0].startswith("warning: truth not scored: ")

@@ -378,6 +378,25 @@ def test_a_matcher_stat_that_is_not_a_pair_field_is_a_type_error():
         run_odometry(scans, CFG, matcher=matcher)
 
 
+def test_a_pair_failed_exactly_when_it_has_a_failure_reason():
+    assert "failed" not in {f.name for f in fields(odometry.PairResult)}
+    with pytest.raises(TypeError, match="failed"):
+        odometry.PairResult(Pose2(), failed=True)
+    world = close_world(7)
+    scans = [
+        render_scan(world if k < 2 else [], Pose2(0.75 * k, 0.0, 0.0), META, QUIET, seed=k,
+                    timestamp=0.25 * k)
+        for k in range(3)
+    ]
+    matched, failed = run_odometry(scans, CFG).pairs
+    assert (matched.failed, failed.failed) == (False, True)
+    for p in (matched, failed):
+        assert p.failed == bool(p.failure_reason)
+    # a matcher cannot set it either: like any key that is not a field
+    with pytest.raises(TypeError, match="failed"):
+        run_odometry(scans, CFG, matcher=lambda kp_a, kp_b: (Pose2(), {"failed": True}))
+
+
 def test_a_pair_failing_mid_match_reports_the_stages_it_passed():
     # a blank scan mid-sequence has no keypoints, so describing finds no
     # candidate; both pairs touching it still report their describe time
