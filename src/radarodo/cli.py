@@ -1,24 +1,27 @@
 """Command line front end: simulate, extract, odometry, eval, bench.
 
-Configuration comes from an optional flat key-value file (``key = value``
-per line, ``#`` comments) overridden by command line flags. ``simulate``,
-``extract`` and ``odometry`` write a ``manifest.json`` recording the
-resolved configuration, inputs, outputs, and stage wall times next to
-their outputs.
+``simulate`` reads the dataset it renders from an optional flat key-value
+file (``key = value`` per line, ``#`` comments); ``extract`` and
+``odometry`` read the pipeline's one parameter, the region budget, from
+``--l-max``. Each of the three writes a ``manifest.json`` next to its
+outputs recording what it read (the resolved file keys, or ``l_max``),
+inputs, outputs, and stage wall times. None of them writes into a dataset,
+a directory holding ``scan_*.rscan`` files, whose scans and manifest are
+``simulate``'s.
 
 ``odometry`` runs both methods (``ro`` and ``icp``) through
 ``odometry.run_odometry``, loading each scan file when the pair loop
-reaches it, so at most two scans are in memory. Both read one setting, the
-region budget ``l_max``; ``icp`` runs ``icp_matcher()`` at its defaults.
+reaches it, so at most two scans are in memory. Both read ``--l-max``;
+``icp`` runs ``icp_matcher()`` at its defaults.
 ``odometry`` scores against ``dataset/truth.csv`` when it exists, ``eval``
 against any truth file; both write what ``odometry.evaluate`` returns, so
 ``eval`` of ``odometry``'s ``trajectory.csv`` repeats its error lines exactly.
 
 Exit codes: 0 success, 2 configuration or usage error (including an
 ``extract`` or ``eval`` output that is one of its inputs), 3 I/O error
-(including a malformed scan file, and ``simulate`` into a directory that
-already holds scans), 4 no scan pair could be matched (``odometry`` still
-writes its outputs).
+(including a malformed scan file, and ``simulate``, ``extract`` or
+``odometry`` into a dataset), 4 no scan pair could be matched (``odometry``
+still writes its outputs).
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ EXIT_IO = 3
 EXIT_MATCH = 4
 
 
-# every config key with its type and default; flags override file values.
-# A default the library's records own is read from them.
+# every config key, all read by simulate, with its type and default. A
+# default the library's records own is read from them.
 CONFIG_SCHEMA = {
     "kind": (str, "straight"),
     "steps": (int, 20),
@@ -63,7 +66,6 @@ CONFIG_SCHEMA = {
     "min_range": (float, 4.0),
     "min_separation": (float, 0.0),
     **{f.name: (type(f.default), f.default) for f in dataclasses.fields(ArtifactModel)},
-    "l_max": (int, PipelineConfig.l_max),
 }
 
 
@@ -97,12 +99,10 @@ def read_config_file(path) -> dict:
     return values
 
 
-def resolve_config(config_path, l_max=None) -> dict:
+def resolve_config(config_path) -> dict:
     cfg = {k: default for k, (_, default) in CONFIG_SCHEMA.items()}
     if config_path:
         cfg.update(read_config_file(config_path))
-    if l_max is not None:
-        cfg["l_max"] = l_max
     return cfg
 
 
@@ -228,6 +228,13 @@ def _refuse_overwrite(outputs: dict, inputs: dict):
         taken[resolved] = flag
 
 
+def _refuse_dataset(out_dir: Path):
+    """Raise FileExistsError when ``out_dir`` holds ``scan_*.rscan`` files:
+    new scans would mix two runs, and any manifest would replace its own."""
+    if any(out_dir.glob("scan_*.rscan")):
+        raise FileExistsError(f"{out_dir} already holds scan_*.rscan files")
+
+
 def _from_config(record, cfg):
     """Build the dataclass ``record`` from the config keys named like its fields."""
     return record(**{f.name: cfg[f.name] for f in dataclasses.fields(record)})
@@ -236,9 +243,7 @@ def _from_config(record, cfg):
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args.config)
     out_dir = Path(args.out)
-    # new scans over an older, longer run would leave a mixed dataset
-    if any(out_dir.glob("scan_*.rscan")):
-        raise FileExistsError(f"{out_dir} already holds scan_*.rscan files")
+    _refuse_dataset(out_dir)
     stats = {}
     with stage("total", stats):
         meta = _from_config(SensorMeta, cfg)
@@ -272,30 +277,31 @@ def cmd_simulate(args) -> int:
 
 def cmd_extract(args) -> int:
     _refuse_overwrite({"--out": args.out}, {"--scan": args.scan})
-    cfg = resolve_config(args.config, args.l_max)
+    out_path = Path(args.out)
+    _refuse_dataset(out_path.parent)
     scan = load_scan(args.scan)
     stats = {}
     with stage("extract", stats):
-        kset = extract_keypoints(scan, cfg["l_max"])
-    out_path = Path(args.out)
+        kset = extract_keypoints(scan, args.l_max)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_keypoints_csv(out_path, kset)
-    write_manifest(out_path.parent, "extract", cfg, [args.scan], [out_path], stats["timings"])
+    write_manifest(out_path.parent, "extract", {"l_max": args.l_max}, [args.scan], [out_path],
+                   stats["timings"])
     print(f"{len(kset)} keypoints -> {out_path}")
     return 0
 
 
 def cmd_odometry(args) -> int:
-    cfg = resolve_config(args.config, args.l_max)
     dataset = Path(args.dataset)
     out_dir = Path(args.out)
+    _refuse_dataset(out_dir)
     scan_paths = _scan_paths(dataset)
 
     stats = {}
     with stage("total", stats):
         scans = map(load_scan, scan_paths)  # each loaded when the pair loop reaches it
         matcher = icp_matcher() if args.method == "icp" else None
-        result = run_odometry(scans, PipelineConfig(l_max=cfg["l_max"]), matcher)
+        result = run_odometry(scans, PipelineConfig(l_max=args.l_max), matcher)
     entries = {
         "method": args.method,
         "n_pairs": len(result.pairs),
@@ -335,7 +341,8 @@ def cmd_odometry(args) -> int:
             tracks.insert(0, ("truth", truth))
         write_trajectory_svg(svg_path, tracks)
         outputs.append(svg_path)
-    write_manifest(out_dir, "odometry", cfg, scan_paths, outputs, stats["timings"])
+    write_manifest(out_dir, "odometry", {"l_max": args.l_max}, scan_paths, outputs,
+                   stats["timings"])
     print(f"{args.method}: {len(result.pairs)} pairs, {result.failure_count} failures -> {out_dir}")
     if result.failure_count == len(result.pairs):
         print("error: no scan pair could be matched", file=sys.stderr)
@@ -405,24 +412,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def pipeline_flags(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--l-max", dest="l_max", type=int, default=None, help="region budget")
-
     p = sub.add_parser("simulate", help="render a synthetic scan sequence + truth")
-    p.add_argument("--config", help="flat key = value config file")
+    p.add_argument("--config", help="flat key = value file describing the dataset")
     p.add_argument("--seed", type=int, default=0, help="world, trajectory and noise seed")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("extract", help="extract keypoints from one scan file")
-    pipeline_flags(p)
+    p.add_argument("--l-max", type=int, default=PipelineConfig.l_max,
+                   help="region budget, the pipeline's one parameter (default %(default)s)")
     p.add_argument("--scan", required=True, help="input .rscan file")
     p.add_argument("--out", required=True, help="output keypoints CSV")
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("odometry", help="run scan-to-scan odometry over a dataset")
-    pipeline_flags(p)
+    p.add_argument("--l-max", type=int, default=PipelineConfig.l_max,
+                   help="region budget, the pipeline's one parameter (default %(default)s)")
     p.add_argument("--dataset", required=True, help="scan_*.rscan files and an optional truth.csv")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--method", choices=("ro", "icp"), default="ro")

@@ -175,9 +175,14 @@ def make_trajectory(
     if not (0.0 < dt < math.inf):  # NaN fails too
         raise ValueError("dt must be positive and finite")
     # every timestamp, and every distance and turn of the three kinds, is at
-    # most (steps - 1) dt times 2 max(1, |speed|, |yaw_rate|)
-    if not (steps - 1) * dt * 2.0 * max(1.0, abs(speed), abs(yaw_rate)) < math.inf:
-        raise ValueError("dt is too long: the trajectory's times or distances overflow")
+    # most (steps - 1) dt times 2 max(1, |speed|, |yaw_rate|); an int too
+    # large for a float fails too
+    try:
+        fits = (steps - 1) * dt * 2.0 * max(1.0, abs(speed), abs(yaw_rate)) < math.inf
+    except OverflowError:
+        fits = False
+    if not fits:
+        raise ValueError("steps * dt is too long: the trajectory's times or distances overflow")
     ts = np.arange(steps) * dt
 
     if kind == "straight" or (kind == "arc" and abs(yaw_rate) < 1e-12):

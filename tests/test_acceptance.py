@@ -356,7 +356,6 @@ speckle_scale = 0.3
 background_noise = 0.05
 false_positive_rate = 7.0
 dropout_prob = 0.2
-l_max = 200
 """
 
 
@@ -392,15 +391,15 @@ def test_13_every_entry_point_is_deterministic(tmp_path):
         data = root / "data"
         _run(["simulate", "--config", str(cfg), "--seed", "7", "--out", str(data)])
         _run([
-            "extract", "--config", str(cfg),
+            "extract", "--l-max", "200",
             "--scan", str(data / "scan_00000.rscan"), "--out", str(root / "kp.csv"),
         ])
         _run([
-            "odometry", "--config", str(cfg), "--plot",
+            "odometry", "--l-max", "200", "--plot",
             "--dataset", str(data), "--out", str(root / "ro"),
         ])
         _run([
-            "odometry", "--config", str(cfg), "--method", "icp", "--plot",
+            "odometry", "--l-max", "200", "--method", "icp", "--plot",
             "--dataset", str(data), "--out", str(root / "icp"),
         ])
         _run([

@@ -37,7 +37,6 @@ n_landmarks = 35
 world_extent = 28.0
 min_range = 6.0
 min_separation = 3.0
-l_max = 200
 """
 
 
@@ -52,7 +51,7 @@ def simulate(tmp_path, seed=0):
     out = tmp_path / "data"
     rc = main(["simulate", "--config", str(cfg), "--seed", str(seed), "--out", str(out)])
     assert rc == 0
-    return cfg, out
+    return out
 
 
 def read_metrics(path):
@@ -72,22 +71,15 @@ def test_config_file_parsing(tmp_path):
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):
-    # dt is gone: simulated scans are one scan_period apart; and the ICP
-    # method runs at IcpConfig's defaults, reading l_max alone, as ro does
-    for key in ("warp_drive", "dt", "nn_radius", "icp_tol", "icp_max_iterations"):
+    # dt is gone: simulated scans are one scan_period apart; the ICP method
+    # runs at IcpConfig's defaults; and l_max is the --l-max flag of
+    # extract and odometry, which read no config file
+    for key in ("warp_drive", "dt", "nn_radius", "icp_tol", "icp_max_iterations", "l_max"):
         path = write_cfg(tmp_path, f"{key} = 0.25\n")
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
         assert rc == 2, key
         assert f"{path}:1: unknown key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
-    _, data = simulate(tmp_path)
-    for key in ("nn_radius", "icp_tol", "icp_max_iterations"):
-        path = write_cfg(tmp_path, SMALL_SIM + f"{key} = 1\n", name="icp.ini")
-        rc = main(["odometry", "--config", str(path), "--dataset", str(data),
-                   "--out", str(tmp_path / "icp"), "--method", "icp"])
-        assert rc == 2, key
-        assert f"unknown key {key!r}" in capsys.readouterr().err
-        assert not (tmp_path / "icp").exists()
 
 
 def test_config_rejects_bad_value(tmp_path, capsys):
@@ -104,12 +96,12 @@ def test_config_rejects_bad_value(tmp_path, capsys):
 
 
 def test_repeated_config_key_names_the_file_and_both_lines(tmp_path, capsys):
-    path = write_cfg(tmp_path, "l_max = 5\nsteps = 3\n\nl_max = 7\n")
-    with pytest.raises(ValueError, match=f"^{path}:4: l_max already set on line 1$"):
+    path = write_cfg(tmp_path, "steps = 5\nspeed = 3.0\n\nsteps = 7\n")
+    with pytest.raises(ValueError, match=f"^{path}:4: steps already set on line 1$"):
         read_config_file(path)
     rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
     assert rc == 2
-    assert f"{path}:4: l_max already set on line 1" in capsys.readouterr().err
+    assert f"{path}:4: steps already set on line 1" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -181,6 +173,14 @@ def test_simulate_whose_max_range_overflows_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_simulate_with_a_step_count_too_large_for_a_float_is_a_config_error(tmp_path, capsys):
+    path = write_cfg(tmp_path, "steps = 1" + "0" * 400 + "\n")
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "steps * dt is too long" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize(
     "text", ["world_extent = 1e308", "world_extent = 8e307\nmin_separation = 1.0"],
     ids=["1e308", "8e307"],
@@ -223,7 +223,7 @@ def test_odometry_with_a_sigma_below_the_kernel_bound_is_a_config_error(tmp_path
     monkeypatch.setattr(odometry, "propose_unary_matches",
                         lambda *args: described.append(args) or describe(*args))
     out = tmp_path / "ro"
-    rc = main(["odometry", "--dataset", str(data), "--out", str(out), "--config", str(path)])
+    rc = main(["odometry", "--dataset", str(data), "--out", str(out)])
     assert rc == 2
     assert "sigma must be in [2**-511, 2**511], got 1e-200" in capsys.readouterr().err
     assert not out.exists()
@@ -263,11 +263,11 @@ def test_malformed_scan_file_is_io_error(tmp_path, content, capsys):
 
 @pytest.mark.parametrize("method", ["ro", "icp"])
 def test_odometry_reports_a_malformed_last_scan_and_writes_nothing(tmp_path, method, capsys):
-    cfg, data = simulate(tmp_path)
+    data = simulate(tmp_path)
     last = sorted(data.glob("scan_*.rscan"))[-1]
     last.write_bytes(b"#notascan\n1 2 x y z\n")
     out = tmp_path / "o"
-    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out),
+    rc = main(["odometry", "--l-max", "200", "--dataset", str(data), "--out", str(out),
                "--method", method])
     assert rc == 3
     assert str(last) in capsys.readouterr().err
@@ -291,7 +291,7 @@ def test_odometry_loads_each_scan_when_the_pair_loop_reaches_it(tmp_path, method
         return scan
 
     monkeypatch.setattr(radarodo.cli, "load_scan", recording_load)
-    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data),
+    rc = main(["odometry", "--l-max", "200", "--dataset", str(data),
                "--out", str(tmp_path / "o"), "--method", method])
     assert rc == 0
     # the scan before the one being loaded may still be alive, no earlier one
@@ -314,7 +314,7 @@ def test_odometry_reads_scans_past_scan_99999_in_index_order(tmp_path, capsys):
 
 
 def test_simulate_writes_dataset(tmp_path):
-    _, out = simulate(tmp_path)
+    out = simulate(tmp_path)
     scans = sorted(out.glob("scan_*.rscan"))
     assert len(scans) == 4
     assert (out / "truth.csv").exists()
@@ -332,7 +332,10 @@ def snapshot(root):
     return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_simulate_into_a_directory_holding_scans_exits_3(tmp_path, capsys):
+def assert_a_dataset_refuses(tmp_path, capsys, argv):
+    """Simulate six scans into ``tmp_path/d``, then run ``argv`` (formatted
+    with that directory and a three-step config) and require exit 3, no file
+    touched and the manifest still ``simulate``'s."""
     small = "num_azimuths = 64\nnum_range_bins = 64\nsteps = {}\n"
     data = tmp_path / "d"
     data.mkdir()  # a new, empty directory is fine
@@ -342,11 +345,30 @@ def test_simulate_into_a_directory_holding_scans_exits_3(tmp_path, capsys):
     before = snapshot(tmp_path)
     cfg = write_cfg(tmp_path, small.format(3), name="three.ini")
     before[cfg] = cfg.read_bytes()
-    rc = main(["simulate", "--config", str(cfg), "--seed", "2", "--out", str(data)])
+    rc = main([arg.format(data=data, cfg=cfg) for arg in argv])
     assert rc == 3
     assert f"error: {data} already holds scan_*.rscan files" in capsys.readouterr().err
     assert snapshot(tmp_path) == before
     assert len(list(data.glob("scan_*.rscan"))) == 6
+    assert json.loads((data / "manifest.json").read_text())["command"] == "simulate"
+
+
+def test_simulate_into_a_directory_holding_scans_exits_3(tmp_path, capsys):
+    assert_a_dataset_refuses(
+        tmp_path, capsys, ["simulate", "--config", "{cfg}", "--seed", "2", "--out", "{data}"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "--scan", "{data}/scan_00000.rscan", "--out", "{data}/kp.csv"],
+        ["odometry", "--dataset", "{data}", "--out", "{data}"],
+    ],
+    ids=["extract", "odometry"],
+)
+def test_extract_or_odometry_into_a_dataset_exits_3(tmp_path, capsys, argv):
+    # their manifest would replace simulate's, which records how the scans came about
+    assert_a_dataset_refuses(tmp_path, capsys, argv)
 
 
 def test_simulated_scans_are_one_scan_period_apart(tmp_path):
@@ -362,10 +384,10 @@ def test_simulated_scans_are_one_scan_period_apart(tmp_path):
 
 
 def test_extract_writes_keypoints_csv(tmp_path):
-    cfg, out = simulate(tmp_path)
+    out = simulate(tmp_path)
     kp_csv = tmp_path / "kp.csv"
     rc = main(
-        ["extract", "--config", str(cfg), "--scan", str(out / "scan_00000.rscan"), "--out", str(kp_csv)]
+        ["extract", "--l-max", "200", "--scan", str(out / "scan_00000.rscan"), "--out", str(kp_csv)]
     )
     assert rc == 0
     lines = kp_csv.read_text().splitlines()
@@ -373,23 +395,22 @@ def test_extract_writes_keypoints_csv(tmp_path):
     assert len(lines) > 10
 
 
-def test_l_max_flag_overrides_the_config_file(tmp_path):
-    cfg, out = simulate(tmp_path)
+def test_l_max_flag_sets_the_region_budget(tmp_path):
+    out = simulate(tmp_path)
     scan = out / "scan_00000.rscan"
     kp_csv = tmp_path / "kp" / "kp.csv"
-    rc = main(["extract", "--config", str(cfg), "--scan", str(scan), "--out", str(kp_csv),
-               "--l-max", "5"])
+    rc = main(["extract", "--scan", str(scan), "--out", str(kp_csv), "--l-max", "5"])
     assert rc == 0
-    assert json.loads((kp_csv.parent / "manifest.json").read_text())["config"]["l_max"] == 5
+    assert json.loads((kp_csv.parent / "manifest.json").read_text())["config"] == {"l_max": 5}
     rows = kp_csv.read_text().splitlines()[1:]
     assert len(rows) == len(extract_keypoints(load_scan(scan), 5)) < len(
         extract_keypoints(load_scan(scan), 200))
 
 
 def test_odometry_then_eval_round_trip(tmp_path):
-    cfg, data = simulate(tmp_path)
+    data = simulate(tmp_path)
     odo = tmp_path / "odo"
-    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(odo)])
+    rc = main(["odometry", "--l-max", "200", "--dataset", str(data), "--out", str(odo)])
     assert rc == 0
     traj_csv = odo / "trajectory.csv"
     metrics_path = odo / "metrics.txt"
@@ -419,10 +440,10 @@ def test_odometry_then_eval_round_trip(tmp_path):
 
 
 def test_odometry_icp_method_runs(tmp_path):
-    cfg, data = simulate(tmp_path)
+    data = simulate(tmp_path)
     out = tmp_path / "icp"
     rc = main(
-        ["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out), "--method", "icp"]
+        ["odometry", "--l-max", "200", "--dataset", str(data), "--out", str(out), "--method", "icp"]
     )
     assert rc == 0
     poses = read_pose_csv(out / "trajectory.csv").poses
@@ -432,10 +453,10 @@ def test_odometry_icp_method_runs(tmp_path):
 
 
 def test_odometry_plot_writes_svg(tmp_path):
-    cfg, data = simulate(tmp_path)
+    data = simulate(tmp_path)
     out = tmp_path / "odo"
     rc = main(
-        ["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out), "--plot"]
+        ["odometry", "--l-max", "200", "--dataset", str(data), "--out", str(out), "--plot"]
     )
     assert rc == 0
     svg = (out / "trajectory.svg").read_text()
@@ -444,8 +465,8 @@ def test_odometry_plot_writes_svg(tmp_path):
 
 
 def test_eval_plot_writes_truth_and_estimate(tmp_path):
-    cfg, data = simulate(tmp_path)
-    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(tmp_path / "o")])
+    data = simulate(tmp_path)
+    rc = main(["odometry", "--l-max", "200", "--dataset", str(data), "--out", str(tmp_path / "o")])
     assert rc == 0
     out = tmp_path / "ev" / "eval.txt"
     rc = main(["eval", "--trajectory", str(tmp_path / "o" / "trajectory.csv"),
@@ -457,7 +478,7 @@ def test_eval_plot_writes_truth_and_estimate(tmp_path):
 
 
 def test_eval_plot_that_would_overwrite_its_metrics_is_a_usage_error(tmp_path, capsys):
-    cfg, data = simulate(tmp_path)
+    data = simulate(tmp_path)
     rc = main(["eval", "--trajectory", str(data / "truth.csv"), "--truth", str(data / "truth.csv"),
                "--out", str(tmp_path / "ev" / "res.svg"), "--plot"])
     assert rc == 2
@@ -505,7 +526,7 @@ def test_metrics_file_writes_each_value_as_python_prints_it(tmp_path):
 
 def test_odometry_error_lines_equal_eval_of_its_trajectory(tmp_path):
     # and both equal, by repr, what the library's evaluate returns for the
-    # same run: SMALL_SIM's l_max and the CLI's ICP defaults; so does n_pairs
+    # same run: --l-max 200 and the CLI's ICP defaults; so does n_pairs
     cfg = write_cfg(tmp_path, SMALL_SIM.replace("kind = straight", "kind = arc\nyaw_rate = 0.4"))
     data = tmp_path / "data"
     assert main(["simulate", "--config", str(cfg), "--seed", "7", "--out", str(data)]) == 0
@@ -517,7 +538,7 @@ def test_odometry_error_lines_equal_eval_of_its_trajectory(tmp_path):
     truth = read_pose_csv(data / "truth.csv")
     for method, matcher in (("ro", None), ("icp", icp_matcher(IcpConfig()))):
         out = tmp_path / method
-        rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out),
+        rc = main(["odometry", "--l-max", "200", "--dataset", str(data), "--out", str(out),
                    "--method", method])
         assert rc == 0
         rc = main(["eval", "--trajectory", str(out / "trajectory.csv"),
@@ -579,12 +600,12 @@ def test_odometry_with_no_matched_pair_exits_4_after_writing(tmp_path, method):
 
 
 def test_confidences_average_over_matched_pairs_only(tmp_path):
-    cfg, data = simulate(tmp_path)
+    data = simulate(tmp_path)
     blank = load_scan(data / "scan_00002.rscan")
     save_scan(data / "scan_00002.rscan",
               PolarScan(blank.meta, np.zeros_like(blank.power), blank.timestamp))
     out = tmp_path / "ro"
-    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out)])
+    rc = main(["odometry", "--l-max", "200", "--dataset", str(data), "--out", str(out)])
     assert rc == 0
     metrics = read_metrics(out / "metrics.txt")
     assert metrics["failures"] == "2"
@@ -719,11 +740,14 @@ def test_bench_writes_summary(tmp_path):
     + [
         ["simulate", "--out", "d", "--l-max", "5"],
         ["extract", "--scan", "s.rscan", "--out", "k.csv", "--seed", "9"],
+        ["extract", "--scan", "s.rscan", "--out", "k.csv", "--config", "c.ini"],
         ["odometry", "--dataset", "d", "--out", "o", "--seed", "9"],
         ["odometry", "--dataset", "d", "--out", "o", "--truth", "t.csv"],
+        ["odometry", "--dataset", "d", "--out", "o", "--config", "c.ini"],
     ],
     ids=["eval-config", "eval-l-max", "eval-seed", "bench-config", "bench-l-max",
-         "simulate-l-max", "extract-seed", "odometry-seed", "odometry-truth"],
+         "simulate-l-max", "extract-seed", "extract-config", "odometry-seed", "odometry-truth",
+         "odometry-config"],
 )
 def test_commands_reject_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -732,32 +756,34 @@ def test_commands_reject_flags_they_do_not_read(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["nn_radius = nan", "icp_tol = nan", "nn_radius = 1e200"])
-def test_nan_icp_setting_is_a_config_error(tmp_path, line):
-    cfg, data = simulate(tmp_path)
-    bad = write_cfg(tmp_path, SMALL_SIM + line + "\n", name="nan.ini")
-    rc = main(["odometry", "--config", str(bad), "--dataset", str(data),
-               "--out", str(tmp_path / "icp"), "--method", "icp"])
+@pytest.mark.parametrize("l_max", ["0", "-3"], ids=["l_max = 0", "l_max = -3"])
+def test_negative_pipeline_setting_is_a_config_error(tmp_path, l_max, capsys):
+    data = simulate(tmp_path)
+    rc = main(["odometry", "--l-max", l_max, "--dataset", str(data), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert not (tmp_path / "icp").exists()
-
-
-@pytest.mark.parametrize("line", ["l_max = 0", "l_max = -3"])
-def test_negative_pipeline_setting_is_a_config_error(tmp_path, line, capsys):
-    cfg, data = simulate(tmp_path)
-    bad = write_cfg(tmp_path, SMALL_SIM.replace("l_max = 200", line), name="neg.ini")
-    rc = main(["odometry", "--config", str(bad), "--dataset", str(data), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert line.split(" = ")[0] in capsys.readouterr().err
+    assert "l_max" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
+def test_each_manifest_records_only_what_its_command_read(tmp_path):
+    data = simulate(tmp_path)
+    config = json.loads((data / "manifest.json").read_text())["config"]
+    assert "l_max" not in config and config["steps"] == 4
+    out = tmp_path / "o"
+    argvs = [["extract", "--scan", str(data / "scan_00000.rscan"), "--out", str(out / "kp.csv")],
+             ["odometry", "--dataset", str(data), "--out", str(out)]]
+    for argv in argvs:
+        assert main([*argv, "--l-max", "150"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == argv[0] and manifest["config"] == {"l_max": 150}
+
+
 def test_misaligned_truth_is_reported_not_scored(tmp_path, capsys):
-    cfg, data = simulate(tmp_path)
+    data = simulate(tmp_path)
     truth = data / "truth.csv"
     truth.write_text("\n".join(truth.read_text().splitlines()[:-1]) + "\n")
     out = tmp_path / "ro"
-    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out)])
+    rc = main(["odometry", "--l-max", "200", "--dataset", str(data), "--out", str(out)])
     assert rc == 0
     warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
     assert warnings == ["warning: truth not scored: truth length does not match scan count"]
@@ -768,7 +794,7 @@ def test_misaligned_truth_is_reported_not_scored(tmp_path, capsys):
 
 @pytest.mark.parametrize("truth", ["bad_header", "header_only", "directory"])
 def test_unreadable_truth_is_reported_not_scored(tmp_path, truth, capsys):
-    cfg, data = simulate(tmp_path)
+    data = simulate(tmp_path)
     path = data / "truth.csv"
     if truth == "directory":
         path.unlink()
@@ -776,7 +802,7 @@ def test_unreadable_truth_is_reported_not_scored(tmp_path, truth, capsys):
     else:
         path.write_text("bad,header\n" if truth == "bad_header" else "timestamp,x,y,theta\n")
     out = tmp_path / "ro"
-    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out),
+    rc = main(["odometry", "--l-max", "200", "--dataset", str(data), "--out", str(out),
                "--plot"])
     assert rc == 0
     warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
@@ -790,10 +816,10 @@ def test_unreadable_truth_is_reported_not_scored(tmp_path, truth, capsys):
 
 
 def test_absent_default_truth_is_skipped_silently(tmp_path, capsys):
-    cfg, data = simulate(tmp_path)
+    data = simulate(tmp_path)
     (data / "truth.csv").unlink()
     out = tmp_path / "ro"
-    rc = main(["odometry", "--config", str(cfg), "--dataset", str(data), "--out", str(out)])
+    rc = main(["odometry", "--l-max", "200", "--dataset", str(data), "--out", str(out)])
     assert rc == 0
     assert "warning" not in capsys.readouterr().err
     assert "translation_median_m" not in read_metrics(out / "metrics.txt")
@@ -900,7 +926,7 @@ config_bytes = st.one_of(
         max_size=4,
     ).map(lambda lines: "\n".join(lines).encode()),
     st.tuples(st.binary(max_size=20), st.binary(max_size=20)).map(
-        lambda t: t[0] + b"l_max = 5\n" + t[1]
+        lambda t: t[0] + b"steps = 5\n" + t[1]
     ),
 )
 
@@ -912,7 +938,7 @@ def small_scan_file(path):
 
 @settings(max_examples=300, deadline=None)
 @given(content=config_bytes)
-def test_any_config_file_reads_or_is_a_value_error_and_extract_exits_0_or_2(content):
+def test_any_config_file_reads_or_is_a_value_error_and_simulate_exits_2_or_3(content):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         path = tmp / "cfg.ini"
@@ -923,11 +949,14 @@ def test_any_config_file_reads_or_is_a_value_error_and_extract_exits_0_or_2(cont
             assert str(path) in str(err)
         else:
             assert isinstance(values, dict)
-        scan = tmp / "scan.rscan"
-        small_scan_file(scan)
-        rc = main(["extract", "--config", str(path), "--scan", str(scan),
-                   "--out", str(tmp / "kp.csv")])
-        assert rc in (0, 2)
+        # simulate reads the file, then refuses the dataset before rendering
+        data = tmp / "data"
+        data.mkdir()
+        small_scan_file(data / "scan_00000.rscan")
+        before = snapshot(tmp)
+        rc = main(["simulate", "--config", str(path), "--out", str(data)])
+        assert rc in (2, 3)
+        assert snapshot(tmp) == before
 
 
 SCAN_MAGIC = b"#polarscan1\n"

@@ -1,5 +1,6 @@
-"""Every demo, and the README's quick start, runs to completion (exit 0)
-against this checkout's package, and the README names only what exists."""
+"""Every demo, and the README's library and CLI quick starts, runs to
+completion (exit 0) against this checkout's package, and the README names
+only what exists."""
 
 import builtins
 import inspect
@@ -54,6 +55,28 @@ def test_readme_quick_start_runs_and_recovers_the_motion(tmp_path):
     assert math.hypot(x - 2.0, y - 0.5) < 0.25
     assert abs(theta - 0.05) < 0.01
     assert 0.5 < float(confidence_line) <= 1.0
+
+
+SIM_CFG = """
+num_azimuths = 128
+num_range_bins = 96
+steps = 4
+n_landmarks = 30
+world_extent = 40.0
+min_range = 6.0
+min_separation = 3.0
+"""
+
+
+def test_readme_cli_quick_start_runs(tmp_path):
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    commands = [b for b in blocks if "radarodo " in b]
+    assert len(commands) == 1
+    (tmp_path / "sim.cfg").write_text(SIM_CFG)
+    for line in commands[0].replace("\\\n", " ").splitlines():
+        argv = line.split()
+        assert argv[0] == "radarodo", line
+        run_python(["-m", "radarodo.cli", *argv[1:]], tmp_path)
 
 
 def test_readme_names_only_what_the_package_has():

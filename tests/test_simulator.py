@@ -206,10 +206,12 @@ def test_make_trajectory_rejects_a_step_count_or_period_it_cannot_honour(steps, 
 
 
 @pytest.mark.parametrize("kind", ["straight", "arc", "random_walk"])
-@pytest.mark.parametrize("steps, speed, dt", [(3, 1.0, 1e308), (3, 1e300, 1e10), (10**6, 1.0, 1e303)])
+@pytest.mark.parametrize("steps, speed, dt", [(3, 1.0, 1e308), (3, 1e300, 1e10), (10**6, 1.0, 1e303),
+                                               pytest.param(10**400, 1.0, 1.0, id="10**400-1.0-1.0")])
 def test_make_trajectory_refuses_a_period_whose_times_or_distances_overflow(kind, steps, speed, dt):
     # a finite period can still carry the last timestamp or distance past
-    # the float maximum; it is refused before any array is made
+    # the float maximum, and so can a step count too large for a float; it
+    # is refused before any array is made
     with pytest.raises(ValueError, match="dt"):
         make_trajectory(kind, steps, speed=speed, yaw_rate=0.1, dt=dt)
     # one step has no span, so any finite period fits
