@@ -12,7 +12,12 @@ a directory holding ``scan_*.rscan`` files, whose scans and manifest are
 ``odometry`` runs both methods (``ro`` and ``icp``) through
 ``odometry.run_odometry``, loading each scan file when the pair loop
 reaches it, so at most two scans are in memory. Both read ``--l-max``;
-``icp`` runs ``icp_matcher()`` at its defaults.
+``icp`` runs ``icp_matcher()`` at its defaults. A dataset whose scans
+differ in sensor geometry is refused (exit 2) before the odd scan is
+extracted. On glibc, ``odometry`` first fixes the allocator's mmap and
+trim thresholds for its process, so each scan reuses the heap the one
+before it freed instead of faulting its temporaries in again; the library
+and the other commands leave the allocator alone.
 ``odometry`` scores against ``dataset/truth.csv`` when it exists, ``eval``
 against any truth file; both write what ``odometry.evaluate`` returns, so
 ``eval`` of ``odometry``'s ``trajectory.csv`` repeats its error lines exactly.
@@ -30,6 +35,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -48,6 +54,10 @@ from .simulate import ArtifactModel, TrajectorySpec, make_trajectory, random_wor
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_MATCH = 4
+
+# mallopt parameters from glibc's malloc.h
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
 
 
 # every config key, all read by simulate, with its type and default. A
@@ -291,7 +301,45 @@ def cmd_extract(args) -> int:
     return 0
 
 
+def _on_glibc() -> bool:
+    """Whether this process runs on glibc (``os.confstr`` names it there)."""
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return False
+
+
+def _keep_heap():
+    """On glibc, keep freed blocks in the process: blocks below 32 MiB come
+    from the heap, and the heap top is returned to the kernel only past
+    64 MiB free. Elsewhere, or without ``mallopt``, do nothing.
+
+    glibc's dynamic rule sets both thresholds from the largest block freed
+    so far, about one scan here, so the heap top went back to the kernel
+    after every scan and the next scan faulted its temporaries in again.
+    32 MiB is the ceiling of that rule's mmap threshold on 64-bit, and the
+    trim threshold keeps its 2x ratio. Setting either one turns the rule
+    off, so both are set. The setting is process-wide and cannot be undone.
+    """
+    if not _on_glibc():
+        return
+    import ctypes  # only odometry needs it
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
 def cmd_odometry(args) -> int:
+    """Run odometry over ``args.dataset`` and write its outputs to ``args.out``.
+
+    It calls :func:`_keep_heap` first, so on glibc the allocator keeps
+    freed scan temporaries for the next scan; an in-process caller of
+    ``main(["odometry", ...])`` keeps that setting for the rest of its
+    process.
+    """
+    _keep_heap()
     dataset = Path(args.dataset)
     out_dir = Path(args.out)
     _refuse_dataset(out_dir)

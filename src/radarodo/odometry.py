@@ -98,6 +98,11 @@ class OdometryResult:
         return sum(1 for p in self.pairs if p.failed)
 
 
+def _check_same_meta(meta_a, meta_b):
+    if meta_b != meta_a:
+        raise ValueError(f"scans differ in sensor geometry: {meta_b} after {meta_a}")
+
+
 def match_keypoint_sets(
     kp_a: KeypointSet,
     kp_b: KeypointSet,
@@ -112,8 +117,11 @@ def match_keypoint_sets(
     than two matches survive selection, with the stats reached as diagnostics.
     A kernel width outside [2**-511, 2**511] (by default the scans' range
     resolution) raises ValueError after the points' check, before describing.
+    Sets of different :class:`SensorMeta` raise ValueError first: one
+    geometry describes both.
     """
     meta = kp_a.meta
+    _check_same_meta(meta, kp_b.meta)
     alpha = cfg.alpha if cfg.alpha is not None else meta.num_azimuths
     rho = cfg.rho if cfg.rho is not None else meta.num_range_bins
     sigma = cfg.sigma_c if cfg.sigma_c is not None else meta.range_resolution
@@ -160,8 +168,9 @@ def odometry_pairs(scans, cfg: PipelineConfig | None = None, matcher=None):
     extracted with ``cfg.l_max`` either way. A failed pair keeps the previous
     relative pose (constant velocity carry-over, identity for a first-pair
     failure) and is flagged; it reports the stats and timings its error
-    carries. A scan not later than the one before it raises ValueError
-    before it is extracted; fewer than two scans yield nothing.
+    carries. A scan not later than the one before it, or of another
+    :class:`SensorMeta`, raises ValueError before it is extracted; fewer
+    than two scans yield nothing.
     """
     cfg = cfg if cfg is not None else PipelineConfig()
     if matcher is None:
@@ -172,9 +181,11 @@ def odometry_pairs(scans, cfg: PipelineConfig | None = None, matcher=None):
     kp_a = None
     pose = Pose2()  # the last good pose, carried over by a failed pair
     for scan in scans:
-        # written so that NaN fails too
-        if kp_a is not None and not scan.timestamp > kp_a.timestamp:
-            raise ValueError("scan timestamps must be strictly increasing")
+        if kp_a is not None:
+            # written so that NaN fails too
+            if not scan.timestamp > kp_a.timestamp:
+                raise ValueError("scan timestamps must be strictly increasing")
+            _check_same_meta(kp_a.meta, scan.meta)
         with stage("extract", extracted):
             kp_b = extract_keypoints(scan, cfg.l_max)
         if kp_a is not None:

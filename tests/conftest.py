@@ -1,4 +1,6 @@
+import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,20 @@ from radarodo import (
     random_world,
     render_scan,
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(blas_threads=None):
+    """The environment for a child Python that imports this checkout's
+    ``radarodo``; ``blas_threads`` pins the BLAS thread count."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"{SRC}{os.pathsep}{path}" if path else str(SRC)}
+    if blas_threads is not None:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(blas_threads)
+    return env
 
 
 def composite_trajectory(speed=3.0, yaw_rate=0.2, dt=0.25, straight_steps=10, arc_steps=10):

@@ -8,6 +8,8 @@ are pinned in the asserts, not in helper indirection.
 import itertools
 import json
 import math
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -32,7 +34,6 @@ from radarodo import (
     render_sequence,
     run_odometry,
 )
-from radarodo.bench import slope_of, sweep_association, sweep_extraction
 from radarodo.cli import main
 from radarodo.descriptors import descriptor_matrix
 from radarodo.keypoints import mark_regions, scoring_image
@@ -40,7 +41,9 @@ from radarodo.matching import greedy_select, principal_eigenvector
 from radarodo.scan import PolarScan
 from radarodo.se2 import wrap_angle
 
-from conftest import NOISY_ARTIFACTS, close_world, composite_trajectory, random_cloud, random_pose
+from conftest import (
+    NOISY_ARTIFACTS, child_env, close_world, composite_trajectory, random_cloud, random_pose,
+)
 from test_keypoints import FIXTURE_A, FIXTURE_B, FIXTURE_C, FIXTURE_D, pairs_of, scan_of
 from test_matching import clique_instance, exhaustive_optimum, selection_score
 
@@ -328,11 +331,22 @@ def test_11_icp_needs_a_prior_but_graph_matching_does_not():
     )
 
 
+SLOPE_SWEEPS = """
+import json
+from radarodo.bench import slope_of, sweep_association, sweep_extraction
+assoc = sweep_association([240, 480, 960], seed=0, repeats=3)
+extract = sweep_extraction([(128, 256), (256, 512), (512, 1024)], seed=0, repeats=3)
+print(json.dumps([slope_of(assoc), slope_of(extract)]))
+"""
+
+
 def test_12_wall_time_scaling_slopes():
-    assoc = sweep_association([240, 480, 960], seed=0, repeats=3)
-    assoc_slope = slope_of(assoc)
-    extract = sweep_extraction([(128, 256), (256, 512), (512, 1024)], seed=0, repeats=3)
-    extract_slope = slope_of(extract)
+    # timed in a fresh interpreter at one BLAS thread: allocator settings are
+    # process-wide, and an in-process odometry call fixes glibc's for good
+    proc = subprocess.run([sys.executable, "-c", SLOPE_SWEEPS], env=child_env(blas_threads=1),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assoc_slope, extract_slope = json.loads(proc.stdout)
     assert 1.6 <= assoc_slope <= 3.4
     assert 0.8 <= extract_slope <= 1.5
     print(

@@ -21,9 +21,12 @@ from radarodo import (
 )
 from radarodo import odometry
 from radarodo.cli import (
-    CONFIG_SCHEMA, main, read_config_file, read_pose_csv, write_metrics_file, write_pose_csv,
+    CONFIG_SCHEMA, _on_glibc, main, read_config_file, read_pose_csv, write_metrics_file,
+    write_pose_csv,
 )
 from radarodo.errors import ScanFormatError
+
+from conftest import child_env
 
 SMALL_SIM = """
 # compact scene for fast pipeline tests
@@ -628,6 +631,23 @@ def test_odometry_rejects_unordered_or_single_scans(tmp_path, method):
         assert not (tmp_path / f"o_{name}").exists()
 
 
+@pytest.mark.parametrize("method", ["ro", "icp"])
+def test_odometry_on_scans_of_different_geometry_exits_2_and_writes_nothing(tmp_path, method,
+                                                                            capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    rng = np.random.default_rng(0)
+    for k, bins in enumerate((160, 200, 160)):
+        meta = SensorMeta(128, bins, 0.5, 0.25)
+        save_scan(data / f"scan_{k:05d}.rscan", PolarScan(meta, rng.random((128, bins)), 0.25 * k))
+    out = tmp_path / "o"
+    rc = main(["odometry", "--l-max", "200", "--dataset", str(data), "--out", str(out),
+               "--method", method])
+    assert rc == 2
+    assert "scans differ in sensor geometry" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_odometry_on_empty_dataset_is_io_error(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -864,13 +884,57 @@ def test_pose_csv_without_rows_or_increasing_timestamps_is_rejected(tmp_path, ca
 
 
 def test_module_runs_as_a_script_and_prints_its_version():
-    src = str(Path(radarodo.__file__).parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
-    proc = subprocess.run([sys.executable, "-m", "radarodo.cli", "--version"], env=env,
+    proc = subprocess.run([sys.executable, "-m", "radarodo.cli", "--version"], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"radarodo {radarodo.__version__}\n" == "radarodo 0.1.0\n"
+
+
+NOISY_SIM = """
+kind = random_walk
+speed = 2.0
+yaw_rate = 0.1
+num_azimuths = 200
+num_range_bins = 250
+range_resolution = 0.4
+n_landmarks = 120
+world_extent = 80.0
+min_range = 6.0
+min_separation = 3.0
+speckle_scale = 0.3
+background_noise = 0.05
+false_positive_rate = 7.0
+dropout_prob = 0.2
+"""
+
+
+def minor_faults(argv, env):
+    """Run ``argv`` to completion and return its minor page-fault count."""
+    with subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE) as proc:
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err = proc.stderr.read()
+    assert proc.returncode == 0, err
+    return usage.ru_minflt
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the heap thresholds set are glibc's")
+@pytest.mark.parametrize("method", ["ro", "icp"])
+def test_odometry_reuses_its_heap_from_scan_to_scan(tmp_path, method):
+    faults = {}
+    for steps in (4, 12):
+        cfg = write_cfg(tmp_path, NOISY_SIM + f"steps = {steps}\n", name=f"cfg{steps}.ini")
+        data = tmp_path / f"data{steps}"
+        assert main(["simulate", "--config", str(cfg), "--seed", "5", "--out", str(data)]) == 0
+        faults[steps] = minor_faults(
+            [sys.executable, "-m", "radarodo.cli", "odometry", "--l-max", "200",
+             "--dataset", str(data), "--out", str(tmp_path / f"out{steps}"),
+             "--method", method], child_env(blas_threads=1))
+    # a scan's temporaries reuse the heap the scan before freed, so the
+    # eight scans more cost less than one scan's worth of pages
+    per_scan = (faults[12] - faults[4]) / 8
+    assert per_scan < 200 * 250 * 8 / 4096, faults
 
 
 POSE_HEADER = b"timestamp,x,y,theta\n"

@@ -5,7 +5,6 @@ only what exists."""
 import builtins
 import inspect
 import math
-import os
 import re
 import subprocess
 import sys
@@ -14,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import radarodo
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = [
@@ -29,11 +30,9 @@ DEMOS = [
 
 
 def run_python(args, cwd):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
     proc = subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, *args], cwd=cwd, env=child_env(), capture_output=True, text=True,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

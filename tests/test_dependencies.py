@@ -1,12 +1,10 @@
 """The runtime needs numpy and the standard library only."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import child_env
 
 # the names loaded before the import are left out: site may preload
 # packages of its own
@@ -20,9 +18,7 @@ print(json.dumps(sorted(after - before)))
 
 
 def test_importing_the_package_and_its_cli_loads_only_numpy_beyond_the_stdlib():
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=f"{SRC}{os.pathsep}{path}" if path else str(SRC))
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", PROBE], env=child_env(), capture_output=True,
                          text=True, check=True).stdout
     new = set(json.loads(out))
     assert "radarodo" in new

@@ -238,6 +238,32 @@ def test_odometry_pairs_checks_each_timestamp_against_the_one_before():
         next(pairs)
 
 
+@pytest.mark.parametrize("method", ["spectral", "icp"])
+def test_odometry_pairs_refuses_a_scan_of_another_geometry_before_extracting_it(method):
+    world = close_world(6)
+    scans = [render_scan(world, Pose2(0.5 * k, 0.0, 0.0), META, QUIET, seed=k,
+                         timestamp=0.25 * k) for k in range(2)]
+    # a scan that could not be extracted: the geometry check comes first
+    odd = SimpleNamespace(timestamp=0.5, meta=replace(META, num_range_bins=160))
+    pairs = odometry_pairs(scans + [odd], CFG, icp_matcher() if method == "icp" else None)
+    next(pairs)
+    with pytest.raises(ValueError, match="scans differ in sensor geometry"):
+        next(pairs)
+
+
+def test_match_keypoint_sets_refuses_sets_of_different_geometry():
+    scan_a, scan_b = render_pair(close_world(8), Pose2(), Pose2(0.5, 0.0, 0.01), seed=30)
+    kp_a = extract_keypoints(scan_a, CFG.l_max)
+    kp_b = extract_keypoints(scan_b, CFG.l_max)
+    for field_name, value in (("num_range_bins", 160), ("range_resolution", 0.4)):
+        odd = replace(kp_b, meta=replace(META, **{field_name: value}))
+        for pair in ((kp_a, odd), (odd, kp_a)):
+            with pytest.raises(ValueError, match="scans differ in sensor geometry"):
+                match_keypoint_sets(*pair, CFG)
+    # refused before either set was described
+    assert kp_a.descriptor_cache == {}
+
+
 def test_odometry_pairs_of_a_one_scan_feed_is_empty():
     scan = render_scan(close_world(5), Pose2(), META, QUIET, seed=0, timestamp=0.0)
     assert list(odometry_pairs([scan], CFG)) == []
