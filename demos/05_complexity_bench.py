@@ -15,7 +15,7 @@ l_max=960 dominates.
 from radarodo import slope_of, sweep_association, sweep_extraction
 
 print("association sweep (busy scene, 256 azimuths x 256 bins)")
-assoc = sweep_association([240, 480, 960], seed=0, repeats=3)
+assoc = sweep_association()
 for p in assoc:
     print(
         f"  l_max {int(p.parameter):4d}: {p.seconds * 1e3:8.1f} ms"
@@ -26,7 +26,7 @@ print(f"  log-log slope {slope_of(assoc):.2f} "
 
 print()
 print("extraction sweep (same 64 m world rendered at three grid sizes)")
-extr = sweep_extraction([(128, 256), (256, 512), (512, 1024)], seed=0, repeats=3)
+extr = sweep_extraction()
 for p in extr:
     d = p.detail
     print(

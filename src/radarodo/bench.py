@@ -1,10 +1,11 @@
 """Timing sweeps for the two pipeline stages with algorithmic knobs.
 
-Two sweeps: data association time as a function of the region budget
-(which drives the candidate count), and keypoint extraction time as a
-function of grid size. Each point is the best of ``repeats`` runs, taken
-round-robin after one warm-up call per point; the log-log slope of time
-against the swept parameter summarizes the scaling.
+Two fixed sweeps, seeded with ``_SEED``: data association time at the
+region budgets ``_BUDGETS`` on a busy 256x256 scene (the budget drives the
+candidate count), and keypoint extraction time on the ``_GRIDS`` grid
+shapes. Each point is the best of ``_REPEATS`` runs, taken round-robin
+after one warm-up call per point; the log-log slope of time against the
+swept parameter summarizes the scaling.
 """
 
 from __future__ import annotations
@@ -15,12 +16,17 @@ from functools import partial
 
 import numpy as np
 
-from .errors import RadarOdoError
 from .keypoints import extract_keypoints
 from .odometry import PipelineConfig, match_keypoint_sets
-from .scan import SensorMeta, _is_count
+from .scan import SensorMeta
 from .se2 import Pose2
 from .simulate import ArtifactModel, random_world, render_scan
+
+
+_BUDGETS = (240, 480, 960)
+_GRIDS = ((128, 256), (256, 512), (512, 1024))
+_REPEATS = 3
+_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -30,49 +36,27 @@ class BenchPoint:
     detail: dict
 
 
-def _busy_scene(meta: SensorMeta, seed: int):
+def _busy_scene(meta: SensorMeta):
     """A clutter-rich scan pair so the keypoint count tracks the region budget."""
     world = random_world(
-        600, 0.85 * meta.max_range, seed=seed, min_range=4.0, reflectivity_range=(0.6, 2.0)
+        600, 0.85 * meta.max_range, seed=_SEED, min_range=4.0, reflectivity_range=(0.6, 2.0)
     )
     art = ArtifactModel(speckle_scale=0.15, background_noise=0.01, beam_width_azimuths=2.5)
-    scan_a = render_scan(world, Pose2(), meta, art, seed=seed, timestamp=0.0)
+    scan_a = render_scan(world, Pose2(), meta, art, seed=_SEED, timestamp=0.0)
     scan_b = render_scan(
-        world, Pose2(0.4, 0.1, 0.01), meta, art, seed=seed + 1, timestamp=meta.scan_period
+        world, Pose2(0.4, 0.1, 0.01), meta, art, seed=_SEED + 1, timestamp=meta.scan_period
     )
     return scan_a, scan_b
 
 
-def _check_sweep(points, repeats, grid: bool) -> None:
-    """Reject a sweep before anything is rendered, with a ValueError naming
-    the bad shape or value. A sweep needs ``repeats`` an int >= 1, at least
-    3 points, budgets ints >= 1 and grid sides ints >= 2 (a bool is neither),
-    and, for its slope, at least 2 distinct region budgets or cell counts."""
-    if not _is_count(repeats):
-        raise ValueError(f"repeats must be at least 1, got {repeats!r}")
-    what = "grid shapes" if grid else "region budgets"
-    if len(points) < 3:
-        raise ValueError(f"need at least 3 {what}, got {len(points)}")
-    params = points
-    for p in points:
-        if not (grid or _is_count(p)):
-            raise ValueError(f"region budget {p} must be an int >= 1")
-        if grid and not (_is_count(p[0]) and _is_count(p[1]) and min(p) >= 2):
-            raise ValueError(f"grid shape {p[0]}x{p[1]} needs integer sides of at least 2")
-    if grid:
-        params, what = [m * n for m, n in points], "cell counts m*n"
-    if len(set(params)) < 2:
-        raise ValueError(f"need at least 2 distinct {what} for a slope, got {params}")
-
-
-def _best_of_each(fns, repeats: int):
-    """Best wall time of each call over ``repeats`` rounds, and each call's
+def _best_of_each(fns):
+    """Best wall time of each call over ``_REPEATS`` rounds, and each call's
     result. Every call runs once untimed first; then each round times every
     call once, so a slow spell on the host spreads over all sweep points
     instead of landing on one."""
     outs = [fn() for fn in fns]
     best = [np.inf] * len(fns)
-    for _ in range(repeats):
+    for _ in range(_REPEATS):
         for i, fn in enumerate(fns):
             t0 = time.perf_counter()
             fn()
@@ -80,59 +64,52 @@ def _best_of_each(fns, repeats: int):
     return best, outs
 
 
-def _match_budget(l_max, kp_a, kp_b, cfg):
+def _match_budget(kp_a, kp_b, cfg):
     # fresh copies, so every timed call describes both sets instead of
     # reading the descriptors an earlier call cached on them
-    try:
-        return match_keypoint_sets(replace(kp_a), replace(kp_b), cfg)
-    except RadarOdoError as err:
-        raise ValueError(f"region budget {l_max} leaves too little to match: {err}") from err
+    return match_keypoint_sets(replace(kp_a), replace(kp_b), cfg)
 
 
-def sweep_association(l_max_values, seed: int = 0, repeats: int = 3):
-    """Time ``match_keypoint_sets`` per region budget on a 256x256 busy scene.
-    A budget whose scene cannot be matched raises ValueError naming it."""
-    _check_sweep(l_max_values, repeats, grid=False)
-    scan_a, scan_b = _busy_scene(SensorMeta(256, 256, 0.5, 0.25), seed)
+def sweep_association():
+    """Time ``match_keypoint_sets`` per region budget on a 256x256 busy scene."""
+    scan_a, scan_b = _busy_scene(SensorMeta(256, 256, 0.5, 0.25))
     cfg = PipelineConfig(alpha=64, rho=64)
     runs = [
         partial(
             _match_budget,
-            l_max,
             extract_keypoints(scan_a, l_max),
             extract_keypoints(scan_b, l_max),
             cfg,
         )
-        for l_max in l_max_values
+        for l_max in _BUDGETS
     ]
-    seconds, results = _best_of_each(runs, repeats)
+    seconds, results = _best_of_each(runs)
     return [
         BenchPoint(
             parameter=float(l_max),
             seconds=t,
             detail={"u": st["u"], "selected": st["n_selected"]},
         )
-        for l_max, t, (_, st) in zip(l_max_values, seconds, results)
+        for l_max, t, (_, st) in zip(_BUDGETS, seconds, results)
     ]
 
 
-def sweep_extraction(grid_shapes, seed: int = 0, repeats: int = 3):
+def sweep_extraction():
     """Time ``extract_keypoints(scan, 200)`` per (azimuths, range bins) grid shape."""
-    _check_sweep(grid_shapes, repeats, grid=True)
-    world = random_world(120, 50.0, seed=seed, min_range=4.0)
+    world = random_world(120, 50.0, seed=_SEED, min_range=4.0)
     art = ArtifactModel(speckle_scale=0.3, background_noise=0.02)
     scans = [
-        render_scan(world, Pose2(), SensorMeta(m, n, 64.0 / n, 0.25), art, seed=seed)
-        for m, n in grid_shapes
+        render_scan(world, Pose2(), SensorMeta(m, n, 64.0 / n, 0.25), art, seed=_SEED)
+        for m, n in _GRIDS
     ]
-    seconds, ksets = _best_of_each([partial(extract_keypoints, s, 200) for s in scans], repeats)
+    seconds, ksets = _best_of_each([partial(extract_keypoints, s, 200) for s in scans])
     return [
         BenchPoint(
             parameter=float(m * n),
             seconds=t,
             detail={"azimuths": m, "range_bins": n, "keypoints": len(kset)},
         )
-        for (m, n), t, kset in zip(grid_shapes, seconds, ksets)
+        for (m, n), t, kset in zip(_GRIDS, seconds, ksets)
     ]
 
 

@@ -23,7 +23,8 @@ against any truth file; both write what ``odometry.evaluate`` returns, so
 ``eval`` of ``odometry``'s ``trajectory.csv`` repeats its error lines exactly.
 
 Exit codes: 0 success, 2 configuration or usage error (including an
-``extract`` or ``eval`` output that is one of its inputs), 3 I/O error
+``extract`` or ``eval`` output that is one of its inputs or another of its
+outputs, such as ``extract``'s manifest), 3 I/O error
 (including a malformed scan file, and ``simulate``, ``extract`` or
 ``odometry`` into a dataset), 4 no scan pair could be matched (``odometry``
 still writes its outputs).
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import _check_sweep, slope_of, sweep_association, sweep_extraction
+from .bench import slope_of, sweep_association, sweep_extraction
 from .errors import ScanFormatError, stage
 from .icp import icp_matcher
 from .keypoints import extract_keypoints, write_keypoints_csv
@@ -228,14 +229,14 @@ def _scan_paths(dataset: Path):
 
 
 def _refuse_overwrite(outputs: dict, inputs: dict):
-    """Raise ValueError when an output path resolves to an input's or to an
-    earlier output's; both map a flag to its path."""
-    taken = {Path(path).resolve(): flag for flag, path in inputs.items()}
+    """Raise ValueError, naming both paths, when an output path resolves to
+    an input's or to an earlier output's; both map a flag to its path."""
+    taken = {Path(path).resolve(): f"{flag} {path}" for flag, path in inputs.items()}
     for flag, path in outputs.items():
         resolved = Path(path).resolve()
         if resolved in taken:
             raise ValueError(f"{flag} {path} would overwrite {taken[resolved]}")
-        taken[resolved] = flag
+        taken[resolved] = f"{flag} {path}"
 
 
 def _refuse_dataset(out_dir: Path):
@@ -286,8 +287,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    _refuse_overwrite({"--out": args.out}, {"--scan": args.scan})
     out_path = Path(args.out)
+    _refuse_overwrite({"the manifest": out_path.parent / "manifest.json", "--out": out_path},
+                      {"--scan": args.scan})
     _refuse_dataset(out_path.parent)
     scan = load_scan(args.scan)
     stats = {}
@@ -417,19 +419,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        l_max_values = [int(v) for v in args.sweep.split(",") if v.strip()]
-        grid_shapes = []
-        for token in args.grid_sweep.split(","):
-            if token.strip():
-                m, n = (int(v) for v in token.split("x"))
-                grid_shapes.append((m, n))
-    except ValueError as err:
-        raise ValueError(f"bad sweep specification: {err}") from err
-    _check_sweep(l_max_values, args.repeats, grid=False)
-    _check_sweep(grid_shapes, args.repeats, grid=True)
-    assoc = sweep_association(l_max_values, seed=args.seed, repeats=args.repeats)
-    extract = sweep_extraction(grid_shapes, seed=args.seed, repeats=args.repeats)
+    assoc = sweep_association()
+    extract = sweep_extraction()
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -489,16 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", action="store_true")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("bench", help="timing sweeps and log-log scaling slopes")
-    p.add_argument("--seed", type=int, default=0, help="scene seed")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--sweep", default="240,480,960", help="comma list of region budgets")
-    p.add_argument(
-        "--grid-sweep",
-        default="128x256,256x512,512x1024",
-        help="comma list of MxN grid shapes",
+    p = sub.add_parser(
+        "bench", help="time the fixed association and extraction sweeps and their scaling slopes"
     )
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_bench)
     return parser
 

@@ -27,6 +27,7 @@ from radarodo import (
     random_world,
     render_scan,
 )
+from radarodo.bench import _busy_scene
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -94,14 +95,7 @@ def noisy_keypoints():
 
 @pytest.fixture(scope="session")
 def busy_keypoints():
-    """Keypoints of two scans of the association sweep's clutter-rich scene
-    (about 880 each at l_max 960)."""
+    """Keypoints of the association sweep's clutter-rich scan pair (about
+    880 each at l_max 960)."""
     meta = SensorMeta(num_azimuths=256, num_range_bins=256, range_resolution=0.5, scan_period=0.25)
-    world = random_world(600, 0.85 * meta.max_range, seed=0, min_range=4.0,
-                         reflectivity_range=(0.6, 2.0))
-    art = ArtifactModel(speckle_scale=0.15, background_noise=0.01, beam_width_azimuths=2.5)
-    poses = (Pose2(), Pose2(0.4, 0.1, 0.01))
-    return tuple(
-        extract_keypoints(render_scan(world, pose, meta, art, seed=k, timestamp=0.25 * k), 960)
-        for k, pose in enumerate(poses)
-    )
+    return tuple(extract_keypoints(scan, 960) for scan in _busy_scene(meta))

@@ -331,22 +331,23 @@ def test_11_icp_needs_a_prior_but_graph_matching_does_not():
     )
 
 
-SLOPE_SWEEPS = """
-import json
-from radarodo.bench import slope_of, sweep_association, sweep_extraction
-assoc = sweep_association([240, 480, 960], seed=0, repeats=3)
-extract = sweep_extraction([(128, 256), (256, 512), (512, 1024)], seed=0, repeats=3)
-print(json.dumps([slope_of(assoc), slope_of(extract)]))
-"""
-
-
-def test_12_wall_time_scaling_slopes():
+def test_12_wall_time_scaling_slopes(tmp_path):
     # timed in a fresh interpreter at one BLAS thread: allocator settings are
     # process-wide, and an in-process odometry call fixes glibc's for good
-    proc = subprocess.run([sys.executable, "-c", SLOPE_SWEEPS], env=child_env(blas_threads=1),
-                          capture_output=True, text=True, timeout=600)
+    out = tmp_path / "bench"
+    proc = subprocess.run([sys.executable, "-m", "radarodo.cli", "bench", "--out", str(out)],
+                          env=child_env(blas_threads=1), capture_output=True, text=True,
+                          timeout=600)
     assert proc.returncode == 0, proc.stderr
-    assoc_slope, extract_slope = json.loads(proc.stdout)
+    rows = (out / "bench.csv").read_text().splitlines()
+    assert rows[0] == "stage,parameter,seconds,detail"
+    assert len(rows) == 7
+    summary = dict(
+        line.split(" = ") for line in (out / "bench_summary.txt").read_text().splitlines()
+    )
+    assert summary.keys() == {"association_slope", "extraction_slope"}
+    assoc_slope = float(summary["association_slope"])
+    extract_slope = float(summary["extraction_slope"])
     assert 1.6 <= assoc_slope <= 3.4
     assert 0.8 <= extract_slope <= 1.5
     print(
@@ -420,10 +421,7 @@ def test_13_every_entry_point_is_deterministic(tmp_path):
             "eval", "--trajectory", str(root / "ro" / "trajectory.csv"),
             "--truth", str(data / "truth.csv"), "--out", str(root / "eval.txt"), "--plot",
         ])
-        _run([
-            "bench", "--out", str(root / "bench"), "--repeats", "1",
-            "--sweep", "20,40,80", "--grid-sweep", "32x64,48x96,64x128",
-        ])
+        _run(["bench", "--out", str(root / "bench")])
         runs[tag] = root
     x, y = runs["x"], runs["y"]
     for k in range(4):

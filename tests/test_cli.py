@@ -493,14 +493,16 @@ def test_eval_plot_that_would_overwrite_its_metrics_is_a_usage_error(tmp_path, c
     "argv",
     [
         ["extract", "--scan", "data/scan_00000.rscan", "--out", "data/../data/scan_00000.rscan"],
+        ["extract", "--scan", "data/scan_00000.rscan", "--out", "kp/manifest.json"],
+        ["extract", "--scan", "manifest.json", "--out", "kp.csv"],
         ["eval", "--trajectory", "t.csv", "--truth", "data/truth.csv", "--out", "./data/truth.csv"],
         ["eval", "--trajectory", "t.csv", "--truth", "data/truth.csv", "--out", "t.csv"],
         ["eval", "--trajectory", "t.csv", "--truth", "data/truth.csv", "--out", "link.csv"],
         ["eval", "--trajectory", "t.csv", "--truth", "g.svg", "--out", "g.txt", "--plot"],
         ["eval", "--trajectory", "t.svg", "--truth", "data/truth.csv", "--out", "t.txt", "--plot"],
     ],
-    ids=["extract-scan", "eval-truth", "eval-trajectory", "eval-truth-by-link",
-         "eval-plot-truth", "eval-plot-trajectory"],
+    ids=["extract-scan", "extract-manifest", "extract-scan-as-manifest", "eval-truth",
+         "eval-trajectory", "eval-truth-by-link", "eval-plot-truth", "eval-plot-trajectory"],
 )
 def test_an_output_that_is_an_input_is_a_usage_error(tmp_path, monkeypatch, argv, capsys):
     simulate(tmp_path)
@@ -509,6 +511,7 @@ def test_an_output_that_is_an_input_is_a_usage_error(tmp_path, monkeypatch, argv
     for name in ("t.csv", "t.svg", "g.svg"):
         (tmp_path / name).write_bytes(truth)
     (tmp_path / "link.csv").symlink_to(tmp_path / "data" / "truth.csv")
+    (tmp_path / "manifest.json").write_bytes((tmp_path / "data" / "scan_00000.rscan").read_bytes())
     capsys.readouterr()
     before = snapshot(tmp_path)
     rc = main(argv)
@@ -655,98 +658,6 @@ def test_odometry_on_empty_dataset_is_io_error(tmp_path):
     assert rc == 3
 
 
-def test_bench_rejects_a_malformed_sweep_token(tmp_path, capsys):
-    rc = main(["bench", "--out", str(tmp_path / "b"), "--sweep", "20,40,80",
-               "--grid-sweep", "32x64,48,64x128", "--repeats", "1"])
-    assert rc == 2
-    assert "bad sweep specification" in capsys.readouterr().err
-    assert not (tmp_path / "b").exists()
-
-
-@pytest.mark.parametrize("shape", ["32x0", "1x64"])
-def test_bench_rejects_a_grid_side_below_2_before_timing(tmp_path, shape, capsys, monkeypatch):
-    def untimed(*args, **kwargs):
-        raise AssertionError("a sweep ran before the grid shapes were checked")
-
-    monkeypatch.setattr("radarodo.cli.sweep_association", untimed)
-    monkeypatch.setattr("radarodo.cli.sweep_extraction", untimed)
-    rc = main(["bench", "--out", str(tmp_path / "b"), "--sweep", "20,40,80",
-               "--grid-sweep", f"48x96,{shape},64x128", "--repeats", "1"])
-    assert rc == 2
-    assert f"grid shape {shape} " in capsys.readouterr().err
-    assert not (tmp_path / "b").exists()
-
-
-def test_bench_rejects_a_budget_below_1_before_timing(tmp_path, capsys, monkeypatch):
-    def untimed(*args, **kwargs):
-        raise AssertionError("a sweep ran before the region budgets were checked")
-
-    monkeypatch.setattr("radarodo.cli.sweep_association", untimed)
-    monkeypatch.setattr("radarodo.cli.sweep_extraction", untimed)
-    rc = main(["bench", "--out", str(tmp_path / "b"), "--sweep", "0,40,80",
-               "--grid-sweep", "32x64,48x96,64x128", "--repeats", "1"])
-    assert rc == 2
-    assert "region budget 0 " in capsys.readouterr().err
-    assert not (tmp_path / "b").exists()
-
-
-@pytest.mark.parametrize(
-    "sweep, grid_sweep, message",
-    [
-        ("50,100", "32x64,48x96,64x128", "need at least 3 region budgets, got 2"),
-        ("20,40,80", "32x64,64x128", "need at least 3 grid shapes, got 2"),
-        ("40,40,40", "32x64,48x96,64x128", "need at least 2 distinct region budgets"),
-        ("20,40,80", "32x64,64x32,32x64", "need at least 2 distinct cell counts"),
-    ],
-    ids=["two-budgets", "two-grid-shapes", "equal-budgets", "equal-cell-counts"],
-)
-def test_bench_requires_three_sweep_points(tmp_path, sweep, grid_sweep, message, capsys):
-    rc = main(["bench", "--out", str(tmp_path / "b"), "--sweep", sweep,
-               "--grid-sweep", grid_sweep, "--repeats", "1"])
-    assert rc == 2
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "b").exists()
-
-
-@pytest.mark.parametrize("repeats", ["0", "-1"])
-def test_bench_requires_a_positive_repeat_count(tmp_path, repeats, capsys):
-    out = tmp_path / "b"
-    rc = main(["bench", "--out", str(out), "--sweep", "20,40,80",
-               "--grid-sweep", "32x64,48x96,64x128", "--repeats", repeats])
-    assert rc == 2
-    assert "repeats must be at least 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("sweep", ["10,12,14", "5,10,15", "2,3,4"])
-def test_bench_with_an_unmatchable_budget_is_a_usage_error(tmp_path, sweep, capsys):
-    rc = main(["bench", "--out", str(tmp_path / "b"), "--sweep", sweep,
-               "--grid-sweep", "32x64,48x96,64x128", "--repeats", "1"])
-    assert rc == 2
-    assert f"region budget {sweep.split(',')[0]} " in capsys.readouterr().err
-    assert not (tmp_path / "b").exists()
-
-
-def test_bench_writes_summary(tmp_path):
-    out = tmp_path / "bench"
-    rc = main(
-        [
-            "bench",
-            "--out", str(out),
-            "--sweep", "20,40,80",
-            "--grid-sweep", "32x64,48x96,64x128",
-            "--repeats", "1",
-        ]
-    )
-    assert rc == 0
-    rows = (out / "bench.csv").read_text().splitlines()
-    assert rows[0].startswith("stage,parameter,seconds")
-    assert len(rows) == 7
-    summary = (out / "bench_summary.txt").read_text()
-    assert "association_slope" in summary
-    assert "extraction_slope" in summary
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -754,8 +665,9 @@ def test_bench_writes_summary(tmp_path):
         for extra in (["--config", "/nonexistent"], ["--l-max", "5"], ["--seed", "9"])
     ]
     + [
-        ["bench", "--out", "b", "--sweep", "1", *extra]
-        for extra in (["--config", "/nonexistent"], ["--l-max", "3"])
+        ["bench", "--out", "b", *extra]
+        for extra in (["--config", "/nonexistent"], ["--l-max", "3"], ["--sweep", "240,480,960"],
+                      ["--grid-sweep", "128x256"], ["--repeats", "3"], ["--seed", "0"])
     ]
     + [
         ["simulate", "--out", "d", "--l-max", "5"],
@@ -766,7 +678,7 @@ def test_bench_writes_summary(tmp_path):
         ["odometry", "--dataset", "d", "--out", "o", "--config", "c.ini"],
     ],
     ids=["eval-config", "eval-l-max", "eval-seed", "bench-config", "bench-l-max",
-         "simulate-l-max", "extract-seed", "extract-config", "odometry-seed", "odometry-truth",
+         "bench-sweep", "bench-grid-sweep", "bench-repeats", "bench-seed", "simulate-l-max", "extract-seed", "extract-config", "odometry-seed", "odometry-truth",
          "odometry-config"],
 )
 def test_commands_reject_flags_they_do_not_read(argv, capsys):
