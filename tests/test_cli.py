@@ -658,6 +658,21 @@ def test_odometry_on_empty_dataset_is_io_error(tmp_path):
     assert rc == 3
 
 
+def test_bench_writes_summary(tmp_path):
+    out = tmp_path / "bench"
+    rc = main(["bench", "--out", str(out)])
+    assert rc == 0
+    rows = (out / "bench.csv").read_text().splitlines()
+    assert rows[0] == "stage,parameter,seconds,detail"
+    assert [row.split(",")[:2] for row in rows[1:]] == [
+        ["association", "240.0"], ["association", "480.0"], ["association", "960.0"],
+        ["extraction", "32768.0"], ["extraction", "131072.0"], ["extraction", "524288.0"],
+    ]
+    summary = (out / "bench_summary.txt").read_text()
+    assert "association_slope" in summary
+    assert "extraction_slope" in summary
+
+
 @pytest.mark.parametrize(
     "argv",
     [
