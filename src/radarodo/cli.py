@@ -4,8 +4,11 @@
 file (``key = value`` per line, ``#`` comments); ``extract`` and
 ``odometry`` read the pipeline's one parameter, the region budget, from
 ``--l-max``. Each of the three writes a ``manifest.json`` next to its
-outputs recording what it read (the resolved file keys, or ``l_max``),
-inputs, outputs, and stage wall times. None of them writes into a dataset,
+outputs recording how the run was made: its ``config`` is every setting
+the command read (``simulate``'s resolved file keys and ``seed``,
+``extract``'s ``l_max``, ``odometry``'s ``l_max`` and ``method``), beside
+its inputs, outputs and wall times. Wall times go there alone, so the
+metrics files hold only results. None of them writes into a dataset,
 a directory holding ``scan_*.rscan`` files, whose scans and manifest are
 ``simulate``'s.
 
@@ -117,7 +120,7 @@ def resolve_config(config_path) -> dict:
     return cfg
 
 
-def write_manifest(out_dir: Path, command: str, cfg: dict, inputs, outputs, timings, **extra):
+def write_manifest(out_dir: Path, command: str, cfg: dict, inputs, outputs, timings):
     manifest = {
         "command": command,
         "version": __version__,
@@ -125,7 +128,6 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, inputs, outputs, timi
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "timings_s": timings,
-        **extra,
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -176,7 +178,7 @@ def write_pose_csv(path, trajectory: TrajectorySpec):
 
 
 def write_metrics_file(path, entries: dict):
-    """Plain ``key = value`` lines; timing keys carry a ``timing_`` prefix."""
+    """Plain ``key = value`` lines."""
     with open(path, "w", encoding="ascii") as f:
         for key, value in entries.items():
             f.write(f"{key} = {value}\n")
@@ -281,7 +283,8 @@ def cmd_simulate(args) -> int:
         truth_path = out_dir / "truth.csv"
         write_pose_csv(truth_path, traj)
         outputs.append(truth_path)
-    write_manifest(out_dir, "simulate", cfg, [], outputs, stats["timings"], seed=args.seed)
+    write_manifest(out_dir, "simulate", {**cfg, "seed": args.seed},
+                   [args.config] if args.config else [], outputs, stats["timings"])
     print(f"wrote {len(scans)} scans + truth.csv to {out_dir}")
     return 0
 
@@ -353,7 +356,6 @@ def cmd_odometry(args) -> int:
         matcher = icp_matcher() if args.method == "icp" else None
         result = run_odometry(scans, PipelineConfig(l_max=args.l_max), matcher)
     entries = {
-        "method": args.method,
         "n_pairs": len(result.pairs),
         "failures": result.failure_count,
     }
@@ -374,9 +376,8 @@ def cmd_odometry(args) -> int:
             print(f"warning: truth not scored: {err}", file=sys.stderr)
 
     pair_times = [sum(p.timings.values()) for p in result.pairs]
-    entries["timing_pair_p50_s"] = float(np.percentile(pair_times, 50))
-    entries["timing_pair_p90_s"] = float(np.percentile(pair_times, 90))
-    entries["timing_total_s"] = stats["timings"]["total"]
+    timings = stats["timings"]
+    timings["pair_p50"], timings["pair_p90"] = map(float, np.percentile(pair_times, [50, 90]))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     traj_path = out_dir / "trajectory.csv"
@@ -391,8 +392,8 @@ def cmd_odometry(args) -> int:
             tracks.insert(0, ("truth", truth))
         write_trajectory_svg(svg_path, tracks)
         outputs.append(svg_path)
-    write_manifest(out_dir, "odometry", {"l_max": args.l_max}, scan_paths, outputs,
-                   stats["timings"])
+    write_manifest(out_dir, "odometry", {"l_max": args.l_max, "method": args.method},
+                   scan_paths, outputs, timings)
     print(f"{args.method}: {len(result.pairs)} pairs, {result.failure_count} failures -> {out_dir}")
     if result.failure_count == len(result.pairs):
         print("error: no scan pair could be matched", file=sys.stderr)

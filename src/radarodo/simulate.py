@@ -18,6 +18,10 @@ from .scan import PolarScan, SensorMeta, _is_count
 from .se2 import Pose2, apply_pose, inverse, wrap_angle
 
 _TWO_PI = 2.0 * math.pi
+# the most rings a blob's azimuth window may cover: it wraps, so it is not
+# clipped to the grid, and each blob allocates its whole window; every
+# scene in the tests, demos and benchmark stays under one ring
+MAX_BLOB_RINGS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +66,14 @@ class ArtifactModel:
             raise ValueError("dropout_prob must lie in [0, 1]")
         if not (self.beam_width_azimuths > 0 and self.range_spread_bins > 0):
             raise ValueError("blob spreads must be positive")
+        # a blob's window reaches 3 sigma each way; an int too large for a
+        # float fails too
+        try:
+            fits = 3.0 * max(self.beam_width_azimuths, self.range_spread_bins) < math.inf
+        except OverflowError:
+            fits = False
+        if not fits:
+            raise ValueError("blob spreads must keep 3 * spread finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,10 +136,18 @@ def render_scan(
 
     Deterministic for a fixed (world, pose, meta, artifacts, seed).
     Landmarks at or beyond the maximum range are silently out of view.
+    Raises ValueError, before it allocates, when a blob's azimuth window
+    (``2 ceil(3 beam_width_azimuths) + 1`` azimuths) spans more than
+    ``MAX_BLOB_RINGS`` rings of ``meta.num_azimuths``.
     """
     art = artifacts if artifacts is not None else ArtifactModel()
-    rng_land, rng_fp, rng_noise = np.random.default_rng(seed).spawn(3)
     m, n = meta.num_azimuths, meta.num_range_bins
+    if 2 * math.ceil(3.0 * art.beam_width_azimuths) + 1 > MAX_BLOB_RINGS * m:
+        raise ValueError(
+            f"beam_width_azimuths {art.beam_width_azimuths} gives a blob wider than "
+            f"{MAX_BLOB_RINGS} rings of {m} azimuths"
+        )
+    rng_land, rng_fp, rng_noise = np.random.default_rng(seed).spawn(3)
     grid = np.zeros((m, n))
 
     sensor_from_world = inverse(pose)

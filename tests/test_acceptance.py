@@ -392,11 +392,6 @@ def _manifests_match(a, b):
     return ma == mb
 
 
-def _metrics_match(a, b):
-    keep = lambda text: [l for l in text.splitlines() if not l.startswith("timing_")]
-    return keep(a.read_text()) == keep(b.read_text())
-
-
 def test_13_every_entry_point_is_deterministic(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(DET_CONFIG)
@@ -432,7 +427,7 @@ def test_13_every_entry_point_is_deterministic(tmp_path):
     for method in ("ro", "icp"):
         assert _same_bytes(x / method / "trajectory.csv", y / method / "trajectory.csv")
         assert _same_bytes(x / method / "trajectory.svg", y / method / "trajectory.svg")
-        assert _metrics_match(x / method / "metrics.txt", y / method / "metrics.txt")
+        assert _same_bytes(x / method / "metrics.txt", y / method / "metrics.txt")
         assert _manifests_match(x / method, y / method)
     assert _same_bytes(x / "eval.txt", y / "eval.txt")
     assert _same_bytes(x / "eval.svg", y / "eval.svg")

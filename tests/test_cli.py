@@ -196,6 +196,22 @@ def test_simulate_whose_world_extent_overflows_is_a_config_error(tmp_path, text,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("n_landmarks", [1, 2])
+@pytest.mark.parametrize(
+    "spread", ["beam_width_azimuths = 1e308", "range_spread_bins = 1e308",
+               "beam_width_azimuths = 1e9"],
+    ids=["beam-1e308", "range-1e308", "beam-1e9"],
+)
+def test_simulate_with_a_blob_spread_it_cannot_render_is_a_config_error(tmp_path, spread,
+                                                                        n_landmarks, capsys):
+    path = write_cfg(tmp_path, f"steps = 2\nn_landmarks = {n_landmarks}\n{spread}\n")
+    before = snapshot(tmp_path)
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "blob" in capsys.readouterr().err
+    assert snapshot(tmp_path) == before
+
+
 def test_odometry_on_points_beyond_the_pipeline_bound_is_a_config_error(tmp_path, capsys):
     # every range bin is 1e300 m long, so keypoint coordinates exceed 2**510
     path = write_cfg(tmp_path, "range_resolution = 1e300\nnum_range_bins = 50\n"
@@ -323,11 +339,19 @@ def test_simulate_writes_dataset(tmp_path):
     assert (out / "truth.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "simulate"
-    assert manifest["seed"] == 0
+    assert manifest["config"]["seed"] == 0 and "seed" not in manifest
     assert manifest["config"]["steps"] == 4
     truth = read_pose_csv(out / "truth.csv")
     assert len(truth) == 4
     assert truth.poses[-1].x == pytest.approx(3 * 3.0 * 0.25)
+
+
+def test_simulate_manifest_lists_the_config_file_it_read(tmp_path):
+    out = simulate(tmp_path)
+    assert json.loads((out / "manifest.json").read_text())["inputs"] == [str(tmp_path / "cfg.ini")]
+    bare = tmp_path / "bare"
+    assert main(["simulate", "--out", str(bare)]) == 0
+    assert json.loads((bare / "manifest.json").read_text())["inputs"] == []
 
 
 def snapshot(root):
@@ -719,10 +743,59 @@ def test_each_manifest_records_only_what_its_command_read(tmp_path):
     out = tmp_path / "o"
     argvs = [["extract", "--scan", str(data / "scan_00000.rscan"), "--out", str(out / "kp.csv")],
              ["odometry", "--dataset", str(data), "--out", str(out)]]
-    for argv in argvs:
+    for argv, config in zip(argvs, [{"l_max": 150}, {"l_max": 150, "method": "ro"}]):
         assert main([*argv, "--l-max", "150"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == argv[0] and manifest["config"] == {"l_max": 150}
+        assert manifest["command"] == argv[0] and manifest["config"] == config
+
+
+def _rerun_from_manifest(out, argv):
+    """Run ``argv`` with one ``--key value`` flag per key of the ``config``
+    in ``out``'s manifest."""
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    flags = [a for key, value in config.items() for a in (f"--{key.replace('_', '-')}", str(value))]
+    assert main([*argv, *flags]) == 0
+
+
+def test_a_run_remade_from_its_manifest_alone_is_byte_identical(tmp_path):
+    data = simulate(tmp_path, seed=3)
+    config = json.loads((data / "manifest.json").read_text())["config"]
+    seed = config.pop("seed")
+    remade_cfg = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in config.items()), "re.ini")
+    remade = tmp_path / "remade"
+    assert main(["simulate", "--config", str(remade_cfg), "--seed", str(seed),
+                 "--out", str(remade)]) == 0
+    for path in [*data.glob("scan_*.rscan"), data / "truth.csv"]:
+        assert (remade / path.name).read_bytes() == path.read_bytes(), path.name
+
+    scan = data / "scan_00001.rscan"
+    assert main(["extract", "--l-max", "120", "--scan", str(scan),
+                 "--out", str(tmp_path / "kp" / "kp.csv")]) == 0
+    _rerun_from_manifest(tmp_path / "kp", ["extract", "--scan", str(scan),
+                                           "--out", str(tmp_path / "kp2" / "kp.csv")])
+    assert (tmp_path / "kp2" / "kp.csv").read_bytes() == (tmp_path / "kp" / "kp.csv").read_bytes()
+
+    for method in ("ro", "icp"):
+        out, again = tmp_path / method, tmp_path / f"{method}2"
+        assert main(["odometry", "--l-max", "150", "--method", method,
+                     "--dataset", str(data), "--out", str(out)]) == 0
+        _rerun_from_manifest(out, ["odometry", "--dataset", str(data), "--out", str(again)])
+        for name in ("trajectory.csv", "metrics.txt"):
+            assert (again / name).read_bytes() == (out / name).read_bytes(), (method, name)
+
+
+def test_odometry_times_go_to_its_manifest_and_its_metrics_hold_only_results(tmp_path):
+    data = simulate(tmp_path)
+    for method in ("ro", "icp"):
+        out = tmp_path / method
+        assert main(["odometry", "--l-max", "150", "--method", method,
+                     "--dataset", str(data), "--out", str(out)]) == 0
+        timings = json.loads((out / "manifest.json").read_text())["timings_s"]
+        assert set(timings) == {"total", "pair_p50", "pair_p90"}
+        assert 0 <= timings["pair_p50"] <= timings["pair_p90"] <= timings["total"]
+        metrics = read_metrics(out / "metrics.txt")
+        assert not [key for key in metrics if key.startswith("timing_")], metrics
+        assert "method" not in metrics and metrics["n_pairs"] == "3"
 
 
 def test_misaligned_truth_is_reported_not_scored(tmp_path, capsys):

@@ -46,6 +46,12 @@ def test_artifact_model_validation():
             ArtifactModel(speckle_scale=bad)
     for ok in (1e-154, 1e154):
         assert ArtifactModel(speckle_scale=ok).speckle_scale == ok
+    # a blob reaches 3 sigma each way, which must stay finite
+    for field in ("beam_width_azimuths", "range_spread_bins"):
+        for bad in (1e308, 10**400):
+            with pytest.raises(ValueError, match="blob spreads"):
+                ArtifactModel(**{field: bad})
+        assert getattr(ArtifactModel(**{field: 5e307}), field) == 5e307
 
 
 def test_trajectory_spec_validation():
@@ -79,6 +85,17 @@ def test_landmarks_at_the_range_edges_stamp_the_first_and_last_bins():
     for rng_m, last in ((1e-9, 0), (7.999999, 7)):
         scan = render_scan([Landmark(np.array([rng_m, 0.0]))], Pose2(), meta, QUIET)
         assert scan.power[0, last] > 0.0
+
+
+def test_a_blob_wider_than_the_ring_limit_is_refused_before_it_is_drawn():
+    meta = SensorMeta(2, 8, 1.0, 0.25)
+    world = [Landmark(np.array([3.0, 0.0]))]
+    with pytest.raises(ValueError, match="blob"):
+        render_scan(world, Pose2(), meta, ArtifactModel(beam_width_azimuths=1e9))
+    # 2 ceil(3 sigma) + 1 azimuths: 33 on a 2-azimuth ring is past 16 rings, 31 is not
+    with pytest.raises(ValueError, match="16 rings"):
+        render_scan(world, Pose2(), meta, ArtifactModel(beam_width_azimuths=5.1))
+    assert render_scan(world, Pose2(), meta, ArtifactModel(beam_width_azimuths=5.0)).power.sum() > 0
 
 
 def test_single_landmark_peaks_at_its_bin():
